@@ -139,8 +139,8 @@ def test_encodings_agree_and_share_sign(lp):
 )
 def test_monotone_in_shock_size(coeff, d1, d2):
     lo, hi = sorted((d1, d2))
-    if lo == hi:
-        return
+    if hi - lo < 1e-12:
+        return  # shocks a few ulps apart can round to the same effect
     s_lo = custom_scenario("lo", lo, 0.554)
     s_hi = custom_scenario("hi", hi, 0.554)
     assert steady_state_effect_loglinear(coeff, s_lo).log_points < (
