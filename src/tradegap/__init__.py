@@ -62,7 +62,7 @@ from .scenarios import (
     default_scenario_config,
     load_scenario_config,
 )
-from .series import GdpSeries, Observation, SpliceSpec, load_series, log_gap, splice, write_series
+from .series import GdpSeries, Observation, load_series, log_gap, splice, write_series
 
 __version__ = "0.1.0"
 
@@ -86,7 +86,6 @@ __all__ = [
     "RunConfig",
     "ScenarioConfig",
     "ShockInputs",
-    "SpliceSpec",
     "TradeShockScenario",
     "additive_log_share",
     "backout_gap",

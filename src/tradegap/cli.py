@@ -120,7 +120,6 @@ def _run(args: argparse.Namespace) -> str:
             registry=seed_registry(),
             scenario_config=config,
             denominator=gap or GapDenominator.calibrated_2024(),
-            fmt=args.format,
             years=args.years,
         )
         table = build_grid(run)

@@ -26,9 +26,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .effects import GrowthEffect
-from .errors import DataValidationError
+from .errors import ConfigurationError, DataValidationError
 
 #: Calibrated 2024 log gap ln(y_synthetic / y_historical).  Not printed in
 #: the source tables; recovered by the back-out oracle (see
@@ -217,6 +218,25 @@ def policy_growth_residual(effect: GrowthEffect, total: GapDenominator) -> float
 def geometric_share_of_gap(effect: GrowthEffect, total: GapDenominator) -> DecompositionResult:
     """Geometric share of an effect against a gap, policy as residual."""
     return geometric_share(effect.relative_level, policy_growth_residual(effect, total))
+
+
+def decomposition(
+    scheme: DecompositionScheme,
+) -> Callable[[GrowthEffect, GapDenominator], DecompositionResult]:
+    """The share function ``f(effect, gap)`` of a scheme.
+
+    The one place that maps a scheme to its formula.  Linear-levels needs
+    absolute income contributions, not an effect and a gap, so it is only
+    available through :func:`linear_levels_share` and is rejected here.
+    """
+    if scheme is DecompositionScheme.ADDITIVE_LOG:
+        return additive_log_share
+    if scheme is DecompositionScheme.GEOMETRIC:
+        return geometric_share_of_gap
+    raise ConfigurationError(
+        f"the {scheme.value} scheme needs absolute contributions, not a gap; "
+        "use linear_levels_share"
+    )
 
 
 def backout_gap(effect: GrowthEffect, reported_share: float) -> float:

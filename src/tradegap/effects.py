@@ -59,7 +59,6 @@ class GrowthEffect:
 
 
 def finite_horizon_effect(
-    y0: float,
     epsilon: float,
     delta_lambda_pp: float,
     years: int,
@@ -70,10 +69,6 @@ def finite_horizon_effect(
 
     Parameters
     ----------
-    y0:
-        Baseline income level.  Carried so that absolute changes can be
-        reported (``effect.absolute_change(y0)``); the relative and
-        log-point outputs do not depend on it.
     epsilon:
         Growth points per *percentage point* of openness.
     delta_lambda_pp:
@@ -128,9 +123,7 @@ def steady_state_effect_loglog(
     )
 
 
-def evaluate(
-    model: ElasticityModel, scenario: TradeShockScenario, y0: float = 1.0
-) -> GrowthEffect:
+def evaluate(model: ElasticityModel, scenario: TradeShockScenario) -> GrowthEffect:
     """Dispatch a (model, scenario) pair to the right evaluation path.
 
     This is the single place where the percentage-point convention of
@@ -144,7 +137,6 @@ def evaluate(
                 f"model {model.name!r}: finite horizon requested but no short_run_epsilon"
             )
         return finite_horizon_effect(
-            y0,
             model.short_run_epsilon,
             scenario.delta_lambda_pp,
             model.horizon.years or 1,

@@ -188,11 +188,6 @@ class ElasticityRegistry:
                 raise ConfigurationError(f"duplicate model name {m.name!r} in registry")
             seen.add(m.name)
 
-    def add(self, model: ElasticityModel) -> None:
-        if any(m.name == model.name for m in self.entries):
-            raise ConfigurationError(f"duplicate model name {model.name!r} in registry")
-        self.entries.append(model)
-
     def get(self, name: str) -> ElasticityModel:
         for m in self.entries:
             if m.name == name:

@@ -8,18 +8,12 @@ any computation.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Iterator
 
-from .decomposition import (
-    DecompositionScheme,
-    GapDenominator,
-    additive_log_share,
-    backout_gap,
-    geometric_share_of_gap,
-)
+from .decomposition import DecompositionScheme, GapDenominator, backout_gap, decomposition
 from .effects import GrowthEffect, evaluate, finite_horizon_effect
 from .elasticities import (
     ElasticityModel,
@@ -80,7 +74,7 @@ class ResultTable:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a grid run needs; at least one model/scenario/scheme."""
+    """Everything a grid run needs; at least one model and one scheme."""
 
     registry: ElasticityRegistry
     scenario_config: ScenarioConfig
@@ -89,8 +83,6 @@ class RunConfig:
         DecompositionScheme.ADDITIVE_LOG,
         DecompositionScheme.GEOMETRIC,
     )
-    fmt: str = "md"
-    rounding: int = 1
     years: int | None = None
 
     def __post_init__(self) -> None:
@@ -98,17 +90,17 @@ class RunConfig:
             raise ConfigurationError("empty selection: no models in registry")
         if not self.schemes:
             raise ConfigurationError("empty selection: no decomposition schemes")
-        if self.fmt not in ("csv", "md"):
-            raise ConfigurationError(f"unknown output format {self.fmt!r}")
 
 
 # --------------------------------------------------------------------------
-# row expansion
+# the evaluation core: rows, scenarios and cells
 # --------------------------------------------------------------------------
 
-def expand_rows(
-    registry: ElasticityRegistry, years: int | None = None
-) -> list[tuple[ElasticityModel, str, str]]:
+#: A table row: (model at the row's horizon, display name, row label).
+_Row = tuple[ElasticityModel, str, str]
+
+
+def expand_rows(registry: ElasticityRegistry, years: int | None = None) -> list[_Row]:
     """One table row per (model, horizon), as (model, display, row label).
 
     A model whose default horizon is finite gets two rows — the compounded
@@ -116,21 +108,21 @@ def expand_rows(
     with the horizon folded into the row label.  Steady-state models get
     one row labelled by the study alone.
     """
-    rows: list[tuple[ElasticityModel, str, str]] = []
+    rows: list[_Row] = []
     for model in registry:
         display = _DISPLAY_NAMES.get(model.name, model.name)
         if model.horizon.kind is HorizonKind.FINITE:
             horizon = Horizon.finite(years or model.horizon.years or 1)
             rows.append(
                 (
-                    dataclasses.replace(model, horizon=horizon),
+                    replace(model, horizon=horizon),
                     display,
                     f"{display}, {horizon.describe()}",
                 )
             )
             rows.append(
                 (
-                    dataclasses.replace(model, horizon=Horizon.steady_state()),
+                    replace(model, horizon=Horizon.steady_state()),
                     display,
                     f"{display}, long-run",
                 )
@@ -147,37 +139,44 @@ def _coefficient_label(model: ElasticityModel) -> str:
 
 
 def _table_scenarios(
-    config: ScenarioConfig,
-    lambda_baseline: float | None,
-    c1_delta_lambda: float | None,
+    config: ScenarioConfig, lambda_baseline: float | None = None
 ) -> tuple[TradeShockScenario, ...]:
-    lam0 = lambda_baseline if lambda_baseline is not None else config.lambda_baseline
-    c1, c2, c3 = build_scenarios(config.inputs, lam0)
-    if c1_delta_lambda is not None:
-        c1 = custom_scenario(
-            "C1", c1_delta_lambda, lam0, "calibrated 1972 openness-share change"
-        )
+    """C1-C3 at the config's or the given baseline, C1 at the calibrated table change."""
+    lam0 = config.lambda_baseline if lambda_baseline is None else lambda_baseline
+    _, c2, c3 = build_scenarios(config.inputs, lam0)
+    c1 = custom_scenario("C1", TABLE_C1_DELTA_LAMBDA, lam0, "calibrated 1972 openness-share change")
     return (c1, c2, c3)
 
 
-def _share_for_row(
-    effect: GrowthEffect,
-    scheme: DecompositionScheme,
+def _cells(
+    registry: ElasticityRegistry,
+    scenarios: tuple[TradeShockScenario, ...],
     gap: GapDenominator,
-    gap_1972: GapDenominator,
-) -> float:
-    """Share of the gap for one table row, honouring the first-row quirk.
+    schemes: tuple[DecompositionScheme, ...],
+    years: int | None = None,
+    finite_gap: GapDenominator | None = None,
+) -> Iterator[tuple[_Row, TradeShockScenario, GrowthEffect, list[float]]]:
+    """Every (model row x scenario) cell as (row, scenario, effect, shares).
 
-    Finite-horizon rows end at the original comparison window, so they are
-    measured geometrically against the 1972 gap (the convention of the
-    study being replicated); steady-state rows run against the 2024 gap
-    under the requested scheme.
+    ``shares`` holds one percentage per scheme.  Given ``finite_gap`` (Tables
+    2 and A3), finite-horizon rows, which end at the original comparison
+    window, are measured geometrically against that 1972 gap whatever the
+    scheme: the convention of the study being replicated.
     """
-    if effect.horizon_used.kind is HorizonKind.FINITE:
-        return geometric_share_of_gap(effect, gap_1972).theta
-    if scheme is DecompositionScheme.ADDITIVE_LOG:
-        return additive_log_share(effect, gap).theta
-    return geometric_share_of_gap(effect, gap).theta
+    if gap.log_points <= 0:
+        raise ConfigurationError(f"gap denominator must be positive, got {gap.log_points}")
+    share_fns = [decomposition(s) for s in schemes]
+    finite_fns = [decomposition(DecompositionScheme.GEOMETRIC)] * len(schemes)
+    for row in expand_rows(registry, years):
+        model = row[0]
+        finite = finite_gap is not None and model.horizon.kind is HorizonKind.FINITE
+        fns, denominator = (finite_fns, finite_gap) if finite else (share_fns, gap)
+        for scenario in scenarios:
+            effect = evaluate(model, scenario)
+            shares = []
+            for share in fns:
+                shares.append(100.0 * share(effect, denominator).theta)
+            yield row, scenario, effect, shares
 
 
 # --------------------------------------------------------------------------
@@ -196,12 +195,12 @@ def build_replication_table(
     original computation, which worked from the printed ratios.
     """
     config = config or default_scenario_config()
-    scenarios = _table_scenarios(config, lambda_baseline, c1_delta_lambda=None)
+    lam0 = config.lambda_baseline if lambda_baseline is None else lambda_baseline
     rows = []
-    for scenario in scenarios:
+    for scenario in build_scenarios(config.inputs, lam0):
         ratio_pp = round(scenario.delta_lambda_pp, 1)
         effect = finite_horizon_effect(
-            1.0, 0.018, ratio_pp, years, model_name="yanikkaya", scenario_id=scenario.id
+            0.018, ratio_pp, years, model_name="yanikkaya", scenario_id=scenario.id
         )
         rows.append((scenario.id, ratio_pp, 100.0 * effect.relative_level))
     return ResultTable(
@@ -218,24 +217,60 @@ def build_replication_table(
     )
 
 
+def _share_rows(
+    scheme: DecompositionScheme,
+    registry: ElasticityRegistry | None,
+    config: ScenarioConfig | None,
+    gap: GapDenominator | None,
+    lambda_baseline: float | None,
+    years: int | None,
+) -> tuple[list[tuple[str, str, list[float], list[float]]], list[str], tuple[str, ...]]:
+    """Table 2/A3 rows (label, coefficient, effects %, shares %), grouped by model
+    row as two models may share a label, with the scenario ids and footnotes."""
+    config = config or default_scenario_config()
+    gap = gap or GapDenominator.calibrated_2024()
+    gap_1972 = GapDenominator.gap_1972()
+    scenarios = _table_scenarios(config, lambda_baseline)
+    rows, current = [], None
+    for row, _, effect, (theta,) in _cells(
+        registry or seed_registry(), scenarios, gap, (scheme,), years, gap_1972
+    ):
+        if row is not current:
+            model, _display, label = current = row
+            rows.append((label, _coefficient_label(model), [], []))
+        rows[-1][2].append(100.0 * effect.relative_level)
+        rows[-1][3].append(theta)
+    footnotes = (
+        f"shares: {scheme.value.replace('_', '-')} decomposition against the "
+        f"{gap.describe()} (synthetic = {1.0 + gap.relative_level:.2f}x historical)",
+        "finite-horizon rows: geometric share of the 1972 gap "
+        f"({gap_1972.relative_level:.4f} relative), the original study's convention",
+        f"baseline openness {scenarios[0].lambda_baseline:g}; scenario openness changes "
+        + ", ".join(f"{s.id} = {s.delta_lambda:.4f}" for s in scenarios)
+        + "; C1 calibrated (see TABLE_C1_DELTA_LAMBDA)",
+        _inputs_footnote(config),
+    )
+    return rows, [s.id for s in scenarios], footnotes
+
+
 def build_table2(
     registry: ElasticityRegistry | None = None,
     config: ScenarioConfig | None = None,
     gap: GapDenominator | None = None,
     lambda_baseline: float | None = None,
     years: int | None = None,
-    c1_delta_lambda: float | None = TABLE_C1_DELTA_LAMBDA,
 ) -> ResultTable:
     """Effects and additive-log shares for every model x scenario."""
-    return _build_effect_share_table(
-        DecompositionScheme.ADDITIVE_LOG,
-        "Embargo effects and share of underperformance (additive-log shares)",
-        registry,
-        config,
-        gap,
-        lambda_baseline,
-        years,
-        c1_delta_lambda,
+    rows, ids, footnotes = _share_rows(
+        DecompositionScheme.ADDITIVE_LOG, registry, config, gap, lambda_baseline, years
+    )
+    return ResultTable(
+        caption="Embargo effects and share of underperformance (additive-log shares)",
+        columns=("model", "elasticity")
+        + tuple(f"effect_{i}_pct" for i in ids)
+        + tuple(f"share_{i}_pct" for i in ids),
+        rows=tuple((label, coef, *effects, *shares) for label, coef, effects, shares in rows),
+        footnotes=footnotes,
     )
 
 
@@ -245,71 +280,16 @@ def build_table_a3(
     gap: GapDenominator | None = None,
     lambda_baseline: float | None = None,
     years: int | None = None,
-    c1_delta_lambda: float | None = TABLE_C1_DELTA_LAMBDA,
 ) -> ResultTable:
     """Same grid with geometric shares throughout."""
-    return _build_effect_share_table(
-        DecompositionScheme.GEOMETRIC,
-        "Embargo share of underperformance (geometric shares)",
-        registry,
-        config,
-        gap,
-        lambda_baseline,
-        years,
-        c1_delta_lambda,
-        include_effects=False,
+    rows, ids, footnotes = _share_rows(
+        DecompositionScheme.GEOMETRIC, registry, config, gap, lambda_baseline, years
     )
-
-
-def _build_effect_share_table(
-    scheme: DecompositionScheme,
-    caption: str,
-    registry: ElasticityRegistry | None,
-    config: ScenarioConfig | None,
-    gap: GapDenominator | None,
-    lambda_baseline: float | None,
-    years: int | None,
-    c1_delta_lambda: float | None,
-    include_effects: bool = True,
-) -> ResultTable:
-    registry = registry or seed_registry()
-    config = config or default_scenario_config()
-    if gap is None:
-        gap = GapDenominator.calibrated_2024()
-    if gap.log_points <= 0:
-        raise ConfigurationError(
-            f"gap denominator must be positive, got {gap.log_points}"
-        )
-    gap_1972 = GapDenominator.gap_1972()
-    scenarios = _table_scenarios(config, lambda_baseline, c1_delta_lambda)
-    rows = []
-    for model, _display, label in expand_rows(registry, years):
-        effects = [evaluate(model, s) for s in scenarios]
-        cells: list[object] = [label, _coefficient_label(model)]
-        if include_effects:
-            cells += [100.0 * e.relative_level for e in effects]
-        cells += [100.0 * _share_for_row(e, scheme, gap, gap_1972) for e in effects]
-        rows.append(tuple(cells))
-    columns = ["model", "elasticity"]
-    if include_effects:
-        columns += [f"effect_{s.id}_pct" for s in scenarios]
-    columns += [f"share_{s.id}_pct" for s in scenarios]
-    lam0 = lambda_baseline if lambda_baseline is not None else config.lambda_baseline
-    scheme_name = scheme.value.replace("_", "-")
     return ResultTable(
-        caption=caption,
-        columns=tuple(columns),
-        rows=tuple(rows),
-        footnotes=(
-            f"shares: {scheme_name} decomposition against the {gap.describe()} "
-            f"(synthetic = {1.0 + gap.relative_level:.2f}x historical)",
-            "finite-horizon rows: geometric share of the 1972 gap "
-            f"({gap_1972.relative_level:.4f} relative), the original study's convention",
-            f"baseline openness {lam0:g}; scenario openness changes "
-            + ", ".join(f"{s.id} = {s.delta_lambda:.4f}" for s in scenarios)
-            + ("; C1 calibrated (see TABLE_C1_DELTA_LAMBDA)" if c1_delta_lambda else ""),
-            _inputs_footnote(config),
-        ),
+        caption="Embargo share of underperformance (geometric shares)",
+        columns=("model", "elasticity") + tuple(f"share_{i}_pct" for i in ids),
+        rows=tuple((label, coef, *shares) for label, coef, _, shares in rows),
+        footnotes=footnotes,
     )
 
 
@@ -320,39 +300,30 @@ def build_grid(run: RunConfig) -> ResultTable:
     against the single denominator in the config.  Row order is registry
     order, then scenario id.
     """
-    scenarios = _table_scenarios(run.scenario_config, None, TABLE_C1_DELTA_LAMBDA)
-    scenarios += run.scenario_config.custom_scenarios
-    if not scenarios:
-        raise ConfigurationError("empty selection: no scenarios")
-    rows = []
-    for model, display, _label in expand_rows(run.registry, run.years):
-        for scenario in scenarios:
-            effect = evaluate(model, scenario)
-            cells: list[object] = [
-                display,
-                effect.horizon_used.describe(),
-                scenario.id,
-                f"{scenario.delta_lambda:.6f}",
-                100.0 * effect.relative_level,
-            ]
-            for scheme in run.schemes:
-                if scheme is DecompositionScheme.ADDITIVE_LOG:
-                    theta = additive_log_share(effect, run.denominator).theta
-                else:
-                    theta = geometric_share_of_gap(effect, run.denominator).theta
-                cells.append(100.0 * theta)
-            rows.append(tuple(cells))
-    columns = ["model", "horizon", "scenario", "delta_lambda", "effect_pct"] + [
-        f"theta_{s.value}_pct" for s in run.schemes
+    config = run.scenario_config
+    scenarios = _table_scenarios(config) + config.custom_scenarios
+    rows = [
+        (
+            display,
+            effect.horizon_used.describe(),
+            scenario.id,
+            f"{scenario.delta_lambda:.6f}",
+            100.0 * effect.relative_level,
+            *shares,
+        )
+        for (_model, display, _label), scenario, effect, shares in _cells(
+            run.registry, scenarios, run.denominator, run.schemes, run.years
+        )
     ]
     return ResultTable(
         caption="Sensitivity grid: embargo effect and gap share per model and scenario",
-        columns=tuple(columns),
+        columns=("model", "horizon", "scenario", "delta_lambda", "effect_pct")
+        + tuple(f"theta_{s.value}_pct" for s in run.schemes),
         rows=tuple(rows),
         footnotes=(
             f"all shares measured against the {run.denominator.describe()}",
-            f"baseline openness {run.scenario_config.lambda_baseline:g}",
-            _inputs_footnote(run.scenario_config),
+            f"baseline openness {config.lambda_baseline:g}",
+            _inputs_footnote(config),
         ),
     )
 
@@ -371,36 +342,28 @@ def build_gap_audit(
     """
     registry = registry or seed_registry()
     config = config or default_scenario_config()
-    scenarios = _table_scenarios(config, lambda_baseline, TABLE_C1_DELTA_LAMBDA)
-    by_id = {s.id: s for s in scenarios}
+    adopted = GapDenominator.calibrated_2024()
+    names = dict.fromkeys(name for name, _ in PUBLISHED_LOG_LINEAR_SHARES)
+    # log-linear steady-state effects regardless of each model's default horizon
+    steady = Horizon.steady_state()
+    models = ElasticityRegistry([replace(registry.get(n), horizon=steady) for n in names])
     rows = []
-    implied: list[float] = []
-    for (name, sid), share in PUBLISHED_LOG_LINEAR_SHARES.items():
-        model = registry.get(name)
-        # log-linear steady-state effect regardless of the model's default horizon
-        model = dataclasses.replace(model, horizon=Horizon.steady_state())
-        effect = evaluate(model, by_id[sid])
+    for (model, display, _label), scenario, effect, _shares in _cells(
+        models, _table_scenarios(config, lambda_baseline), adopted, ()
+    ):
+        share = PUBLISHED_LOG_LINEAR_SHARES[model.name, scenario.id]
         gap = backout_gap(effect, share)
-        implied.append(gap)
-        rows.append(
-            (
-                _DISPLAY_NAMES.get(name, name),
-                sid,
-                effect.log_points,
-                100.0 * share,
-                gap,
-            )
-        )
-    med = statistics.median(implied)
+        rows.append((display, scenario.id, effect.log_points, 100.0 * share, gap))
+    implied = [row[-1] for row in rows]
     return ResultTable(
         caption="Gap back-out audit: denominator implied by each published share cell",
         columns=("model", "scenario", "effect_log_points", "published_share_pct", "implied_gap"),
         rows=tuple(rows),
         footnotes=(
             f"implied gaps span [{min(implied):.6f}, {max(implied):.6f}] "
-            f"log points; median {med:.6f}",
-            f"adopted default: {GapDenominator.calibrated_2024().log_points} log points "
-            f"(synthetic = {1.0 + GapDenominator.calibrated_2024().relative_level:.2f}x historical)",
+            f"log points; median {statistics.median(implied):.6f}",
+            f"adopted default: {adopted.log_points} log points "
+            f"(synthetic = {1.0 + adopted.relative_level:.2f}x historical)",
         ),
     )
 

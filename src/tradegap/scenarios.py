@@ -16,10 +16,6 @@ from pathlib import Path
 
 from .errors import ConfigurationError, DataValidationError
 
-#: Text value of pre-revolution openness; tables use the calibrated default
-#: in :data:`DEFAULT_LAMBDA_BASELINE`, this one is kept as a named preset.
-TEXT_LAMBDA_BASELINE = 0.55
-
 #: Baseline openness share. 0.554 rather than the quoted 0.55: the published
 #: log-log cells (back-solved via the acceptance oracle) are only consistent
 #: with a baseline a shade above the rounded text value.
@@ -56,37 +52,27 @@ class TradeShockScenario:
     id: str
     delta_lambda: float
     lambda_baseline: float
-    lambda_counterfactual: float
     description: str = ""
 
     def __post_init__(self) -> None:
-        if self.delta_lambda < 0:
-            raise DataValidationError(f"{self.id}: delta_lambda must be >= 0")
-        if self.lambda_counterfactual <= 0:
+        # negated comparisons so that a NaN share is rejected too
+        if not self.delta_lambda >= 0:
+            raise DataValidationError(f"{self.id}: delta_lambda must be non-negative")
+        if not self.lambda_counterfactual > 0:
             raise DataValidationError(
                 f"{self.id}: counterfactual openness non-positive "
-                f"({self.lambda_counterfactual}); log-log forms undefined"
+                f"(delta {self.delta_lambda} >= baseline {self.lambda_baseline})"
             )
-        # the two shares and their difference must agree exactly
-        if self.lambda_baseline - self.delta_lambda != self.lambda_counterfactual:
-            raise DataValidationError(
-                f"{self.id}: delta_lambda != lambda_baseline - lambda_counterfactual"
-            )
+
+    @property
+    def lambda_counterfactual(self) -> float:
+        """Openness after the shock: baseline minus the openness foregone."""
+        return self.lambda_baseline - self.delta_lambda
 
     @property
     def delta_lambda_pp(self) -> float:
         """The shock in percentage points (for finite-horizon compounding)."""
         return self.delta_lambda * 100.0
-
-
-def _scenario(sid: str, delta: float, baseline: float, description: str) -> TradeShockScenario:
-    return TradeShockScenario(
-        id=sid,
-        delta_lambda=delta,
-        lambda_baseline=baseline,
-        lambda_counterfactual=baseline - delta,
-        description=description,
-    )
 
 
 def build_scenarios(
@@ -99,19 +85,19 @@ def build_scenarios(
     """
     g = inputs.gdp_1958
     return (
-        _scenario(
+        TradeShockScenario(
             "C1",
             inputs.trade_gap_vs_synthetic_1972 / g,
             lambda_baseline,
             "1972 trade gap versus the synthetic comparator, over 1958 GDP",
         ),
-        _scenario(
+        TradeShockScenario(
             "C2",
             inputs.trade_with_us_1958 / g,
             lambda_baseline,
             "1958 trade with the US, over 1958 GDP",
         ),
-        _scenario(
+        TradeShockScenario(
             "C3",
             (inputs.trade_with_us_1958 + inputs.synthetic_export_excess_1972) / g,
             lambda_baseline,
@@ -127,14 +113,7 @@ def custom_scenario(
     description: str = "",
 ) -> TradeShockScenario:
     """A user-defined shock; requires 0 <= delta_lambda < lambda_baseline."""
-    if delta_lambda < 0:
-        raise DataValidationError(f"{sid}: delta_lambda must be non-negative")
-    if delta_lambda >= lambda_baseline:
-        raise DataValidationError(
-            f"{sid}: counterfactual openness non-positive "
-            f"(delta {delta_lambda} >= baseline {lambda_baseline})"
-        )
-    return _scenario(sid, delta_lambda, lambda_baseline, description)
+    return TradeShockScenario(sid, delta_lambda, lambda_baseline, description)
 
 
 # --------------------------------------------------------------------------

@@ -63,20 +63,6 @@ class GdpSeries:
         return len(self.observations)
 
 
-@dataclass(frozen=True)
-class SpliceSpec:
-    """Extend `base` past `splice_year` with `extension`'s growth rates."""
-
-    base: str
-    extension: str
-    splice_year: int
-
-    def apply(self, series_by_label: dict[str, GdpSeries]) -> GdpSeries:
-        return splice(
-            series_by_label[self.base], series_by_label[self.extension], self.splice_year
-        )
-
-
 def load_series(path: str | Path, label: str | None = None) -> GdpSeries:
     """Parse a CSV series file; diagnostics carry 1-based line numbers."""
     path = Path(path)

@@ -25,31 +25,31 @@ def pct(effect):
 
 def test_published_twelve_year_effects():
     # compounding the published one-decimal ratios reproduces 3.8/8.1/9.9
-    assert round(pct(finite_horizon_effect(1.0, 0.018, 17.1, 12)), 1) == 3.8
-    assert round(pct(finite_horizon_effect(1.0, 0.018, 36.1, 12)), 1) == 8.1
-    assert round(pct(finite_horizon_effect(1.0, 0.018, 44.0, 12)), 1) == 9.9
+    assert round(pct(finite_horizon_effect(0.018, 17.1, 12)), 1) == 3.8
+    assert round(pct(finite_horizon_effect(0.018, 36.1, 12)), 1) == 8.1
+    assert round(pct(finite_horizon_effect(0.018, 44.0, 12)), 1) == 9.9
 
 
 def test_zero_shock_is_zero():
-    e = finite_horizon_effect(1.0, 0.018, 0.0, 12)
+    e = finite_horizon_effect(0.018, 0.0, 12)
     assert e.relative_level == 0.0
     assert e.log_points == 0.0
 
 
 def test_single_year_has_no_compounding_noise():
-    e = finite_horizon_effect(1.0, 0.018, 17.1, 1)
+    e = finite_horizon_effect(0.018, 17.1, 1)
     assert e.relative_level == 0.018 * 17.1 / 100  # exact, not approx
 
 
 def test_degenerate_compounding_rejected():
     with pytest.raises(DataValidationError, match="degenerate compounding"):
-        finite_horizon_effect(1.0, -10.0, 10.0, 5)
+        finite_horizon_effect(-10.0, 10.0, 5)
     with pytest.raises(DataValidationError, match="years"):
-        finite_horizon_effect(1.0, 0.018, 17.1, 0)
+        finite_horizon_effect(0.018, 17.1, 0)
 
 
 def test_absolute_change_scales_with_y0():
-    e = finite_horizon_effect(3105.0, 0.018, 17.1, 12)
+    e = finite_horizon_effect(0.018, 17.1, 12)
     assert e.absolute_change(3105.0) == 3105.0 * e.relative_level
 
 
@@ -168,5 +168,5 @@ def test_divergence_of_loglog_at_small_openness():
     lam0 = 0.55
     one_point = custom_scenario("1pp", 0.01, lam0)
     loglog = steady_state_effect_loglog(0.186, one_point)
-    short_run = finite_horizon_effect(1.0, 0.018, 1.0, 1)
+    short_run = finite_horizon_effect(0.018, 1.0, 1)
     assert loglog.relative_level / short_run.relative_level > 15

@@ -150,9 +150,6 @@ def test_registry_rejects_duplicates(registry):
     model = registry.get("feyrer")
     with pytest.raises(ConfigurationError, match="duplicate"):
         ElasticityRegistry([model, model])
-    reg = ElasticityRegistry([model])
-    with pytest.raises(ConfigurationError, match="duplicate"):
-        reg.add(model)
 
 
 def test_registry_lookup_failure(registry):

@@ -147,7 +147,7 @@ def test_grid_bias_direction_every_row(registry, config):
 def test_grid_zero_custom_scenario(registry, config, tmp_path):
     from tradegap import TradeShockScenario
 
-    zero = TradeShockScenario("none", 0.0, 0.554, 0.554)
+    zero = TradeShockScenario("none", 0.0, 0.554)
     cfg = ScenarioConfig(
         inputs=config.inputs, lambda_baseline=0.554, custom_scenarios=(zero,)
     )
@@ -172,6 +172,18 @@ def test_grid_empty_scheme_selection(registry, config):
             denominator=GapDenominator.calibrated_2024(),
             schemes=(),
         )
+
+
+def test_grid_rejects_linear_levels(registry, config):
+    # linear-levels needs absolute contributions, not a gap: no share column for it
+    run = RunConfig(
+        registry=registry,
+        scenario_config=config,
+        denominator=GapDenominator.calibrated_2024(),
+        schemes=(DecompositionScheme.LINEAR_LEVELS,),
+    )
+    with pytest.raises(ConfigurationError, match="linear_levels"):
+        build_grid(run)
 
 
 def test_grid_single_scheme_column(registry, config):
@@ -257,6 +269,7 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
 def test_cli_more_config_errors_exit_2(tmp_path, capsys):
     # a non-positive explicit gap makes the run incoherent
     assert main(["table2", "--gap", "-1.0"]) == 2
+    assert main(["grid", "--gap", "-1.0"]) == 2
     # domain violations inside the config file are config errors too
     cfg = tmp_path / "bad.json"
     cfg.write_text(

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,7 @@ from tradegap import (
     ConfigurationError,
     DataValidationError,
     ShockInputs,
+    TradeShockScenario,
     build_scenarios,
     custom_scenario,
     default_scenario_config,
@@ -77,6 +79,15 @@ def test_custom_scenario_rejects_swallowing_baseline():
         custom_scenario("bad", 0.6, 0.55)
     with pytest.raises(DataValidationError):
         custom_scenario("bad", 0.55, 0.55)
+
+
+def test_counterfactual_openness_is_derived():
+    s = TradeShockScenario("x", 0.174, 0.554)
+    assert s.lambda_counterfactual == 0.554 - 0.174
+    with pytest.raises(DataValidationError, match="non-negative"):
+        TradeShockScenario("x", math.nan, 0.554)
+    with pytest.raises(DataValidationError, match="non-positive"):
+        TradeShockScenario("x", 0.1, math.nan)
 
 
 def test_delta_lambda_pp_is_percentage_points(c123):

@@ -9,7 +9,6 @@ from tradegap import (
     GapKind,
     GdpSeries,
     Observation,
-    SpliceSpec,
     load_series,
     log_gap,
     splice,
@@ -167,14 +166,6 @@ def test_splice_missing_growth_link():
     ext = series("wdi", (2000, 50.0), (2002, 60.0))
     with pytest.raises(DataValidationError, match="missing growth link"):
         splice(base, ext, 2000)
-
-
-def test_splice_spec_applies_by_label():
-    base = series("hist", (2000, 100.0))
-    ext = series("wdi", (2000, 50.0), (2001, 55.0))
-    spec = SpliceSpec(base="hist", extension="wdi", splice_year=2000)
-    out = spec.apply({"hist": base, "wdi": ext})
-    assert out.value(2001) == pytest.approx(110.0)
 
 
 @given(
