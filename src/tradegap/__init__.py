@@ -43,7 +43,6 @@ from .elasticities import (
 from .errors import ConfigurationError, DataValidationError
 from .report import (
     ResultTable,
-    RunConfig,
     build_gap_audit,
     build_grid,
     build_replication_table,
@@ -83,7 +82,6 @@ __all__ = [
     "HorizonKind",
     "Observation",
     "ResultTable",
-    "RunConfig",
     "ScenarioConfig",
     "ShockInputs",
     "TradeShockScenario",

@@ -8,7 +8,9 @@ table-a3    the same grid with geometric shares
 grid        full sensitivity grid, both schemes side by side
 gap         back-out diagnostics for the calibrated 2024 denominator
 
-Exit codes: 0 success, 2 configuration error, 3 data/validation error.
+Each subcommand takes only the flags its table builder reads; any other
+flag is a usage error.  Exit codes: 0 success, 2 configuration error,
+3 data/validation error.
 """
 
 from __future__ import annotations
@@ -16,51 +18,53 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable
 
+from . import report
 from .decomposition import GapDenominator
 from .errors import ConfigurationError, DataValidationError
-from .report import (
-    RunConfig,
-    build_gap_audit,
-    build_grid,
-    build_replication_table,
-    build_table2,
-    build_table_a3,
-    render,
-)
 from .scenarios import default_scenario_config, load_scenario_config
 from .series import load_series, log_gap
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="scenario config JSON")
-    parser.add_argument(
-        "--format", choices=("csv", "md"), default="md", help="output format (default md)"
-    )
-    parser.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    parser.add_argument(
-        "--years", type=int, metavar="N", help="override the finite compounding horizon"
-    )
-    parser.add_argument(
-        "--lambda-baseline", type=float, metavar="X", help="override baseline openness share"
-    )
-    parser.add_argument(
-        "--gap",
-        type=float,
-        metavar="LOG_POINTS",
-        help="explicit total-gap denominator in log points",
-    )
-    parser.add_argument(
-        "--gap-synthetic",
-        metavar="CSV",
-        help="synthetic-counterfactual GDP series (with --gap-historical/--gap-year)",
-    )
-    parser.add_argument(
-        "--gap-historical", metavar="CSV", help="historical GDP series"
-    )
-    parser.add_argument(
-        "--gap-year", type=int, metavar="YEAR", help="year at which to measure the gap"
-    )
+def _years(text: str) -> int:
+    """The type of ``--years``: a whole number of years, at least 1."""
+    try:
+        years = int(text)
+    except ValueError:
+        years = 0
+    if years < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number of years >= 1, got {text!r}")
+    return years
+
+
+#: Builder keyword -> the flags that feed it, as (flag, type, metavar, help).
+_FLAGS: dict[str, tuple[tuple[str, Callable[[str], object], str, str], ...]] = {
+    "years": (("--years", _years, "N", "override the finite compounding horizon, N >= 1"),),
+    "lambda_baseline": (("--lambda-baseline", float, "X", "override baseline openness share"),),
+    "gap": (
+        ("--gap", float, "LOG_POINTS", "explicit total-gap denominator in log points"),
+        ("--gap-synthetic", str, "CSV",
+         "synthetic-counterfactual GDP series (with --gap-historical/--gap-year)"),
+        ("--gap-historical", str, "CSV", "historical GDP series"),
+        ("--gap-year", int, "YEAR", "year at which to measure the gap"),
+    ),
+}
+
+#: Subcommand -> (help, report builder, builder keywords taken from flags,
+#: decimals).  The builder is looked up by name on each run.
+_COMMANDS: dict[str, tuple[str, str, tuple[str, ...], int]] = {
+    "replicate": ("re-derive the original 12-year growth effects",
+                  "build_replication_table", ("years", "lambda_baseline"), 1),
+    "table2": ("effects and additive-log shares per model and scenario",
+               "build_table2", ("years", "lambda_baseline", "gap"), 1),
+    "table-a3": ("geometric shares per model and scenario",
+                 "build_table_a3", ("years", "lambda_baseline", "gap"), 1),
+    "grid": ("full sensitivity grid, both decomposition schemes",
+             "build_grid", ("years", "gap"), 1),
+    "gap": ("back-out diagnostics for the calibrated gap denominator",
+            "build_gap_audit", ("lambda_baseline",), 6),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,14 +73,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Counterfactual growth accounting for a trade embargo.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("replicate", "re-derive the original 12-year growth effects"),
-        ("table2", "effects and additive-log shares per model and scenario"),
-        ("table-a3", "geometric shares per model and scenario"),
-        ("grid", "full sensitivity grid, both decomposition schemes"),
-        ("gap", "back-out diagnostics for the calibrated gap denominator"),
-    ):
-        _add_common_flags(sub.add_parser(name, help=help_text))
+    for name, (help_text, _builder, keywords, _decimals) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.add_argument("--config", metavar="PATH", help="scenario config JSON")
+        cmd.add_argument(
+            "--format", choices=("csv", "md"), default="md", help="output format (default md)"
+        )
+        cmd.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
+        for keyword in keywords:
+            for flag, kind, metavar, help_text in _FLAGS[keyword]:
+                cmd.add_argument(flag, type=kind, metavar=metavar, help=help_text)
     return parser
 
 
@@ -99,49 +105,27 @@ def _resolve_gap(args: argparse.Namespace) -> GapDenominator | None:
 
 
 def _run(args: argparse.Namespace) -> str:
+    _help, builder, keywords, decimals = _COMMANDS[args.command]
     config = load_scenario_config(args.config) if args.config else default_scenario_config()
-    gap = _resolve_gap(args)
-    if args.command == "replicate":
-        table = build_replication_table(
-            config, lambda_baseline=args.lambda_baseline, years=args.years or 12
-        )
-    elif args.command == "table2":
-        table = build_table2(
-            config=config, gap=gap, lambda_baseline=args.lambda_baseline, years=args.years
-        )
-    elif args.command == "table-a3":
-        table = build_table_a3(
-            config=config, gap=gap, lambda_baseline=args.lambda_baseline, years=args.years
-        )
-    elif args.command == "grid":
-        from .elasticities import seed_registry
-
-        run = RunConfig(
-            registry=seed_registry(),
-            scenario_config=config,
-            denominator=gap or GapDenominator.calibrated_2024(),
-            years=args.years,
-        )
-        table = build_grid(run)
-    else:  # gap
-        table = build_gap_audit(config=config, lambda_baseline=args.lambda_baseline)
-    decimals = 6 if args.command == "gap" else 1
-    return render(table, args.format, decimals=decimals)
+    flags = {k: _resolve_gap(args) if k == "gap" else getattr(args, k) for k in keywords}
+    given = {k: v for k, v in flags.items() if v is not None}
+    table = getattr(report, builder)(config=config, **given)
+    return report.render(table, args.format, decimals=decimals)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         text = _run(args)
-    except ConfigurationError as exc:
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+    except (ConfigurationError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except DataValidationError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return 0
 

@@ -38,6 +38,11 @@ class GrowthEffect:
     horizon_used: Horizon
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.relative_level):
+            raise DataValidationError(
+                f"{self.scenario_id}: effect of {self.log_points!r} log points "
+                "is out of float range"
+            )
         # the two encodings must agree to within 1e-12 at all times
         if not math.isclose(
             self.relative_level, math.expm1(self.log_points), rel_tol=1e-12, abs_tol=1e-15
@@ -51,7 +56,11 @@ class GrowthEffect:
     def from_log_points(
         cls, log_points: float, model_name: str, scenario_id: str, horizon: Horizon
     ) -> "GrowthEffect":
-        return cls(log_points, math.expm1(log_points), model_name, scenario_id, horizon)
+        try:
+            relative_level = math.expm1(log_points)
+        except OverflowError:
+            relative_level = math.inf  # rejected by __post_init__
+        return cls(log_points, relative_level, model_name, scenario_id, horizon)
 
     def absolute_change(self, y0: float) -> float:
         """Income change in the units of ``y0`` (the baseline level)."""
@@ -89,7 +98,10 @@ def finite_horizon_effect(
     horizon = Horizon.finite(years)
     if years == 1:
         return GrowthEffect(math.log1p(annual), annual, model_name, scenario_id, horizon)
-    log_points = years * math.log1p(annual)
+    try:
+        log_points = years * math.log1p(annual)
+    except OverflowError:  # an int horizon too large for a float
+        raise DataValidationError("years beyond float range") from None
     return GrowthEffect.from_log_points(log_points, model_name, scenario_id, horizon)
 
 

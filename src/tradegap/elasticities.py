@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from .errors import ConfigurationError, DataValidationError
+from .errors import ConfigurationError, DataValidationError, read_json
 
 REGISTRY_SCHEMA_VERSION = 1
 
@@ -316,22 +316,17 @@ def load_registry(path: str | Path) -> ElasticityRegistry:
     model is ``{name, form, coefficient, short_run_epsilon?, horizon,
     source_note}``.  A missing or unsupported schema version is rejected.
     """
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigurationError(f"registry file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"registry {path}: invalid JSON ({exc})") from None
+    return read_json(Path(path), "registry", _registry_from_json)
+
+
+def _registry_from_json(raw: object) -> ElasticityRegistry:
     if not isinstance(raw, dict) or "schema_version" not in raw:
-        raise ConfigurationError(f"registry {path}: missing mandatory schema_version")
+        raise ConfigurationError("missing mandatory schema_version")
     if raw["schema_version"] != REGISTRY_SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"registry {path}: unsupported schema_version {raw['schema_version']!r}"
-        )
+        raise ConfigurationError(f"unsupported schema_version {raw['schema_version']!r}")
     models = raw.get("models")
     if not isinstance(models, list):
-        raise ConfigurationError(f"registry {path}: 'models' must be an array")
+        raise ConfigurationError("'models' must be an array")
     entries = []
     for i, row in enumerate(models):
         try:
@@ -349,11 +344,9 @@ def load_registry(path: str | Path) -> ElasticityRegistry:
                 )
             )
         except KeyError as exc:
-            raise ConfigurationError(
-                f"registry {path}: model #{i} missing field {exc}"
-            ) from None
-        except DataValidationError as exc:
-            raise ConfigurationError(f"registry {path}: model #{i}: {exc}") from None
+            raise ConfigurationError(f"model #{i} missing field {exc}") from None
+        except (ConfigurationError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"model #{i}: {exc}") from None
     return ElasticityRegistry(entries)
 
 

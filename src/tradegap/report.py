@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import statistics
+import sys
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -22,7 +24,7 @@ from .elasticities import (
     HorizonKind,
     seed_registry,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DataValidationError
 from .scenarios import (
     ScenarioConfig,
     TradeShockScenario,
@@ -72,24 +74,8 @@ class ResultTable:
     footnotes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a grid run needs; at least one model and one scheme."""
-
-    registry: ElasticityRegistry
-    scenario_config: ScenarioConfig
-    denominator: GapDenominator
-    schemes: tuple[DecompositionScheme, ...] = (
-        DecompositionScheme.ADDITIVE_LOG,
-        DecompositionScheme.GEOMETRIC,
-    )
-    years: int | None = None
-
-    def __post_init__(self) -> None:
-        if not self.registry.entries:
-            raise ConfigurationError("empty selection: no models in registry")
-        if not self.schemes:
-            raise ConfigurationError("empty selection: no decomposition schemes")
+#: Largest gap, in log points, whose relative level exp(gap) - 1 is a float.
+_MAX_GAP_LOG_POINTS = math.log(sys.float_info.max)
 
 
 # --------------------------------------------------------------------------
@@ -112,7 +98,7 @@ def expand_rows(registry: ElasticityRegistry, years: int | None = None) -> list[
     for model in registry:
         display = _DISPLAY_NAMES.get(model.name, model.name)
         if model.horizon.kind is HorizonKind.FINITE:
-            horizon = Horizon.finite(years or model.horizon.years or 1)
+            horizon = Horizon.finite(model.horizon.years if years is None else years)
             rows.append(
                 (
                     replace(model, horizon=horizon),
@@ -163,8 +149,11 @@ def _cells(
     window, are measured geometrically against that 1972 gap whatever the
     scheme: the convention of the study being replicated.
     """
-    if gap.log_points <= 0:
-        raise ConfigurationError(f"gap denominator must be positive, got {gap.log_points}")
+    if not 0 < gap.log_points < _MAX_GAP_LOG_POINTS:
+        raise ConfigurationError(
+            f"gap denominator must be positive and finite (below "
+            f"{_MAX_GAP_LOG_POINTS:.2f} log points), got {gap.log_points}"
+        )
     share_fns = [decomposition(s) for s in schemes]
     finite_fns = [decomposition(DecompositionScheme.GEOMETRIC)] * len(schemes)
     for row in expand_rows(registry, years):
@@ -293,14 +282,29 @@ def build_table_a3(
     )
 
 
-def build_grid(run: RunConfig) -> ResultTable:
+def build_grid(
+    registry: ElasticityRegistry | None = None,
+    config: ScenarioConfig | None = None,
+    gap: GapDenominator | None = None,
+    years: int | None = None,
+    schemes: tuple[DecompositionScheme, ...] = (
+        DecompositionScheme.ADDITIVE_LOG,
+        DecompositionScheme.GEOMETRIC,
+    ),
+) -> ResultTable:
     """Cartesian sensitivity grid: every model row x every scenario.
 
     Scheme shares appear side by side as columns; all rows are measured
-    against the single denominator in the config.  Row order is registry
-    order, then scenario id.
+    against the single ``gap``.  Row order is registry order, then
+    scenario id.
     """
-    config = run.scenario_config
+    registry = seed_registry() if registry is None else registry
+    config = config or default_scenario_config()
+    gap = gap or GapDenominator.calibrated_2024()
+    if not registry.entries:
+        raise ConfigurationError("empty selection: no models in registry")
+    if not schemes:
+        raise ConfigurationError("empty selection: no decomposition schemes")
     scenarios = _table_scenarios(config) + config.custom_scenarios
     rows = [
         (
@@ -312,16 +316,16 @@ def build_grid(run: RunConfig) -> ResultTable:
             *shares,
         )
         for (_model, display, _label), scenario, effect, shares in _cells(
-            run.registry, scenarios, run.denominator, run.schemes, run.years
+            registry, scenarios, gap, schemes, years
         )
     ]
     return ResultTable(
         caption="Sensitivity grid: embargo effect and gap share per model and scenario",
         columns=("model", "horizon", "scenario", "delta_lambda", "effect_pct")
-        + tuple(f"theta_{s.value}_pct" for s in run.schemes),
+        + tuple(f"theta_{s.value}_pct" for s in schemes),
         rows=tuple(rows),
         footnotes=(
-            f"all shares measured against the {run.denominator.describe()}",
+            f"all shares measured against the {gap.describe()}",
             f"baseline openness {config.lambda_baseline:g}",
             _inputs_footnote(config),
         ),
@@ -384,7 +388,12 @@ def _inputs_footnote(config: ScenarioConfig) -> str:
 
 def _format_cell(cell: object, decimals: int) -> str:
     if isinstance(cell, float):
-        return f"{cell:.{decimals}f}"
+        text = f"{cell:.{decimals}f}"
+        if text[-1] in "fn":  # "inf", "-inf" or "nan": no table ever prints one
+            raise DataValidationError(
+                f"table cell out of float range ({cell}): check input magnitudes"
+            )
+        return text
     return str(cell)
 
 

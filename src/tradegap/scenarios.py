@@ -10,11 +10,11 @@ forewent, each divided by 1958 GDP (all currency in 1957 USD millions):
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigurationError, DataValidationError
+from .errors import ConfigurationError, DataValidationError, read_json
 
 #: Baseline openness share. 0.554 rather than the quoted 0.55: the published
 #: log-log cells (back-solved via the acceptance oracle) are only consistent
@@ -34,15 +34,16 @@ class ShockInputs:
     gdp_1958: float
 
     def __post_init__(self) -> None:
-        if self.gdp_1958 <= 0:
-            raise DataValidationError(f"gdp_1958 must be positive, got {self.gdp_1958}")
+        # negated comparisons so that NaN is rejected too
+        if not 0 < self.gdp_1958 < math.inf:
+            raise DataValidationError(f"gdp_1958 must be positive and finite, got {self.gdp_1958}")
         for name in (
             "trade_gap_vs_synthetic_1972",
             "trade_with_us_1958",
             "synthetic_export_excess_1972",
         ):
-            if getattr(self, name) < 0:
-                raise DataValidationError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise DataValidationError(f"{name} must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,8 @@ class TradeShockScenario:
                 f"{self.id}: counterfactual openness non-positive "
                 f"(delta {self.delta_lambda} >= baseline {self.lambda_baseline})"
             )
+        if not self.lambda_baseline < math.inf:
+            raise DataValidationError(f"{self.id}: baseline openness must be finite")
 
     @property
     def lambda_counterfactual(self) -> float:
@@ -128,6 +131,15 @@ class ScenarioConfig:
     lambda_baseline: float
     custom_scenarios: tuple[TradeShockScenario, ...] = ()
 
+    def __post_init__(self) -> None:
+        seen = {"C1", "C2", "C3"}
+        for scenario in self.custom_scenarios:
+            if scenario.id in seen:
+                raise ConfigurationError(
+                    f"custom scenario id {scenario.id!r} is taken (C1-C3 are built in)"
+                )
+            seen.add(scenario.id)
+
 
 def load_scenario_config(path: str | Path) -> ScenarioConfig:
     """Read a JSON scenario config.
@@ -136,36 +148,25 @@ def load_scenario_config(path: str | Path) -> ScenarioConfig:
     "custom_scenarios": [{"id", "delta_lambda", "description"?}, ...]}``.
     All numbers plain decimals, shares on [0, 1].
     """
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigurationError(f"scenario config not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"scenario config {path}: invalid JSON ({exc})") from None
+    return read_json(Path(path), "scenario config", _config_from_json)
+
+
+def _config_from_json(raw: object) -> ScenarioConfig:
     if not isinstance(raw, dict):
-        raise ConfigurationError(f"scenario config {path}: expected a JSON object")
-    try:
-        inputs = ShockInputs(
-            trade_gap_vs_synthetic_1972=float(raw["inputs"]["trade_gap_vs_synthetic_1972"]),
-            trade_with_us_1958=float(raw["inputs"]["trade_with_us_1958"]),
-            synthetic_export_excess_1972=float(raw["inputs"]["synthetic_export_excess_1972"]),
-            gdp_1958=float(raw["inputs"]["gdp_1958"]),
+        raise ConfigurationError("expected a JSON object")
+    inputs = ShockInputs(
+        trade_gap_vs_synthetic_1972=float(raw["inputs"]["trade_gap_vs_synthetic_1972"]),
+        trade_with_us_1958=float(raw["inputs"]["trade_with_us_1958"]),
+        synthetic_export_excess_1972=float(raw["inputs"]["synthetic_export_excess_1972"]),
+        gdp_1958=float(raw["inputs"]["gdp_1958"]),
+    )
+    lam0 = float(raw.get("lambda_baseline", DEFAULT_LAMBDA_BASELINE))
+    extra = tuple(
+        custom_scenario(
+            str(row["id"]), float(row["delta_lambda"]), lam0, str(row.get("description", ""))
         )
-        lam0 = float(raw.get("lambda_baseline", DEFAULT_LAMBDA_BASELINE))
-        extra = tuple(
-            custom_scenario(
-                str(row["id"]),
-                float(row["delta_lambda"]),
-                lam0,
-                str(row.get("description", "")),
-            )
-            for row in raw.get("custom_scenarios", [])
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigurationError(f"scenario config {path}: missing/bad field ({exc!r})") from None
-    except DataValidationError as exc:
-        raise ConfigurationError(f"scenario config {path}: {exc}") from None
+        for row in raw.get("custom_scenarios", [])
+    )
     return ScenarioConfig(inputs=inputs, lambda_baseline=lam0, custom_scenarios=extra)
 
 

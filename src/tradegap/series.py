@@ -8,6 +8,7 @@ years rather than silently inventing data.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,9 +41,10 @@ class GdpSeries:
                 raise DataValidationError(
                     f"series {self.label!r}: years not strictly increasing at {obs.year}"
                 )
-            if obs.value <= 0:
+            if not 0 < obs.value < math.inf:
                 raise DataValidationError(
-                    f"series {self.label!r}: non-positive value {obs.value} in {obs.year}"
+                    f"series {self.label!r}: non-positive or non-finite value "
+                    f"{obs.value} in {obs.year}"
                 )
             prev = obs.year
 
@@ -68,32 +70,35 @@ def load_series(path: str | Path, label: str | None = None) -> GdpSeries:
     path = Path(path)
     if not path.exists():
         raise DataValidationError(f"series file not found: {path}")
+    try:
+        records = list(csv.reader(io.StringIO(path.read_bytes().decode("utf-8"), newline="")))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataValidationError(f"{path}: unreadable CSV ({exc})") from None
+    if not records:
+        raise DataValidationError(f"{path}: empty series (no header)")
+    header = records[0]
+    cols = [c.strip().lower() for c in header]
+    if cols[:2] != ["year", "value"]:
+        raise DataValidationError(
+            f"{path}:1: header must be 'year,value[,source_tag]', got {','.join(header)!r}"
+        )
     rows: list[Observation] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    for lineno, row in enumerate(records[1:], start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) < 2:
+            raise DataValidationError(f"{path}:{lineno}: expected year,value[,source_tag]")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataValidationError(f"{path}: empty series (no header)") from None
-        cols = [c.strip().lower() for c in header]
-        if cols[:2] != ["year", "value"]:
+            year = int(row[0])
+            value = float(row[1])
+        except ValueError:
             raise DataValidationError(
-                f"{path}:1: header must be 'year,value[,source_tag]', got {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) < 2:
-                raise DataValidationError(f"{path}:{lineno}: expected year,value[,source_tag]")
-            try:
-                year = int(row[0])
-                value = float(row[1])
-            except ValueError:
-                raise DataValidationError(
-                    f"{path}:{lineno}: malformed row {','.join(row)!r}"
-                ) from None
-            tag = row[2].strip() if len(row) > 2 else ""
-            rows.append(Observation(year, value, tag))
+                f"{path}:{lineno}: malformed row {','.join(row)!r}"
+            ) from None
+        if not math.isfinite(value):
+            raise DataValidationError(f"{path}:{lineno}: non-finite value {row[1].strip()!r}")
+        tag = row[2].strip() if len(row) > 2 else ""
+        rows.append(Observation(year, value, tag))
     if not rows:
         raise DataValidationError(f"{path}: empty series")
     # re-raise invariant violations with the file in the message

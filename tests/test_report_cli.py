@@ -7,8 +7,8 @@ import pytest
 from tradegap import (
     ConfigurationError,
     DecompositionScheme,
+    ElasticityRegistry,
     GapDenominator,
-    RunConfig,
     ShockInputs,
     build_gap_audit,
     build_grid,
@@ -112,12 +112,7 @@ def test_custom_gap_flows_through(registry):
 # ---------------------------------------------------------------------- grid
 
 def test_grid_shape_and_order(registry, config):
-    run = RunConfig(
-        registry=registry,
-        scenario_config=config,
-        denominator=GapDenominator.calibrated_2024(),
-    )
-    table = build_grid(run)
+    table = build_grid(registry=registry, config=config, gap=GapDenominator.calibrated_2024())
     assert len(table.rows) == 21  # 7 model-rows x 3 scenarios
     assert [r[2] for r in table.rows[:3]] == ["C1", "C2", "C3"]
     assert table.rows[0][0] == "Yanikkaya (2003)"
@@ -126,12 +121,7 @@ def test_grid_shape_and_order(registry, config):
 
 
 def test_grid_bias_direction_every_row(registry, config):
-    run = RunConfig(
-        registry=registry,
-        scenario_config=config,
-        denominator=GapDenominator.calibrated_2024(),
-    )
-    table = build_grid(run)
+    table = build_grid(registry=registry, config=config, gap=GapDenominator.calibrated_2024())
     add_idx = table.columns.index("theta_additive_log_pct")
     geo_idx = table.columns.index("theta_geometric_pct")
     total_pct = 100 * math.expm1(1.085)
@@ -151,12 +141,7 @@ def test_grid_zero_custom_scenario(registry, config, tmp_path):
     cfg = ScenarioConfig(
         inputs=config.inputs, lambda_baseline=0.554, custom_scenarios=(zero,)
     )
-    run = RunConfig(
-        registry=registry,
-        scenario_config=cfg,
-        denominator=GapDenominator.calibrated_2024(),
-    )
-    table = build_grid(run)
+    table = build_grid(registry=registry, config=cfg, gap=GapDenominator.calibrated_2024())
     zero_rows = [r for r in table.rows if r[2] == "none"]
     assert len(zero_rows) == 7
     for row in zero_rows:
@@ -166,34 +151,19 @@ def test_grid_zero_custom_scenario(registry, config, tmp_path):
 
 def test_grid_empty_scheme_selection(registry, config):
     with pytest.raises(ConfigurationError, match="empty selection"):
-        RunConfig(
-            registry=registry,
-            scenario_config=config,
-            denominator=GapDenominator.calibrated_2024(),
-            schemes=(),
-        )
+        build_grid(registry=registry, config=config, schemes=())
+    with pytest.raises(ConfigurationError, match="no models"):
+        build_grid(registry=ElasticityRegistry([]), config=config)
 
 
 def test_grid_rejects_linear_levels(registry, config):
     # linear-levels needs absolute contributions, not a gap: no share column for it
-    run = RunConfig(
-        registry=registry,
-        scenario_config=config,
-        denominator=GapDenominator.calibrated_2024(),
-        schemes=(DecompositionScheme.LINEAR_LEVELS,),
-    )
     with pytest.raises(ConfigurationError, match="linear_levels"):
-        build_grid(run)
+        build_grid(registry=registry, config=config, schemes=(DecompositionScheme.LINEAR_LEVELS,))
 
 
 def test_grid_single_scheme_column(registry, config):
-    run = RunConfig(
-        registry=registry,
-        scenario_config=config,
-        denominator=GapDenominator.calibrated_2024(),
-        schemes=(DecompositionScheme.GEOMETRIC,),
-    )
-    table = build_grid(run)
+    table = build_grid(registry=registry, config=config, schemes=(DecompositionScheme.GEOMETRIC,))
     assert table.columns[-1] == "theta_geometric_pct"
     assert "theta_additive_log_pct" not in table.columns
 
