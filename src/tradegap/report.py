@@ -388,12 +388,11 @@ def _inputs_footnote(config: ScenarioConfig) -> str:
 
 def _format_cell(cell: object, decimals: int) -> str:
     if isinstance(cell, float):
-        text = f"{cell:.{decimals}f}"
-        if text[-1] in "fn":  # "inf", "-inf" or "nan": no table ever prints one
+        if not math.isfinite(cell):  # no table ever prints nan or inf
             raise DataValidationError(
                 f"table cell out of float range ({cell}): check input magnitudes"
             )
-        return text
+        return f"{cell:.{decimals}f}"
     return str(cell)
 
 
