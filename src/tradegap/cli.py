@@ -52,7 +52,8 @@ _FLAGS: dict[str, tuple[tuple[str, Callable[[str], object], str, str], ...]] = {
 }
 
 #: Subcommand -> (help, report builder, builder keywords taken from flags,
-#: decimals).  The builder is looked up by name on each run.
+#: decimals).  The builder is named and looked up on ``report`` at each run,
+#: so a function rebound there (a tracing wrapper, say) is the one called.
 _COMMANDS: dict[str, tuple[str, str, tuple[str, ...], int]] = {
     "replicate": ("re-derive the original 12-year growth effects",
                   "build_replication_table", ("years", "lambda_baseline"), 1),
