@@ -123,6 +123,40 @@ class DecompositionResult:
         return 1.0 - self.theta
 
 
+#: A scheme's share on plain floats: theta(log_points, relative_level, gap),
+#: with the gap in log points.
+ShareKernel = Callable[[float, float, float], float]
+
+
+def _additive_log_theta(log_points: float, _relative_level: float, gap: float) -> float:
+    if gap <= 0:
+        raise DataValidationError(f"no underperformance to decompose: total gap {gap} <= 0")
+    return log_points / gap
+
+
+def _geometric_theta(g_ne: float, g_ns: float) -> float:
+    if g_ne <= -1 or g_ns <= -1:
+        raise DataValidationError("relative level changes must exceed -1")
+    denominator = g_ns + g_ne + g_ns * g_ne
+    if denominator == 0:
+        raise DataValidationError("degenerate decomposition: total relative gap is zero")
+    return g_ne / denominator
+
+
+def _policy_residual(log_points: float, gap: float) -> float:
+    try:
+        return math.expm1(gap - log_points)
+    except OverflowError:  # an effect hundreds of log points below zero
+        raise DataValidationError(
+            f"policy residual of a {log_points!r} log-point effect against a {gap!r} "
+            "log-point gap is out of float range"
+        ) from None
+
+
+def _geometric_theta_of_gap(log_points: float, relative_level: float, gap: float) -> float:
+    return _geometric_theta(relative_level, _policy_residual(log_points, gap))
+
+
 def additive_log_share(effect: GrowthEffect, total: GapDenominator) -> DecompositionResult:
     """Embargo share of the log gap; the policy component is the residual.
 
@@ -131,14 +165,10 @@ def additive_log_share(effect: GrowthEffect, total: GapDenominator) -> Decomposi
     denominator by construction.  Shares above one are reported untruncated
     (the counterfactual then overshoots the synthetic comparator).
     """
-    if total.log_points <= 0:
-        raise DataValidationError(
-            f"no underperformance to decompose: total gap {total.log_points} <= 0"
-        )
     c_ne = effect.log_points
     return DecompositionResult(
         scheme=DecompositionScheme.ADDITIVE_LOG,
-        theta=c_ne / total.log_points,
+        theta=_additive_log_theta(c_ne, effect.relative_level, total.log_points),
         c_ne=c_ne,
         c_ns=total.log_points - c_ne,
     )
@@ -151,14 +181,9 @@ def geometric_share(g_ne: float, g_ns: float) -> DecompositionResult:
     total relative gap ``(1+g_NE)(1+g_NS) - 1`` and the cross term
     ``g_NE*g_NS`` is recorded as the interaction.
     """
-    if g_ne <= -1 or g_ns <= -1:
-        raise DataValidationError("relative level changes must exceed -1")
-    denominator = g_ns + g_ne + g_ns * g_ne
-    if denominator == 0:
-        raise DataValidationError("degenerate decomposition: total relative gap is zero")
     return DecompositionResult(
         scheme=DecompositionScheme.GEOMETRIC,
-        theta=g_ne / denominator,
+        theta=_geometric_theta(g_ne, g_ns),
         g_ne=g_ne,
         g_ns=g_ns,
         interaction=g_ne * g_ns,
@@ -212,7 +237,7 @@ def policy_growth_residual(effect: GrowthEffect, total: GapDenominator) -> float
     component is always the residual claimant of whatever part of the total
     gap the embargo effect leaves unexplained.
     """
-    return math.expm1(total.log_points - effect.log_points)
+    return _policy_residual(effect.log_points, total.log_points)
 
 
 def geometric_share_of_gap(effect: GrowthEffect, total: GapDenominator) -> DecompositionResult:
@@ -220,19 +245,19 @@ def geometric_share_of_gap(effect: GrowthEffect, total: GapDenominator) -> Decom
     return geometric_share(effect.relative_level, policy_growth_residual(effect, total))
 
 
-def decomposition(
-    scheme: DecompositionScheme,
-) -> Callable[[GrowthEffect, GapDenominator], DecompositionResult]:
-    """The share function ``f(effect, gap)`` of a scheme.
+def decomposition(scheme: DecompositionScheme) -> ShareKernel:
+    """The share function ``theta(log_points, relative_level, gap)`` of a scheme.
 
-    The one place that maps a scheme to its formula.  Linear-levels needs
-    absolute income contributions, not an effect and a gap, so it is only
-    available through :func:`linear_levels_share` and is rejected here.
+    The one place that maps a scheme to its formula; it returns the float
+    kernel behind :func:`additive_log_share` or :func:`geometric_share_of_gap`.
+    Linear-levels needs absolute income contributions, not an effect and a
+    gap, so it is only available through :func:`linear_levels_share` and is
+    rejected here.
     """
     if scheme is DecompositionScheme.ADDITIVE_LOG:
-        return additive_log_share
+        return _additive_log_theta
     if scheme is DecompositionScheme.GEOMETRIC:
-        return geometric_share_of_gap
+        return _geometric_theta_of_gap
     raise ConfigurationError(
         f"the {scheme.value} scheme needs absolute contributions, not a gap; "
         "use linear_levels_share"

@@ -20,7 +20,7 @@ Level-form coefficients are per *unit share* of openness (lambda on [0, 1]).
 The short-run growth coefficient ``short_run_epsilon`` is per *percentage
 point* of openness, as conventionally quoted (0.018 growth points per
 point).  Mixing the two silently is the classic bug in this domain, so the
-normalisation happens in exactly one place: :func:`tradegap.effects.evaluate`.
+normalisation happens in exactly one place: :func:`tradegap.effects.effect_kernel`.
 """
 
 from __future__ import annotations

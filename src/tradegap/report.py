@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .decomposition import DecompositionScheme, GapDenominator, backout_gap, decomposition
-from .effects import GrowthEffect, evaluate, finite_horizon_effect
+from .effects import GrowthEffect, effect_kernel, finite_horizon_effect
 from .elasticities import (
     ElasticityModel,
     ElasticityRegistry,
@@ -134,6 +134,18 @@ def _table_scenarios(
     return (c1, c2, c3)
 
 
+#: One cell of a model row: (scenario, log points, relative level, shares %).
+_Cell = tuple[TradeShockScenario, float, float, list[float]]
+
+
+def _nonempty_registry(registry: ElasticityRegistry | None) -> ElasticityRegistry:
+    """The registry a table reads: the seed registry by default, never empty."""
+    registry = seed_registry() if registry is None else registry
+    if not registry.entries:
+        raise ConfigurationError("empty selection: no models in registry")
+    return registry
+
+
 def _cells(
     registry: ElasticityRegistry,
     scenarios: tuple[TradeShockScenario, ...],
@@ -141,8 +153,8 @@ def _cells(
     schemes: tuple[DecompositionScheme, ...],
     years: int | None = None,
     finite_gap: GapDenominator | None = None,
-) -> Iterator[tuple[_Row, TradeShockScenario, GrowthEffect, list[float]]]:
-    """Every (model row x scenario) cell as (row, scenario, effect, shares).
+) -> Iterator[tuple[_Row, list[_Cell]]]:
+    """Every model row with its cells, one per scenario, on plain floats.
 
     ``shares`` holds one percentage per scheme.  Given ``finite_gap`` (Tables
     2 and A3), finite-horizon rows, which end at the original comparison
@@ -160,12 +172,13 @@ def _cells(
         model = row[0]
         finite = finite_gap is not None and model.horizon.kind is HorizonKind.FINITE
         fns, denominator = (finite_fns, finite_gap) if finite else (share_fns, gap)
+        total = denominator.log_points
+        effect = effect_kernel(model)
+        cells = []
         for scenario in scenarios:
-            effect = evaluate(model, scenario)
-            shares = []
-            for share in fns:
-                shares.append(100.0 * share(effect, denominator).theta)
-            yield row, scenario, effect, shares
+            lp, rel = effect(scenario)
+            cells.append((scenario, lp, rel, [100.0 * share(lp, rel, total) for share in fns]))
+        yield row, cells
 
 
 # --------------------------------------------------------------------------
@@ -220,15 +233,17 @@ def _share_rows(
     gap = gap or GapDenominator.calibrated_2024()
     gap_1972 = GapDenominator.gap_1972()
     scenarios = _table_scenarios(config, lambda_baseline)
-    rows, current = [], None
-    for row, _, effect, (theta,) in _cells(
-        registry or seed_registry(), scenarios, gap, (scheme,), years, gap_1972
-    ):
-        if row is not current:
-            model, _display, label = current = row
-            rows.append((label, _coefficient_label(model), [], []))
-        rows[-1][2].append(100.0 * effect.relative_level)
-        rows[-1][3].append(theta)
+    rows = [
+        (
+            label,
+            _coefficient_label(model),
+            [100.0 * rel for _, _, rel, _ in cells],
+            [theta for _, _, _, (theta,) in cells],
+        )
+        for (model, _display, label), cells in _cells(
+            _nonempty_registry(registry), scenarios, gap, (scheme,), years, gap_1972
+        )
+    ]
     footnotes = (
         f"shares: {scheme.value.replace('_', '-')} decomposition against the "
         f"{gap.describe()} (synthetic = {1.0 + gap.relative_level:.2f}x historical)",
@@ -298,27 +313,20 @@ def build_grid(
     against the single ``gap``.  Row order is registry order, then
     scenario id.
     """
-    registry = seed_registry() if registry is None else registry
+    registry = _nonempty_registry(registry)
     config = config or default_scenario_config()
     gap = gap or GapDenominator.calibrated_2024()
-    if not registry.entries:
-        raise ConfigurationError("empty selection: no models in registry")
     if not schemes:
         raise ConfigurationError("empty selection: no decomposition schemes")
     scenarios = _table_scenarios(config) + config.custom_scenarios
-    rows = [
-        (
-            display,
-            effect.horizon_used.describe(),
-            scenario.id,
-            f"{scenario.delta_lambda:.6f}",
-            100.0 * effect.relative_level,
-            *shares,
+    shocks = [f"{scenario.delta_lambda:.6f}" for scenario in scenarios]
+    rows = []
+    for (model, display, _label), cells in _cells(registry, scenarios, gap, schemes, years):
+        horizon = model.horizon.describe()
+        rows.extend(
+            (display, horizon, scenario.id, shock, 100.0 * rel, *shares)
+            for shock, (scenario, _, rel, shares) in zip(shocks, cells)
         )
-        for (_model, display, _label), scenario, effect, shares in _cells(
-            registry, scenarios, gap, schemes, years
-        )
-    ]
     return ResultTable(
         caption="Sensitivity grid: embargo effect and gap share per model and scenario",
         columns=("model", "horizon", "scenario", "delta_lambda", "effect_pct")
@@ -344,7 +352,7 @@ def build_gap_audit(
     implies gap = effect_log_points / share; the audit lists all nine,
     their median, and the adopted default.
     """
-    registry = registry or seed_registry()
+    registry = _nonempty_registry(registry)
     config = config or default_scenario_config()
     adopted = GapDenominator.calibrated_2024()
     names = dict.fromkeys(name for name, _ in PUBLISHED_LOG_LINEAR_SHARES)
@@ -352,12 +360,16 @@ def build_gap_audit(
     steady = Horizon.steady_state()
     models = ElasticityRegistry([replace(registry.get(n), horizon=steady) for n in names])
     rows = []
-    for (model, display, _label), scenario, effect, _shares in _cells(
+    for (model, display, _label), cells in _cells(
         models, _table_scenarios(config, lambda_baseline), adopted, ()
     ):
-        share = PUBLISHED_LOG_LINEAR_SHARES[model.name, scenario.id]
-        gap = backout_gap(effect, share)
-        rows.append((display, scenario.id, effect.log_points, 100.0 * share, gap))
+        for scenario, log_points, relative_level, _shares in cells:
+            share = PUBLISHED_LOG_LINEAR_SHARES[model.name, scenario.id]
+            effect = GrowthEffect(
+                log_points, relative_level, model.name, scenario.id, model.horizon
+            )
+            gap = backout_gap(effect, share)
+            rows.append((display, scenario.id, log_points, 100.0 * share, gap))
     implied = [row[-1] for row in rows]
     return ResultTable(
         caption="Gap back-out audit: denominator implied by each published share cell",

@@ -15,6 +15,9 @@ from hypothesis import strategies as st
 from tradegap import (
     ConfigurationError,
     DataValidationError,
+    ElasticityModel,
+    ElasticityRegistry,
+    FunctionalForm,
     GdpSeries,
     GrowthEffect,
     Horizon,
@@ -22,7 +25,9 @@ from tradegap import (
     ScenarioConfig,
     ShockInputs,
     TradeShockScenario,
+    build_grid,
     build_table2,
+    build_table_a3,
     load_registry,
     load_scenario_config,
     load_series,
@@ -126,8 +131,9 @@ def test_unreadable_series_is_a_data_error(tmp_path, body):
         load_series(bad)
 
 
-def test_horizon_too_long_for_a_float_exits_3():
-    code, out, err = run_cli(["table2", "--years", "1" + "0" * 400])
+@pytest.mark.parametrize("command", ["table2", "grid"])
+def test_horizon_too_long_for_a_float_exits_3(command):
+    code, out, err = run_cli([command, "--years", "1" + "0" * 400])
     assert (code, out) == (3, "")
     assert "years beyond float range" in err
 
@@ -147,6 +153,21 @@ def test_value_constructors_reject_non_finite_numbers():
 def test_effect_beyond_float_range_is_a_data_error():
     with pytest.raises(DataValidationError, match="out of float range"):
         GrowthEffect.from_log_points(800.0, "m", "s", Horizon.steady_state())
+
+
+@pytest.mark.parametrize("build", [build_grid, build_table_a3])
+@pytest.mark.parametrize(
+    "s,message",
+    [
+        (1e4, "out of float range"),  # the effect overflows expm1
+        (-1e4, "out of float range"),  # the geometric policy residual overflows expm1
+        (-1e3, "must exceed -1"),  # the effect's relative level rounds to -1
+    ],
+)
+def test_semi_elasticity_beyond_float_range_is_a_data_error(build, s, message):
+    model = ElasticityModel("huge", FunctionalForm.log_linear(s), Horizon.steady_state())
+    with pytest.raises(DataValidationError, match=message):
+        build(registry=ElasticityRegistry([model]))
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])

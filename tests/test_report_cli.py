@@ -156,6 +156,13 @@ def test_grid_empty_scheme_selection(registry, config):
         build_grid(registry=ElasticityRegistry([]), config=config)
 
 
+@pytest.mark.parametrize("build", [build_table2, build_table_a3, build_gap_audit])
+def test_empty_registry_is_an_empty_selection(build):
+    # an empty registry is falsy: it must not fall back to the seed registry
+    with pytest.raises(ConfigurationError, match="empty selection: no models in registry"):
+        build(registry=ElasticityRegistry([]))
+
+
 def test_grid_rejects_linear_levels(registry, config):
     # linear-levels needs absolute contributions, not a gap: no share column for it
     with pytest.raises(ConfigurationError, match="linear_levels"):
