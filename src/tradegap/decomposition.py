@@ -26,10 +26,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .effects import GrowthEffect
-from .errors import ConfigurationError, DataValidationError
+from .errors import DataValidationError
 
 #: Calibrated 2024 log gap ln(y_synthetic / y_historical).  Not printed in
 #: the source tables; recovered by the back-out oracle (see
@@ -60,13 +59,13 @@ class GapDenominator:
     log_points: float
 
     @classmethod
-    def calibrated_2024(cls, log_points: float = DEFAULT_GAP_2024_LOG_POINTS) -> "GapDenominator":
-        return cls(GapKind.LOG_GAP_2024, log_points)
+    def calibrated_2024(cls) -> "GapDenominator":
+        return cls(GapKind.LOG_GAP_2024, DEFAULT_GAP_2024_LOG_POINTS)
 
     @classmethod
-    def gap_1972(cls, relative: float = DEFAULT_GAP_1972_RELATIVE) -> "GapDenominator":
+    def gap_1972(cls) -> "GapDenominator":
         """The end-of-comparison-window (1972) gap, given as a relative level."""
-        return cls(GapKind.LOG_GAP_1972, math.log1p(relative))
+        return cls(GapKind.LOG_GAP_1972, math.log1p(DEFAULT_GAP_1972_RELATIVE))
 
     @classmethod
     def explicit(cls, log_points: float) -> "GapDenominator":
@@ -123,12 +122,8 @@ class DecompositionResult:
         return 1.0 - self.theta
 
 
-#: A scheme's share on plain floats: theta(log_points, relative_level, gap),
-#: with the gap in log points.
-ShareKernel = Callable[[float, float, float], float]
-
-
-def _additive_log_theta(log_points: float, _relative_level: float, gap: float) -> float:
+def additive_log_theta(log_points: float, _relative_level: float, gap: float) -> float:
+    """The additive-log share on plain floats, with the gap in log points."""
     if gap <= 0:
         raise DataValidationError(f"no underperformance to decompose: total gap {gap} <= 0")
     return log_points / gap
@@ -153,7 +148,8 @@ def _policy_residual(log_points: float, gap: float) -> float:
         ) from None
 
 
-def _geometric_theta_of_gap(log_points: float, relative_level: float, gap: float) -> float:
+def geometric_theta_of_gap(log_points: float, relative_level: float, gap: float) -> float:
+    """The geometric share on plain floats, with the gap in log points."""
     return _geometric_theta(relative_level, _policy_residual(log_points, gap))
 
 
@@ -168,7 +164,7 @@ def additive_log_share(effect: GrowthEffect, total: GapDenominator) -> Decomposi
     c_ne = effect.log_points
     return DecompositionResult(
         scheme=DecompositionScheme.ADDITIVE_LOG,
-        theta=_additive_log_theta(c_ne, effect.relative_level, total.log_points),
+        theta=additive_log_theta(c_ne, effect.relative_level, total.log_points),
         c_ne=c_ne,
         c_ns=total.log_points - c_ne,
     )
@@ -243,25 +239,6 @@ def policy_growth_residual(effect: GrowthEffect, total: GapDenominator) -> float
 def geometric_share_of_gap(effect: GrowthEffect, total: GapDenominator) -> DecompositionResult:
     """Geometric share of an effect against a gap, policy as residual."""
     return geometric_share(effect.relative_level, policy_growth_residual(effect, total))
-
-
-def decomposition(scheme: DecompositionScheme) -> ShareKernel:
-    """The share function ``theta(log_points, relative_level, gap)`` of a scheme.
-
-    The one place that maps a scheme to its formula; it returns the float
-    kernel behind :func:`additive_log_share` or :func:`geometric_share_of_gap`.
-    Linear-levels needs absolute income contributions, not an effect and a
-    gap, so it is only available through :func:`linear_levels_share` and is
-    rejected here.
-    """
-    if scheme is DecompositionScheme.ADDITIVE_LOG:
-        return _additive_log_theta
-    if scheme is DecompositionScheme.GEOMETRIC:
-        return _geometric_theta_of_gap
-    raise ConfigurationError(
-        f"the {scheme.value} scheme needs absolute contributions, not a gap; "
-        "use linear_levels_share"
-    )
 
 
 def backout_gap(effect: GrowthEffect, reported_share: float) -> float:

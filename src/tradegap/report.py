@@ -13,10 +13,10 @@ import math
 import statistics
 import sys
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .decomposition import DecompositionScheme, GapDenominator, backout_gap, decomposition
-from .effects import GrowthEffect, effect_kernel, finite_horizon_effect
+from .decomposition import GapDenominator, additive_log_theta, backout_gap, geometric_theta_of_gap
+from .effects import effect_kernel, evaluate, finite_horizon_effect
 from .elasticities import (
     ElasticityModel,
     ElasticityRegistry,
@@ -150,24 +150,24 @@ def _cells(
     registry: ElasticityRegistry,
     scenarios: tuple[TradeShockScenario, ...],
     gap: GapDenominator,
-    schemes: tuple[DecompositionScheme, ...],
+    share_fns: tuple[Callable[[float, float, float], float], ...],
     years: int | None = None,
     finite_gap: GapDenominator | None = None,
 ) -> Iterator[tuple[_Row, list[_Cell]]]:
     """Every model row with its cells, one per scenario, on plain floats.
 
-    ``shares`` holds one percentage per scheme.  Given ``finite_gap`` (Tables
-    2 and A3), finite-horizon rows, which end at the original comparison
-    window, are measured geometrically against that 1972 gap whatever the
-    scheme: the convention of the study being replicated.
+    ``shares`` holds one percentage per share function in ``share_fns``,
+    each ``theta(log_points, relative_level, gap)``.  Given ``finite_gap``
+    (Tables 2 and A3), finite-horizon rows, which end at the original
+    comparison window, are measured geometrically against that 1972 gap
+    whatever the share function: the convention of the study being replicated.
     """
     if not 0 < gap.log_points < _MAX_GAP_LOG_POINTS:
         raise ConfigurationError(
             f"gap denominator must be positive and finite (below "
             f"{_MAX_GAP_LOG_POINTS:.2f} log points), got {gap.log_points}"
         )
-    share_fns = [decomposition(s) for s in schemes]
-    finite_fns = [decomposition(DecompositionScheme.GEOMETRIC)] * len(schemes)
+    finite_fns = (geometric_theta_of_gap,) * len(share_fns)
     for row in expand_rows(registry, years):
         model = row[0]
         finite = finite_gap is not None and model.horizon.kind is HorizonKind.FINITE
@@ -219,42 +219,48 @@ def build_replication_table(
     )
 
 
-def _share_rows(
-    scheme: DecompositionScheme,
+def _share_table(
+    caption: str,
+    scheme: str,
+    share: Callable[[float, float, float], float],
+    with_effects: bool,
     registry: ElasticityRegistry | None,
     config: ScenarioConfig | None,
     gap: GapDenominator | None,
     lambda_baseline: float | None,
     years: int | None,
-) -> tuple[list[tuple[str, str, list[float], list[float]]], list[str], tuple[str, ...]]:
-    """Table 2/A3 rows (label, coefficient, effects %, shares %), grouped by model
-    row as two models may share a label, with the scenario ids and footnotes."""
+) -> ResultTable:
+    """Table 2 or A3: per model row, its label, its coefficient, the effects
+    (if ``with_effects``) and then the ``scheme`` shares, one per scenario."""
     config = config or default_scenario_config()
     gap = gap or GapDenominator.calibrated_2024()
     gap_1972 = GapDenominator.gap_1972()
     scenarios = _table_scenarios(config, lambda_baseline)
-    rows = [
-        (
-            label,
-            _coefficient_label(model),
-            [100.0 * rel for _, _, rel, _ in cells],
-            [theta for _, _, _, (theta,) in cells],
-        )
-        for (model, _display, label), cells in _cells(
-            _nonempty_registry(registry), scenarios, gap, (scheme,), years, gap_1972
-        )
-    ]
-    footnotes = (
-        f"shares: {scheme.value.replace('_', '-')} decomposition against the "
-        f"{gap.describe()} (synthetic = {1.0 + gap.relative_level:.2f}x historical)",
-        "finite-horizon rows: geometric share of the 1972 gap "
-        f"({gap_1972.relative_level:.4f} relative), the original study's convention",
-        f"baseline openness {scenarios[0].lambda_baseline:g}; scenario openness changes "
-        + ", ".join(f"{s.id} = {s.delta_lambda:.4f}" for s in scenarios)
-        + "; C1 calibrated (see TABLE_C1_DELTA_LAMBDA)",
-        _inputs_footnote(config),
+    ids = [s.id for s in scenarios]
+    rows = []
+    for (model, _display, label), cells in _cells(
+        _nonempty_registry(registry), scenarios, gap, (share,), years, gap_1972
+    ):
+        effects = [100.0 * rel for _, _, rel, _ in cells] if with_effects else []
+        shares = [theta for _, _, _, (theta,) in cells]
+        rows.append((label, _coefficient_label(model), *effects, *shares))
+    return ResultTable(
+        caption=caption,
+        columns=("model", "elasticity")
+        + tuple(f"effect_{i}_pct" for i in ids if with_effects)
+        + tuple(f"share_{i}_pct" for i in ids),
+        rows=tuple(rows),
+        footnotes=(
+            f"shares: {scheme} decomposition against the "
+            f"{gap.describe()} (synthetic = {1.0 + gap.relative_level:.2f}x historical)",
+            "finite-horizon rows: geometric share of the 1972 gap "
+            f"({gap_1972.relative_level:.4f} relative), the original study's convention",
+            f"baseline openness {scenarios[0].lambda_baseline:g}; scenario openness changes "
+            + ", ".join(f"{s.id} = {s.delta_lambda:.4f}" for s in scenarios)
+            + "; C1 calibrated (see TABLE_C1_DELTA_LAMBDA)",
+            _inputs_footnote(config),
+        ),
     )
-    return rows, [s.id for s in scenarios], footnotes
 
 
 def build_table2(
@@ -265,16 +271,10 @@ def build_table2(
     years: int | None = None,
 ) -> ResultTable:
     """Effects and additive-log shares for every model x scenario."""
-    rows, ids, footnotes = _share_rows(
-        DecompositionScheme.ADDITIVE_LOG, registry, config, gap, lambda_baseline, years
-    )
-    return ResultTable(
-        caption="Embargo effects and share of underperformance (additive-log shares)",
-        columns=("model", "elasticity")
-        + tuple(f"effect_{i}_pct" for i in ids)
-        + tuple(f"share_{i}_pct" for i in ids),
-        rows=tuple((label, coef, *effects, *shares) for label, coef, effects, shares in rows),
-        footnotes=footnotes,
+    return _share_table(
+        "Embargo effects and share of underperformance (additive-log shares)",
+        "additive-log", additive_log_theta, True,
+        registry, config, gap, lambda_baseline, years,
     )
 
 
@@ -286,14 +286,10 @@ def build_table_a3(
     years: int | None = None,
 ) -> ResultTable:
     """Same grid with geometric shares throughout."""
-    rows, ids, footnotes = _share_rows(
-        DecompositionScheme.GEOMETRIC, registry, config, gap, lambda_baseline, years
-    )
-    return ResultTable(
-        caption="Embargo share of underperformance (geometric shares)",
-        columns=("model", "elasticity") + tuple(f"share_{i}_pct" for i in ids),
-        rows=tuple((label, coef, *shares) for label, coef, _, shares in rows),
-        footnotes=footnotes,
+    return _share_table(
+        "Embargo share of underperformance (geometric shares)",
+        "geometric", geometric_theta_of_gap, False,
+        registry, config, gap, lambda_baseline, years,
     )
 
 
@@ -302,35 +298,30 @@ def build_grid(
     config: ScenarioConfig | None = None,
     gap: GapDenominator | None = None,
     years: int | None = None,
-    schemes: tuple[DecompositionScheme, ...] = (
-        DecompositionScheme.ADDITIVE_LOG,
-        DecompositionScheme.GEOMETRIC,
-    ),
 ) -> ResultTable:
     """Cartesian sensitivity grid: every model row x every scenario.
 
-    Scheme shares appear side by side as columns; all rows are measured
-    against the single ``gap``.  Row order is registry order, then
-    scenario id.
+    The additive-log and geometric shares appear side by side as columns;
+    all rows are measured against the single ``gap``.  Row order is registry
+    order, then scenario id.
     """
     registry = _nonempty_registry(registry)
     config = config or default_scenario_config()
     gap = gap or GapDenominator.calibrated_2024()
-    if not schemes:
-        raise ConfigurationError("empty selection: no decomposition schemes")
     scenarios = _table_scenarios(config) + config.custom_scenarios
     shocks = [f"{scenario.delta_lambda:.6f}" for scenario in scenarios]
+    shares = (additive_log_theta, geometric_theta_of_gap)
     rows = []
-    for (model, display, _label), cells in _cells(registry, scenarios, gap, schemes, years):
+    for (model, display, _label), cells in _cells(registry, scenarios, gap, shares, years):
         horizon = model.horizon.describe()
         rows.extend(
-            (display, horizon, scenario.id, shock, 100.0 * rel, *shares)
-            for shock, (scenario, _, rel, shares) in zip(shocks, cells)
+            (display, horizon, scenario.id, shock, 100.0 * rel, *thetas)
+            for shock, (scenario, _, rel, thetas) in zip(shocks, cells)
         )
     return ResultTable(
         caption="Sensitivity grid: embargo effect and gap share per model and scenario",
-        columns=("model", "horizon", "scenario", "delta_lambda", "effect_pct")
-        + tuple(f"theta_{s.value}_pct" for s in schemes),
+        columns=("model", "horizon", "scenario", "delta_lambda", "effect_pct",
+                 "theta_additive_log_pct", "theta_geometric_pct"),
         rows=tuple(rows),
         footnotes=(
             f"all shares measured against the {gap.describe()}",
@@ -358,18 +349,17 @@ def build_gap_audit(
     names = dict.fromkeys(name for name, _ in PUBLISHED_LOG_LINEAR_SHARES)
     # log-linear steady-state effects regardless of each model's default horizon
     steady = Horizon.steady_state()
-    models = ElasticityRegistry([replace(registry.get(n), horizon=steady) for n in names])
+    models = [replace(registry.get(n), horizon=steady) for n in names]
+    scenarios = _table_scenarios(config, lambda_baseline)
     rows = []
-    for (model, display, _label), cells in _cells(
-        models, _table_scenarios(config, lambda_baseline), adopted, ()
-    ):
-        for scenario, log_points, relative_level, _shares in cells:
+    for model in models:
+        for scenario in scenarios:
+            effect = evaluate(model, scenario)
             share = PUBLISHED_LOG_LINEAR_SHARES[model.name, scenario.id]
-            effect = GrowthEffect(
-                log_points, relative_level, model.name, scenario.id, model.horizon
+            rows.append(
+                (_DISPLAY_NAMES[model.name], scenario.id, effect.log_points, 100.0 * share,
+                 backout_gap(effect, share))
             )
-            gap = backout_gap(effect, share)
-            rows.append((display, scenario.id, log_points, 100.0 * share, gap))
     implied = [row[-1] for row in rows]
     return ResultTable(
         caption="Gap back-out audit: denominator implied by each published share cell",

@@ -57,6 +57,10 @@ class TradeShockScenario:
 
     def __post_init__(self) -> None:
         # negated comparisons so that a NaN share is rejected too
+        if not self.lambda_baseline < math.inf:
+            raise DataValidationError(
+                f"{self.id}: baseline openness must be finite, got {self.lambda_baseline}"
+            )
         if not self.delta_lambda >= 0:
             raise DataValidationError(f"{self.id}: delta_lambda must be non-negative")
         if not self.lambda_counterfactual > 0:
@@ -64,8 +68,6 @@ class TradeShockScenario:
                 f"{self.id}: counterfactual openness non-positive "
                 f"(delta {self.delta_lambda} >= baseline {self.lambda_baseline})"
             )
-        if not self.lambda_baseline < math.inf:
-            raise DataValidationError(f"{self.id}: baseline openness must be finite")
 
     @property
     def lambda_counterfactual(self) -> float:

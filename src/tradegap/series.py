@@ -14,7 +14,7 @@ from pathlib import Path
 
 import math
 
-from .decomposition import GapDenominator, GapKind
+from .decomposition import GapDenominator
 from .errors import DataValidationError
 
 
@@ -68,10 +68,14 @@ class GdpSeries:
 def load_series(path: str | Path, label: str | None = None) -> GdpSeries:
     """Parse a CSV series file; diagnostics carry 1-based line numbers."""
     path = Path(path)
-    if not path.exists():
-        raise DataValidationError(f"series file not found: {path}")
     try:
-        records = list(csv.reader(io.StringIO(path.read_bytes().decode("utf-8"), newline="")))
+        data = path.read_bytes()
+    except OSError as exc:  # missing, a directory, unreadable
+        raise DataValidationError(
+            f"series file not found or not readable: {path} ({exc.strerror})"
+        ) from None
+    try:
+        records = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataValidationError(f"{path}: unreadable CSV ({exc})") from None
     if not records:
@@ -149,6 +153,4 @@ def splice(base: GdpSeries, extension: GdpSeries, splice_year: int) -> GdpSeries
 
 def log_gap(synthetic: GdpSeries, historical: GdpSeries, year: int) -> GapDenominator:
     """ln(synthetic[year] / historical[year]) as an explicit denominator."""
-    return GapDenominator(
-        GapKind.EXPLICIT, math.log(synthetic.value(year) / historical.value(year))
-    )
+    return GapDenominator.explicit(math.log(synthetic.value(year) / historical.value(year)))

@@ -131,6 +131,16 @@ def test_unreadable_series_is_a_data_error(tmp_path, body):
         load_series(bad)
 
 
+def test_series_path_that_is_a_directory_exits_3(tmp_path):
+    code, out, err = run_cli([
+        "table2", "--gap-synthetic", str(tmp_path), "--gap-historical", str(tmp_path),
+        "--gap-year", "2000",
+    ])
+    assert (code, out) == (3, "")
+    assert err.startswith("data error:") and str(tmp_path) in err
+    assert "Errno" not in err
+
+
 @pytest.mark.parametrize("command", ["table2", "grid"])
 def test_horizon_too_long_for_a_float_exits_3(command):
     code, out, err = run_cli([command, "--years", "1" + "0" * 400])
@@ -148,6 +158,13 @@ def test_value_constructors_reject_non_finite_numbers():
             ShockInputs(530, 1122, 244, bad)
     with pytest.raises(DataValidationError, match="baseline openness must be finite"):
         TradeShockScenario("x", 0.1, math.inf)
+
+
+@pytest.mark.parametrize("command", ["replicate", "table2", "table-a3", "gap"])
+def test_nan_baseline_is_named_as_the_bad_input(command):
+    code, out, err = run_cli([command, "--lambda-baseline", "nan"])
+    assert (code, out) == (3, "")
+    assert "baseline openness must be finite, got nan" in err
 
 
 def test_effect_beyond_float_range_is_a_data_error():

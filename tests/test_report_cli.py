@@ -6,7 +6,6 @@ import pytest
 
 from tradegap import (
     ConfigurationError,
-    DecompositionScheme,
     ElasticityRegistry,
     GapDenominator,
     ShockInputs,
@@ -149,30 +148,11 @@ def test_grid_zero_custom_scenario(registry, config, tmp_path):
         assert row[5] == 0.0 and row[6] == 0.0  # both thetas
 
 
-def test_grid_empty_scheme_selection(registry, config):
-    with pytest.raises(ConfigurationError, match="empty selection"):
-        build_grid(registry=registry, config=config, schemes=())
-    with pytest.raises(ConfigurationError, match="no models"):
-        build_grid(registry=ElasticityRegistry([]), config=config)
-
-
-@pytest.mark.parametrize("build", [build_table2, build_table_a3, build_gap_audit])
+@pytest.mark.parametrize("build", [build_table2, build_table_a3, build_grid, build_gap_audit])
 def test_empty_registry_is_an_empty_selection(build):
     # an empty registry is falsy: it must not fall back to the seed registry
     with pytest.raises(ConfigurationError, match="empty selection: no models in registry"):
         build(registry=ElasticityRegistry([]))
-
-
-def test_grid_rejects_linear_levels(registry, config):
-    # linear-levels needs absolute contributions, not a gap: no share column for it
-    with pytest.raises(ConfigurationError, match="linear_levels"):
-        build_grid(registry=registry, config=config, schemes=(DecompositionScheme.LINEAR_LEVELS,))
-
-
-def test_grid_single_scheme_column(registry, config):
-    table = build_grid(registry=registry, config=config, schemes=(DecompositionScheme.GEOMETRIC,))
-    assert table.columns[-1] == "theta_geometric_pct"
-    assert "theta_additive_log_pct" not in table.columns
 
 
 # ----------------------------------------------------------------- gap audit

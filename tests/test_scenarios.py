@@ -86,7 +86,7 @@ def test_counterfactual_openness_is_derived():
     assert s.lambda_counterfactual == 0.554 - 0.174
     with pytest.raises(DataValidationError, match="non-negative"):
         TradeShockScenario("x", math.nan, 0.554)
-    with pytest.raises(DataValidationError, match="non-positive"):
+    with pytest.raises(DataValidationError, match="baseline openness must be finite"):
         TradeShockScenario("x", 0.1, math.nan)
 
 
