@@ -83,10 +83,6 @@ def _loglinear(semi_elasticity: float, scenario: TradeShockScenario) -> tuple[fl
 
 
 def _loglog(elasticity: float, scenario: TradeShockScenario) -> tuple[float, float]:
-    if scenario.lambda_counterfactual <= 0:
-        raise DataValidationError(
-            f"{scenario.id}: log-log form undefined at non-positive counterfactual openness"
-        )
     log_points = elasticity * math.log(scenario.lambda_baseline / scenario.lambda_counterfactual)
     return _from_log_points(log_points, scenario.id)
 

@@ -197,9 +197,6 @@ class ElasticityRegistry:
     def __iter__(self) -> Iterator[ElasticityModel]:
         return iter(self.entries)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 # --------------------------------------------------------------------------
 # conversions

@@ -10,10 +10,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-import statistics
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .decomposition import GapDenominator, additive_log_theta, backout_gap, geometric_theta_of_gap
 from .effects import effect_kernel, evaluate, finite_horizon_effect
@@ -31,6 +30,7 @@ from .scenarios import (
     build_scenarios,
     custom_scenario,
     default_scenario_config,
+    us_trade_scenarios,
 )
 
 #: Openness change used for scenario C1 in the effect/share tables.  The
@@ -129,9 +129,8 @@ def _table_scenarios(
 ) -> tuple[TradeShockScenario, ...]:
     """C1-C3 at the config's or the given baseline, C1 at the calibrated table change."""
     lam0 = config.lambda_baseline if lambda_baseline is None else lambda_baseline
-    _, c2, c3 = build_scenarios(config.inputs, lam0)
     c1 = custom_scenario("C1", TABLE_C1_DELTA_LAMBDA, lam0, "calibrated 1972 openness-share change")
-    return (c1, c2, c3)
+    return (c1, *us_trade_scenarios(config.inputs, lam0))
 
 
 #: One cell of a model row: (scenario, log points, relative level, shares %).
@@ -175,9 +174,12 @@ def _cells(
         total = denominator.log_points
         effect = effect_kernel(model)
         cells = []
-        for scenario in scenarios:
-            lp, rel = effect(scenario)
-            cells.append((scenario, lp, rel, [100.0 * share(lp, rel, total) for share in fns]))
+        try:
+            for scenario in scenarios:
+                lp, rel = effect(scenario)
+                cells.append((scenario, lp, rel, [100.0 * share(lp, rel, total) for share in fns]))
+        except DataValidationError as exc:
+            raise DataValidationError(f"{row[2]}, scenario {scenario.id}: {exc}") from exc
         yield row, cells
 
 
@@ -367,7 +369,7 @@ def build_gap_audit(
         rows=tuple(rows),
         footnotes=(
             f"implied gaps span [{min(implied):.6f}, {max(implied):.6f}] "
-            f"log points; median {statistics.median(implied):.6f}",
+            f"log points; median {sorted(implied)[len(implied) // 2]:.6f}",
             f"adopted default: {adopted.log_points} log points "
             f"(synthetic = {1.0 + adopted.relative_level:.2f}x historical)",
         ),
@@ -398,33 +400,41 @@ def _format_cell(cell: object, decimals: int) -> str:
     return str(cell)
 
 
+def _format_columns(table: ResultTable, decimals: int) -> list[Sequence[str]]:
+    """The cells as strings by column: all-float and all-str columns in bulk, others per cell."""
+    cols: list[Sequence[str]] = []
+    try:
+        for col in zip(*table.rows):
+            kinds = set(map(type, col))
+            if kinds == {float} and all(map(math.isfinite, col)):
+                cols.append(list(map(f"{{:.{decimals}f}}".format, col)))
+            else:
+                cols.append(col if kinds == {str} else [_format_cell(c, decimals) for c in col])
+    except DataValidationError:  # name the first bad cell in row-major order
+        [_format_cell(c, decimals) for row in table.rows for c in row]
+        raise
+    return cols or [()] * len(table.columns)
+
+
 def render_csv(table: ResultTable, decimals: int = 1) -> str:
+    cols = _format_columns(table, decimals)
     buf = io.StringIO()
     buf.write(f"# {table.caption}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(table.columns)
-    for row in table.rows:
-        writer.writerow([_format_cell(c, decimals) for c in row])
+    writer.writerows(zip(*cols))
     for note in table.footnotes:
         buf.write(f"# {note}\n")
     return buf.getvalue()
 
 
 def render_markdown(table: ResultTable, decimals: int = 1) -> str:
-    cells = [[_format_cell(c, decimals) for c in row] for row in table.rows]
-    widths = [
-        max(len(col), *(len(r[i]) for r in cells)) if cells else len(col)
-        for i, col in enumerate(table.columns)
-    ]
-    def fmt_row(values: list[str]) -> str:
-        return "| " + " | ".join(v.ljust(w) for v, w in zip(values, widths)) + " |"
-
-    lines = [f"**{table.caption}**", ""]
-    lines.append(fmt_row(list(table.columns)))
-    lines.append("|" + "|".join("-" * (w + 2) for w in widths) + "|")
-    lines.extend(fmt_row(r) for r in cells)
-    lines.append("")
-    lines.extend(f"- {note}" for note in table.footnotes)
+    cols = _format_columns(table, decimals)
+    widths = [max(map(len, (name, *col))) for name, col in zip(table.columns, cols)]
+    row = "| " + " | ".join(f"{{:<{w}}}" for w in widths) + " |"
+    rule = "|" + "|".join("-" * (w + 2) for w in widths) + "|"
+    lines = [f"**{table.caption}**", "", row.format(*table.columns), rule, *map(row.format, *cols)]
+    lines += ["", *(f"- {note}" for note in table.footnotes)]
     return "\n".join(lines) + "\n"
 
 

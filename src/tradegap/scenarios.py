@@ -88,14 +88,21 @@ def build_scenarios(
     C1 = trade gap / GDP, C2 = US trade / GDP, C3 = (US trade + export
     excess) / GDP.  Scale-invariant in the currency unit.
     """
+    c1 = TradeShockScenario(
+        "C1",
+        inputs.trade_gap_vs_synthetic_1972 / inputs.gdp_1958,
+        lambda_baseline,
+        "1972 trade gap versus the synthetic comparator, over 1958 GDP",
+    )
+    return (c1, *us_trade_scenarios(inputs, lambda_baseline))
+
+
+def us_trade_scenarios(
+    inputs: ShockInputs, lambda_baseline: float
+) -> tuple[TradeShockScenario, TradeShockScenario]:
+    """C2 and C3 alone: the tables replace the dollar-based C1 by a calibrated one."""
     g = inputs.gdp_1958
     return (
-        TradeShockScenario(
-            "C1",
-            inputs.trade_gap_vs_synthetic_1972 / g,
-            lambda_baseline,
-            "1972 trade gap versus the synthetic comparator, over 1958 GDP",
-        ),
         TradeShockScenario(
             "C2",
             inputs.trade_with_us_1958 / g,

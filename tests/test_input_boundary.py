@@ -148,6 +148,28 @@ def test_horizon_too_long_for_a_float_exits_3(command):
     assert "years beyond float range" in err
 
 
+def test_table_c1_is_only_the_calibrated_change(tmp_path):
+    code, out, err = run_cli(["table2", "--lambda-baseline", "0"])
+    assert (code, out) == (3, "")
+    assert "C1: counterfactual openness non-positive (delta 0.174 >= baseline 0.0)" in err
+    # a dollar-based C1 beyond the baseline does not reach the tables
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"inputs": dict(INPUTS, trade_gap_vs_synthetic_1972=2000)}), encoding="utf-8"
+    )
+    for command in ("table2", "grid"):
+        assert run_cli([command, "--config", str(cfg)])[0] == 0
+
+
+def test_cell_error_names_the_row_and_the_scenario():
+    code, out, err = run_cli(["grid", "--years", "100000"])
+    assert (code, out) == (3, "")
+    assert err == (
+        "data error: Yanikkaya (2003), 100000-year, scenario C1: "
+        "relative level changes must exceed -1\n"
+    )
+
+
 def test_value_constructors_reject_non_finite_numbers():
     with pytest.raises(DataValidationError, match="non-finite"):
         GdpSeries((Observation(2024, math.inf),))

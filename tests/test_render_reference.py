@@ -1,0 +1,115 @@
+"""The column-wise renderers against a literal reference of the per-cell ones.
+
+The reference below restates, cell by cell, what a rendered table is: every
+cell passes through one formatting rule (a float must be finite and prints
+at ``decimals`` places, anything else prints as ``str``), CSV rows go
+through ``csv.writer`` one at a time, and Markdown pads each cell to its
+column's width.  It is written out here rather than imported, so that the
+renderers are compared with an independent transcription and not with
+themselves.  Output must be equal with ``==``; a table that cannot be
+rendered must raise the same exception class and message as the reference,
+which names the first bad cell in row-major order.
+"""
+
+import csv
+import io
+import math
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tradegap import DataValidationError
+from tradegap.report import ResultTable, render_csv, render_markdown
+
+
+# ------------------------------------------------------------- the reference
+
+def ref_cell(cell, decimals):
+    if isinstance(cell, float):
+        if not math.isfinite(cell):
+            raise DataValidationError(
+                f"table cell out of float range ({cell}): check input magnitudes"
+            )
+        return f"{cell:.{decimals}f}"
+    return str(cell)
+
+
+def ref_csv(table, decimals):
+    buf = io.StringIO()
+    buf.write(f"# {table.caption}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(table.columns)
+    for row in table.rows:
+        writer.writerow([ref_cell(c, decimals) for c in row])
+    for note in table.footnotes:
+        buf.write(f"# {note}\n")
+    return buf.getvalue()
+
+
+def ref_markdown(table, decimals):
+    cells = [[ref_cell(c, decimals) for c in row] for row in table.rows]
+    widths = [
+        max(len(col), *(len(r[i]) for r in cells)) if cells else len(col)
+        for i, col in enumerate(table.columns)
+    ]
+
+    def fmt_row(values):
+        return "| " + " | ".join(v.ljust(w) for v, w in zip(values, widths)) + " |"
+
+    lines = [f"**{table.caption}**", ""]
+    lines.append(fmt_row(list(table.columns)))
+    lines.append("|" + "|".join("-" * (w + 2) for w in widths) + "|")
+    lines.extend(fmt_row(r) for r in cells)
+    lines.append("")
+    lines.extend(f"- {note}" for note in table.footnotes)
+    return "\n".join(lines) + "\n"
+
+
+def outcome(render_fn, table, decimals):
+    """The rendered text, or the (class, message) of what rendering raised."""
+    try:
+        return render_fn(table, decimals)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+
+
+# ----------------------------------------------------------------- the draws
+
+TEXT = st.text(st.sampled_from('ab Z,"\n\r{}:|-é'), max_size=8)
+FLOATS = st.one_of(st.floats(-1e6, 1e6), st.floats(), st.sampled_from([-0.0, 0.05, 0.25, 1e300]))
+CELLS = {
+    "str": TEXT,
+    "float": FLOATS,
+    "int": st.integers(-(10**20), 10**20),
+    "mixed": st.one_of(TEXT, FLOATS, st.integers(-99, 99), st.booleans(), st.none()),
+}
+
+
+@st.composite
+def tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=5))
+    n_rows = draw(st.integers(0, 6))
+    columns = [draw(st.lists(CELLS[k], min_size=n_rows, max_size=n_rows)) for k in kinds]
+    return ResultTable(
+        caption=draw(TEXT),
+        columns=tuple(draw(st.lists(TEXT, min_size=len(kinds), max_size=len(kinds)))),
+        rows=tuple(zip(*columns)) if n_rows else (),
+        footnotes=tuple(draw(st.lists(TEXT, max_size=2))),
+    )
+
+
+def _table(columns, *rows):
+    return ResultTable("caption", columns, tuple(rows), ("note",))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=tables(), decimals=st.sampled_from([1, 6]))
+@example(table=_table(("x", "y")), decimals=1)  # no rows
+@example(table=_table(("n", "v"), (1, 0.25), (22, -0.0)), decimals=1)  # the per-cell branch
+# column-major order would meet the nan first; row-major meets the inf
+@example(table=_table(("a", "b"), (1.0, math.inf), (math.nan, 2.0)), decimals=1)
+@example(table=_table(("a", "b"), ("s", 1.5), (None, math.inf), (math.nan, 2.0)), decimals=6)
+def test_renderers_match_the_per_cell_reference(table, decimals):
+    assert outcome(render_csv, table, decimals) == outcome(ref_csv, table, decimals)
+    assert outcome(render_markdown, table, decimals) == outcome(ref_markdown, table, decimals)
+

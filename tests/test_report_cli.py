@@ -1,9 +1,14 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tradegap
 from tradegap import (
     ConfigurationError,
     ElasticityRegistry,
@@ -163,6 +168,16 @@ def test_gap_audit_nine_cells_and_median():
     implied = [r[4] for r in table.rows]
     assert all(1.05 <= g <= 1.12 for g in implied)
     assert any("median" in note for note in table.footnotes)
+
+
+def test_import_leaves_statistics_out():
+    """The audit's median is the middle of its nine sorted gaps, so importing
+    tradegap loads neither ``statistics`` nor its ``fractions``/``decimal``."""
+    unwanted = {"statistics", "fractions", "decimal"}
+    code = f"import sys, tradegap; print(sorted({unwanted!r} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(tradegap.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, "[]\n")
 
 
 # ----------------------------------------------------------------- rendering

@@ -88,6 +88,9 @@ def test_counterfactual_openness_is_derived():
         TradeShockScenario("x", math.nan, 0.554)
     with pytest.raises(DataValidationError, match="baseline openness must be finite"):
         TradeShockScenario("x", 0.1, math.nan)
+    for delta in (0.554, 0.6):  # so the log-log form never sees lambda_cf <= 0
+        with pytest.raises(DataValidationError, match="counterfactual openness non-positive"):
+            TradeShockScenario("x", delta, 0.554)
 
 
 def test_delta_lambda_pp_is_percentage_points(c123):
