@@ -122,35 +122,40 @@ class DecompositionResult:
         return 1.0 - self.theta
 
 
-def additive_log_theta(log_points: float, _relative_level: float, gap: float) -> float:
-    """The additive-log share on plain floats, with the gap in log points."""
+def additive_log_thetas(log_points: list[float], _levels: list[float], gap: float) -> list[float]:
+    """The additive-log shares of a column of effects, with the gap in log points."""
     if gap <= 0:
         raise DataValidationError(f"no underperformance to decompose: total gap {gap} <= 0")
-    return log_points / gap
+    return [lp / gap for lp in log_points]
 
 
-def _geometric_theta(g_ne: float, g_ns: float) -> float:
-    if g_ne <= -1 or g_ns <= -1:
-        raise DataValidationError("relative level changes must exceed -1")
-    denominator = g_ns + g_ne + g_ns * g_ne
-    if denominator == 0:
-        raise DataValidationError("degenerate decomposition: total relative gap is zero")
-    return g_ne / denominator
-
-
-def _policy_residual(log_points: float, gap: float) -> float:
+def _geometric_thetas(effects: list[float], residuals: list[float]) -> list[float]:
+    if not (min(effects) > -1 and min(residuals) > -1):
+        for g_ne, g_ns in zip(effects, residuals):
+            if g_ne <= -1 or g_ns <= -1:
+                name, g = ("effect g_NE", g_ne) if g_ne <= -1 else ("policy residual g_NS", g_ns)
+                raise DataValidationError(f"relative level changes must exceed -1: {name} is {g!r}")
     try:
-        return math.expm1(gap - log_points)
-    except OverflowError:  # an effect hundreds of log points below zero
+        return [g_ne / (g_ns + g_ne + g_ns * g_ne) for g_ne, g_ns in zip(effects, residuals)]
+    except ZeroDivisionError:
+        raise DataValidationError("degenerate decomposition: total relative gap is zero") from None
+
+
+def _policy_residuals(log_points: list[float], gap: float) -> list[float]:
+    try:
+        return [math.expm1(gap - lp) for lp in log_points]
+    except OverflowError:  # expm1 is increasing: the smallest effect's residual overflowed
         raise DataValidationError(
-            f"policy residual of a {log_points!r} log-point effect against a {gap!r} "
+            f"policy residual of a {min(log_points)!r} log-point effect against a {gap!r} "
             "log-point gap is out of float range"
         ) from None
 
 
-def geometric_theta_of_gap(log_points: float, relative_level: float, gap: float) -> float:
-    """The geometric share on plain floats, with the gap in log points."""
-    return _geometric_theta(relative_level, _policy_residual(log_points, gap))
+def geometric_thetas_of_gap(
+    log_points: list[float], relative_levels: list[float], gap: float
+) -> list[float]:
+    """The geometric shares of a column of effects, with the gap in log points."""
+    return _geometric_thetas(relative_levels, _policy_residuals(log_points, gap))
 
 
 def additive_log_share(effect: GrowthEffect, total: GapDenominator) -> DecompositionResult:
@@ -164,7 +169,7 @@ def additive_log_share(effect: GrowthEffect, total: GapDenominator) -> Decomposi
     c_ne = effect.log_points
     return DecompositionResult(
         scheme=DecompositionScheme.ADDITIVE_LOG,
-        theta=additive_log_theta(c_ne, effect.relative_level, total.log_points),
+        theta=additive_log_thetas([c_ne], [effect.relative_level], total.log_points)[0],
         c_ne=c_ne,
         c_ns=total.log_points - c_ne,
     )
@@ -179,7 +184,7 @@ def geometric_share(g_ne: float, g_ns: float) -> DecompositionResult:
     """
     return DecompositionResult(
         scheme=DecompositionScheme.GEOMETRIC,
-        theta=_geometric_theta(g_ne, g_ns),
+        theta=_geometric_thetas([g_ne], [g_ns])[0],
         g_ne=g_ne,
         g_ns=g_ns,
         interaction=g_ne * g_ns,
@@ -233,7 +238,7 @@ def policy_growth_residual(effect: GrowthEffect, total: GapDenominator) -> float
     component is always the residual claimant of whatever part of the total
     gap the embargo effect leaves unexplained.
     """
-    return _policy_residual(effect.log_points, total.log_points)
+    return _policy_residuals([effect.log_points], total.log_points)[0]
 
 
 def geometric_share_of_gap(effect: GrowthEffect, total: GapDenominator) -> DecompositionResult:

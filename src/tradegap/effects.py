@@ -16,75 +16,100 @@ Three evaluation paths:
   income gain from restoring openness from the post-shock share back to
   baseline.
 
-Each path is a float kernel returning ``(log_points, relative_level)``.
-The public functions wrap a kernel's result in a :class:`GrowthEffect`;
-the table builders call the kernel that :func:`effect_kernel` builds for
-each model row, and so skip the dataclass per cell.
+Each path is a column kernel: it maps a model row's scenario columns to its
+``(log_points, relative_levels)`` columns, checking every cell in bulk.
+The table builders call :func:`effect_columns` once per model row; the
+public functions run the same kernels on one-element columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
+from typing import Callable, Sequence
 
 from .elasticities import ElasticityModel, FormKind, Horizon, HorizonKind
 from .errors import ConfigurationError, DataValidationError
 from .scenarios import TradeShockScenario
 
+#: Columns of effects, one entry per scenario: (log points, relative levels).
+Effects = tuple[list[float], list[float]]
+#: Scenario columns: delta_lambda, delta_lambda_pp and ln(lambda0 / lambda_cf).
+Shocks = tuple[list[float], list[float], list[float]]
 
-#: An effect on plain floats: scenario -> (log_points, relative_level).
-EffectKernel = Callable[[TradeShockScenario], tuple[float, float]]
+
+def shock_columns(scenarios: Sequence[TradeShockScenario]) -> Shocks:
+    """The scenario columns, read once per table."""
+    return (
+        [s.delta_lambda for s in scenarios], [s.delta_lambda_pp for s in scenarios],
+        [math.log(s.lambda_baseline / s.lambda_counterfactual) for s in scenarios],
+    )
 
 
-def _checked(log_points: float, relative_level: float, scenario_id: str) -> tuple[float, float]:
-    """The invariants of every effect: a finite relative level, and the two
-    encodings agreeing to within 1e-12."""
+def _out_of_range(log_points: float) -> DataValidationError:
+    return DataValidationError(f"effect of {log_points!r} log points is out of float range")
+
+
+def _checked(log_points: float, relative_level: float) -> None:
+    """The invariants of every effect: finite, and the encodings within 1e-12."""
     if not math.isfinite(relative_level):
-        raise DataValidationError(
-            f"{scenario_id}: effect of {log_points!r} log points is out of float range"
-        )
+        raise _out_of_range(log_points)
     if not math.isclose(relative_level, math.expm1(log_points), rel_tol=1e-12, abs_tol=1e-15):
         raise DataValidationError(
             f"inconsistent effect encodings: log_points={log_points!r} "
             f"but relative_level={relative_level!r}"
         )
-    return log_points, relative_level
 
 
-def _from_log_points(log_points: float, scenario_id: str) -> tuple[float, float]:
+def _screened(log_points: list[float], relative_levels: list[float]) -> Effects:
+    """Check every cell in bulk: finite, and encodings equal to the last bit.
+    Otherwise rescan with ``_checked``, which raises for the first bad cell and
+    lets encodings that differ within 1e-12 pass."""
+    if not (
+        all(map(math.isfinite, relative_levels))
+        and relative_levels == list(map(math.expm1, log_points))
+    ):
+        for lp, rel in zip(log_points, relative_levels):
+            _checked(lp, rel)
+    return log_points, relative_levels
+
+
+def _from_log_points(log_points: list[float]) -> Effects:
     try:
-        relative_level = math.expm1(log_points)
-    except OverflowError:
-        relative_level = math.inf  # rejected by _checked
-    return _checked(log_points, relative_level, scenario_id)
+        relative_levels = list(map(math.expm1, log_points))
+    except OverflowError:  # expm1 is increasing, so the largest effect overflowed
+        raise _out_of_range(max(log_points)) from None
+    return _screened(log_points, relative_levels)
 
 
-def _compounded(
-    epsilon: float, delta_lambda_pp: float, years: int, scenario_id: str
-) -> tuple[float, float]:
-    annual = epsilon * delta_lambda_pp / 100.0
-    if annual <= -1.0:
-        raise DataValidationError(
-            f"degenerate compounding: growth factor {1.0 + annual} is non-positive"
-        )
+def _compounded(epsilon: float, years: int, delta_lambda_pp: list[float]) -> Effects:
+    annuals = [epsilon * pp / 100.0 for pp in delta_lambda_pp]
+    if not min(annuals) > -1.0:
+        for annual in annuals:
+            if annual <= -1.0:
+                raise DataValidationError(
+                    f"degenerate compounding: growth factor {1.0 + annual} is non-positive"
+                )
     if years == 1:
-        return _checked(math.log1p(annual), annual, scenario_id)
+        return _screened(list(map(math.log1p, annuals)), annuals)
+    return _from_log_points([years * math.log1p(annual) for annual in annuals])
+
+
+def _loglinear(semi_elasticity: float, delta_lambda: list[float]) -> Effects:
+    return _from_log_points([semi_elasticity * dl for dl in delta_lambda])
+
+
+def _loglog(elasticity: float, log_ratios: list[float]) -> Effects:
+    return _from_log_points([elasticity * ratio for ratio in log_ratios])
+
+
+def _cell(scenario_id: str, kernel: Callable[..., Effects], *args: object) -> tuple[float, float]:
+    """One cell through a column kernel, its errors naming the scenario."""
     try:
-        log_points = years * math.log1p(annual)
-    except OverflowError:  # an int horizon too large for a float
-        raise DataValidationError("years beyond float range") from None
-    return _from_log_points(log_points, scenario_id)
-
-
-def _loglinear(semi_elasticity: float, scenario: TradeShockScenario) -> tuple[float, float]:
-    return _from_log_points(semi_elasticity * scenario.delta_lambda, scenario.id)
-
-
-def _loglog(elasticity: float, scenario: TradeShockScenario) -> tuple[float, float]:
-    log_points = elasticity * math.log(scenario.lambda_baseline / scenario.lambda_counterfactual)
-    return _from_log_points(log_points, scenario.id)
+        (log_points,), (relative_level,) = kernel(*args)
+    except DataValidationError as exc:
+        raise DataValidationError(f"{scenario_id}: {exc}") from exc
+    return log_points, relative_level
 
 
 @dataclass(frozen=True)
@@ -98,13 +123,14 @@ class GrowthEffect:
     horizon_used: Horizon
 
     def __post_init__(self) -> None:
-        _checked(self.log_points, self.relative_level, self.scenario_id)
+        _cell(self.scenario_id, _screened, [self.log_points], [self.relative_level])
 
     @classmethod
     def from_log_points(
         cls, log_points: float, model_name: str, scenario_id: str, horizon: Horizon
     ) -> "GrowthEffect":
-        return cls(*_from_log_points(log_points, scenario_id), model_name, scenario_id, horizon)
+        cell = _cell(scenario_id, _from_log_points, [log_points])
+        return cls(*cell, model_name, scenario_id, horizon)
 
     def absolute_change(self, y0: float) -> float:
         """Income change in the units of ``y0`` (the baseline level)."""
@@ -134,10 +160,9 @@ def finite_horizon_effect(
     """
     if years < 1:
         raise DataValidationError(f"years must be >= 1, got {years}")
-    log_points, relative_level = _compounded(epsilon, delta_lambda_pp, years, scenario_id)
-    return GrowthEffect(
-        log_points, relative_level, model_name, scenario_id, Horizon.finite(years)
-    )
+    horizon = Horizon.finite(years)  # first: it rejects years beyond float range
+    cell = _cell(scenario_id, _compounded, epsilon, years, [delta_lambda_pp])
+    return GrowthEffect(*cell, model_name, scenario_id, horizon)
 
 
 def steady_state_effect_loglinear(
@@ -146,9 +171,8 @@ def steady_state_effect_loglinear(
     model_name: str = "custom",
 ) -> GrowthEffect:
     """Steady-state effect of a log-linear level form: ``s * delta_lambda``."""
-    return GrowthEffect(
-        *_loglinear(semi_elasticity, scenario), model_name, scenario.id, Horizon.steady_state()
-    )
+    cell = _cell(scenario.id, _loglinear, semi_elasticity, [scenario.delta_lambda])
+    return GrowthEffect(*cell, model_name, scenario.id, Horizon.steady_state())
 
 
 def steady_state_effect_loglog(
@@ -157,36 +181,33 @@ def steady_state_effect_loglog(
     model_name: str = "custom",
 ) -> GrowthEffect:
     """Steady-state effect of a log-log form: ``e * ln(lambda0/lambda_cf)``."""
-    return GrowthEffect(
-        *_loglog(elasticity, scenario), model_name, scenario.id, Horizon.steady_state()
-    )
+    _, _, log_ratios = shock_columns((scenario,))
+    cell = _cell(scenario.id, _loglog, elasticity, log_ratios)
+    return GrowthEffect(*cell, model_name, scenario.id, Horizon.steady_state())
 
 
-def effect_kernel(model: ElasticityModel) -> EffectKernel:
-    """The float form of ``evaluate(model, scenario)``, built once per model.
+def effect_columns(model: ElasticityModel, shocks: Shocks) -> Effects:
+    """The effects of one model row over the scenario columns ``shocks``.
 
     This is the single place where the percentage-point convention of
     ``short_run_epsilon`` meets the unit-share convention of the level
-    forms: finite horizons receive ``scenario.delta_lambda_pp``, level
-    forms receive ``scenario.delta_lambda``.
+    forms: finite horizons receive ``delta_lambda_pp``, level forms receive
+    ``delta_lambda``.
     """
+    delta_lambda, delta_lambda_pp, log_ratios = shocks
     if model.horizon.kind is HorizonKind.FINITE:
         if model.short_run_epsilon is None:
             raise ConfigurationError(
                 f"model {model.name!r}: finite horizon requested but no short_run_epsilon"
             )
-        epsilon, years = model.short_run_epsilon, model.horizon.years
-        return lambda scenario: _compounded(
-            epsilon, scenario.delta_lambda_pp, years, scenario.id
-        )
+        return _compounded(model.short_run_epsilon, model.horizon.years, delta_lambda_pp)
     if model.form.kind is FormKind.LOG_LOG_LEVEL:
-        return partial(_loglog, model.form.level_coefficient())
+        return _loglog(model.form.level_coefficient(), log_ratios)
     # log-linear directly, or the steady-state limit of a growth form
-    return partial(_loglinear, model.form.level_coefficient())
+    return _loglinear(model.form.level_coefficient(), delta_lambda)
 
 
 def evaluate(model: ElasticityModel, scenario: TradeShockScenario) -> GrowthEffect:
     """Evaluate a model at a scenario, over the model's own horizon."""
-    return GrowthEffect(
-        *effect_kernel(model)(scenario), model.name, scenario.id, model.horizon
-    )
+    cell = _cell(scenario.id, effect_columns, model, shock_columns((scenario,)))
+    return GrowthEffect(*cell, model.name, scenario.id, model.horizon)

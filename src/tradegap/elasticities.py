@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -124,6 +125,8 @@ class Horizon:
         if self.kind is HorizonKind.FINITE:
             if self.years is None or self.years < 1:
                 raise DataValidationError("finite horizon requires years >= 1")
+            if self.years > sys.float_info.max:  # compounding runs on floats
+                raise DataValidationError("years beyond float range")
         elif self.years is not None:
             raise DataValidationError("steady-state horizon takes no years")
 

@@ -12,10 +12,11 @@ import io
 import math
 import sys
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Callable, Iterator, Sequence
 
-from .decomposition import GapDenominator, additive_log_theta, backout_gap, geometric_theta_of_gap
-from .effects import effect_kernel, evaluate, finite_horizon_effect
+from .decomposition import GapDenominator, additive_log_thetas, backout_gap, geometric_thetas_of_gap
+from .effects import effect_columns, evaluate, finite_horizon_effect, shock_columns
 from .elasticities import (
     ElasticityModel,
     ElasticityRegistry,
@@ -133,8 +134,8 @@ def _table_scenarios(
     return (c1, *us_trade_scenarios(config.inputs, lam0))
 
 
-#: One cell of a model row: (scenario, log points, relative level, shares %).
-_Cell = tuple[TradeShockScenario, float, float, list[float]]
+#: The share kernel of a column of effects: (log points, relative levels, gap) -> thetas.
+_ShareKernel = Callable[[list[float], list[float], float], list[float]]
 
 
 def _nonempty_registry(registry: ElasticityRegistry | None) -> ElasticityRegistry:
@@ -149,38 +150,46 @@ def _cells(
     registry: ElasticityRegistry,
     scenarios: tuple[TradeShockScenario, ...],
     gap: GapDenominator,
-    share_fns: tuple[Callable[[float, float, float], float], ...],
+    share_fns: tuple[_ShareKernel, ...],
     years: int | None = None,
     finite_gap: GapDenominator | None = None,
-) -> Iterator[tuple[_Row, list[_Cell]]]:
-    """Every model row with its cells, one per scenario, on plain floats.
+) -> Iterator[tuple[_Row, list[float], list[list[float]]]]:
+    """Every model row with its relative levels and one share % column per
+    share kernel, each a column over ``scenarios``, on plain floats.
 
-    ``shares`` holds one percentage per share function in ``share_fns``,
-    each ``theta(log_points, relative_level, gap)``.  Given ``finite_gap``
-    (Tables 2 and A3), finite-horizon rows, which end at the original
-    comparison window, are measured geometrically against that 1972 gap
-    whatever the share function: the convention of the study being replicated.
+    A row whose column pass fails runs again one scenario at a time, so the
+    error names the row and its first bad cell.  Given ``finite_gap`` (Tables
+    2 and A3), finite-horizon rows, which end at the original comparison
+    window, are measured geometrically against that 1972 gap whatever the
+    share kernel: the convention of the study being replicated.
     """
     if not 0 < gap.log_points < _MAX_GAP_LOG_POINTS:
         raise ConfigurationError(
             f"gap denominator must be positive and finite (below "
             f"{_MAX_GAP_LOG_POINTS:.2f} log points), got {gap.log_points}"
         )
-    finite_fns = (geometric_theta_of_gap,) * len(share_fns)
+    finite_fns = (geometric_thetas_of_gap,) * len(share_fns)
+    shocks = shock_columns(scenarios)
     for row in expand_rows(registry, years):
         model = row[0]
         finite = finite_gap is not None and model.horizon.kind is HorizonKind.FINITE
         fns, denominator = (finite_fns, finite_gap) if finite else (share_fns, gap)
         total = denominator.log_points
-        effect = effect_kernel(model)
-        cells = []
         try:
-            for scenario in scenarios:
-                lp, rel = effect(scenario)
-                cells.append((scenario, lp, rel, [100.0 * share(lp, rel, total) for share in fns]))
-        except DataValidationError as exc:
-            raise DataValidationError(f"{row[2]}, scenario {scenario.id}: {exc}") from exc
-        yield row, cells
+            log_points, relative_levels = effect_columns(model, shocks)
+            shares = [
+                [100.0 * theta for theta in share(log_points, relative_levels, total)]
+                for share in fns
+            ]
+        except DataValidationError:
+            for scenario in scenarios:  # name the first bad cell in scenario order
+                try:
+                    cell = effect_columns(model, shock_columns((scenario,)))
+                    [share(*cell, total) for share in fns]
+                except DataValidationError as exc:
+                    raise DataValidationError(f"{row[2]}, scenario {scenario.id}: {exc}") from exc
+            raise
+        yield row, relative_levels, shares
 
 
 # --------------------------------------------------------------------------
@@ -224,7 +233,7 @@ def build_replication_table(
 def _share_table(
     caption: str,
     scheme: str,
-    share: Callable[[float, float, float], float],
+    share: _ShareKernel,
     with_effects: bool,
     registry: ElasticityRegistry | None,
     config: ScenarioConfig | None,
@@ -240,11 +249,10 @@ def _share_table(
     scenarios = _table_scenarios(config, lambda_baseline)
     ids = [s.id for s in scenarios]
     rows = []
-    for (model, _display, label), cells in _cells(
+    for (model, _display, label), relative_levels, (shares,) in _cells(
         _nonempty_registry(registry), scenarios, gap, (share,), years, gap_1972
     ):
-        effects = [100.0 * rel for _, _, rel, _ in cells] if with_effects else []
-        shares = [theta for _, _, _, (theta,) in cells]
+        effects = [100.0 * rel for rel in relative_levels] if with_effects else []
         rows.append((label, _coefficient_label(model), *effects, *shares))
     return ResultTable(
         caption=caption,
@@ -275,7 +283,7 @@ def build_table2(
     """Effects and additive-log shares for every model x scenario."""
     return _share_table(
         "Embargo effects and share of underperformance (additive-log shares)",
-        "additive-log", additive_log_theta, True,
+        "additive-log", additive_log_thetas, True,
         registry, config, gap, lambda_baseline, years,
     )
 
@@ -290,7 +298,7 @@ def build_table_a3(
     """Same grid with geometric shares throughout."""
     return _share_table(
         "Embargo share of underperformance (geometric shares)",
-        "geometric", geometric_theta_of_gap, False,
+        "geometric", geometric_thetas_of_gap, False,
         registry, config, gap, lambda_baseline, years,
     )
 
@@ -311,15 +319,16 @@ def build_grid(
     config = config or default_scenario_config()
     gap = gap or GapDenominator.calibrated_2024()
     scenarios = _table_scenarios(config) + config.custom_scenarios
+    ids = [scenario.id for scenario in scenarios]
     shocks = [f"{scenario.delta_lambda:.6f}" for scenario in scenarios]
-    shares = (additive_log_theta, geometric_theta_of_gap)
+    shares = (additive_log_thetas, geometric_thetas_of_gap)
     rows = []
-    for (model, display, _label), cells in _cells(registry, scenarios, gap, shares, years):
+    for (model, display, _label), relative_levels, thetas in _cells(
+        registry, scenarios, gap, shares, years
+    ):
+        effects = [100.0 * rel for rel in relative_levels]
         horizon = model.horizon.describe()
-        rows.extend(
-            (display, horizon, scenario.id, shock, 100.0 * rel, *thetas)
-            for shock, (scenario, _, rel, thetas) in zip(shocks, cells)
-        )
+        rows.extend(zip(repeat(display), repeat(horizon), ids, shocks, effects, *thetas))
     return ResultTable(
         caption="Sensitivity grid: embargo effect and gap share per model and scenario",
         columns=("model", "horizon", "scenario", "delta_lambda", "effect_pct",

@@ -6,7 +6,7 @@ row's form and horizon, then each scheme's share of the gap.  It is written
 out here rather than imported, so that the tables are compared with an
 independent transcription and not with themselves.  Effect and share
 percentages must be equal with ``==``, and an invalid draw must raise the
-same exception class as the reference.
+same exception class as the reference, naming the same first bad scenario.
 """
 
 import math
@@ -109,18 +109,27 @@ def ref_rows(form, horizon, epsilon, years):
 
 
 def ref_cells(rows, shocks, lambda_baseline, gap, schemes, finite_gap=None):
-    """[(effect %, [share % per scheme])] in table order, or the first error."""
+    """[(effect %, [share % per scheme])] in table order, or the first error.
+
+    ``shocks`` maps each scenario id to its delta_lambda.  A cell error is
+    raised again as ``scenario <id>: <message>`` for the first failing cell.
+    """
     if not 0 < gap < MAX_GAP:
         raise ConfigurationError("gap out of range")
     cells = []
     for row in rows:
         finite = finite_gap is not None and row[0] == "finite"
-        for delta_lambda in shocks:
-            log_points, relative_level = ref_effect(row, delta_lambda, lambda_baseline)
-            if finite:
-                shares = [ref_geometric(log_points, relative_level, finite_gap) for _ in schemes]
-            else:
-                shares = [share(log_points, relative_level, gap) for share in schemes]
+        for sid, delta_lambda in shocks.items():
+            try:
+                log_points, relative_level = ref_effect(row, delta_lambda, lambda_baseline)
+                if finite:
+                    shares = [
+                        ref_geometric(log_points, relative_level, finite_gap) for _ in schemes
+                    ]
+                else:
+                    shares = [share(log_points, relative_level, gap) for share in schemes]
+            except DataValidationError as exc:
+                raise DataValidationError(f"scenario {sid}: {exc}") from exc
             cells.append((100.0 * relative_level, [100.0 * theta for theta in shares]))
     return cells
 
@@ -161,13 +170,17 @@ def model_of(form, horizon, epsilon):
 
 def check(build, expected, project):
     """``build()`` projected to [(effect %, [share %...])] equals ``expected()``,
-    or both raise the same exception class."""
+    or both raise the same exception class, a cell error naming the same
+    first failing scenario."""
     try:
         want = expected()
     except (ConfigurationError, DataValidationError) as exc:
         with pytest.raises(type(exc)) as info:
             build()
         assert type(info.value) is type(exc), (info.value, exc)
+        if isinstance(exc, DataValidationError):
+            scenario = str(exc).split(":")[0]
+            assert f"{scenario}:" in str(info.value), (info.value, exc)
         return
     assert project(build()) == want
 
@@ -195,7 +208,10 @@ def test_grid_matches_reference(form, horizon, epsilon, years, lambda_baseline, 
     custom = TradeShockScenario("X", fraction * lambda_baseline, lambda_baseline)
     config = ScenarioConfig(base.inputs, lambda_baseline, (custom,))
     _, c2, c3 = build_scenarios(base.inputs, lambda_baseline)
-    shocks = (C1_DELTA_LAMBDA, c2.delta_lambda, c3.delta_lambda, custom.delta_lambda)
+    shocks = {
+        "C1": C1_DELTA_LAMBDA, "C2": c2.delta_lambda, "C3": c3.delta_lambda,
+        "X": custom.delta_lambda,
+    }
     registry = ElasticityRegistry([model_of(form, horizon, epsilon)])
     check(
         lambda: build_grid(
@@ -225,7 +241,7 @@ def test_tables_2_and_a3_match_reference(
     """Finite-horizon rows are measured geometrically against the 1972 gap."""
     inputs = default_scenario_config().inputs
     _, c2, c3 = build_scenarios(inputs, lambda_baseline)
-    shocks = (C1_DELTA_LAMBDA, c2.delta_lambda, c3.delta_lambda)
+    shocks = {"C1": C1_DELTA_LAMBDA, "C2": c2.delta_lambda, "C3": c3.delta_lambda}
     registry = ElasticityRegistry([model_of(form, horizon, epsilon)])
     if geometric:  # Table A3 prints the three shares only
         build, scheme = build_table_a3, ref_geometric

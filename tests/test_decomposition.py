@@ -19,6 +19,7 @@ from tradegap import (
     linear_levels_share,
     policy_growth_residual,
 )
+from tradegap.decomposition import _policy_residuals, geometric_thetas_of_gap
 
 
 def effect_from_log_points(lp):
@@ -43,6 +44,10 @@ def test_gap_defaults():
     assert g72.kind is GapKind.LOG_GAP_1972
     assert g72.relative_level == pytest.approx(1.24095, rel=1e-12)
     assert GapDenominator.explicit(0.7).log_points == 0.7
+
+
+def test_gap_1972_describes_itself():
+    assert GapDenominator.gap_1972().describe() == "1972 log gap 0.8069"
 
 
 # -------------------------------------------------------------- additive-log
@@ -102,8 +107,21 @@ def test_geometric_trivia():
 def test_geometric_degenerate():
     with pytest.raises(DataValidationError, match="degenerate"):
         geometric_share(0.0, 0.0)
-    with pytest.raises(DataValidationError):
+    with pytest.raises(DataValidationError, match="must exceed -1: effect g_NE is -1.5$"):
         geometric_share(-1.5, 0.2)
+    with pytest.raises(DataValidationError, match="must exceed -1: policy residual g_NS is -1.0$"):
+        geometric_share(0.2, -1.0)
+
+
+def test_geometric_columns_name_the_first_bad_cell():
+    # the second cell's effect is at -1, and so is the third cell's residual
+    with pytest.raises(DataValidationError, match="effect g_NE is -1.0$"):
+        geometric_thetas_of_gap([0.1, 0.1, 100.0], [math.expm1(0.1), -1.0, 1.0], 1.0)
+    with pytest.raises(DataValidationError, match="degenerate"):
+        geometric_thetas_of_gap([0.1, 0.0], [math.expm1(0.1), 0.0], 0.0)
+    # an overflowing residual names the effect that overflowed
+    with pytest.raises(DataValidationError, match="policy residual of a -1000.0 log-point"):
+        _policy_residuals([0.1, -800.0, -1000.0, 0.2], 1.0)
 
 
 def test_geometric_from_levels_trivia():

@@ -15,6 +15,7 @@ from tradegap import (
     steady_state_effect_loglinear,
     steady_state_effect_loglog,
 )
+from tradegap.effects import _compounded, _screened
 
 
 def pct(effect):
@@ -46,6 +47,28 @@ def test_degenerate_compounding_rejected():
         finite_horizon_effect(-10.0, 10.0, 5)
     with pytest.raises(DataValidationError, match="years"):
         finite_horizon_effect(0.018, 17.1, 0)
+
+
+def test_effect_errors_name_the_scenario_once():
+    s = custom_scenario("halved", 0.277, 0.554)
+    with pytest.raises(DataValidationError) as info:
+        steady_state_effect_loglinear(1e4, s)
+    assert str(info.value).startswith("halved: effect of ")
+    assert str(info.value).count("halved") == 1
+    with pytest.raises(DataValidationError, match=r"^S: effect of 800.0 log points is out of"):
+        GrowthEffect(800.0, math.inf, "m", "S", Horizon.steady_state())
+    with pytest.raises(DataValidationError, match="years beyond float range"):
+        finite_horizon_effect(0.018, 17.1, 10**400)
+
+
+def test_effect_columns_name_the_first_bad_cell():
+    lps = [0.1, 0.2, 0.3]
+    # the second cell is the first bad one, though the third is not finite
+    with pytest.raises(DataValidationError, match="^inconsistent effect encodings: log_points=0.2"):
+        _screened(lps, [math.expm1(0.1), 5.0, math.inf])
+    assert _screened(lps, [math.expm1(lp) * (1 + 1e-14) for lp in lps])[0] == lps
+    with pytest.raises(DataValidationError, match=r"growth factor -1\.0 is non-positive"):
+        _compounded(-10.0, 12, [1.0, 20.0, 30.0])
 
 
 def test_absolute_change_scales_with_y0():

@@ -146,6 +146,15 @@ def test_horizon_too_long_for_a_float_exits_3(command):
     code, out, err = run_cli([command, "--years", "1" + "0" * 400])
     assert (code, out) == (3, "")
     assert "years beyond float range" in err
+    assert err.count("\n") == 1 and len(err) < 200
+
+
+def test_effect_out_of_float_range_names_the_scenario_once():
+    code, out, err = run_cli(["table2", "--years", "1" + "0" * 30])
+    assert (code, out) == (3, "")
+    label = "Yanikkaya (2003), 1" + "0" * 30 + "-year"
+    assert err.startswith(f"data error: {label}, scenario C1: effect of 3.127")
+    assert err.count("C1") == 1
 
 
 def test_table_c1_is_only_the_calibrated_change(tmp_path):
@@ -166,7 +175,7 @@ def test_cell_error_names_the_row_and_the_scenario():
     assert (code, out) == (3, "")
     assert err == (
         "data error: Yanikkaya (2003), 100000-year, scenario C1: "
-        "relative level changes must exceed -1\n"
+        "relative level changes must exceed -1: policy residual g_NS is -1.0\n"
     )
 
 

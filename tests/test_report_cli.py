@@ -20,6 +20,7 @@ from tradegap import (
     build_table2,
     build_table_a3,
     default_scenario_config,
+    load_registry,
     render,
     render_csv,
     render_markdown,
@@ -151,6 +152,24 @@ def test_grid_zero_custom_scenario(registry, config, tmp_path):
     for row in zero_rows:
         assert row[4] == 0.0  # effect
         assert row[5] == 0.0 and row[6] == 0.0  # both thetas
+
+
+def test_growth_form_from_a_registry_file_is_its_steady_state_limit(tmp_path):
+    alpha1, alpha2 = -0.0439, 0.018
+    steady = {"kind": "steady_state"}
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps({"schema_version": 1, "models": [
+        {"name": "growth", "form": "growth_with_convergence",
+         "coefficient": {"alpha1": alpha1, "alpha2": alpha2}, "horizon": steady},
+        {"name": "linear", "form": "log_linear_level",
+         "coefficient": -alpha2 / alpha1, "horizon": steady},
+    ]}), encoding="utf-8")
+    registry = load_registry(path)
+    growth, linear = build_table2(registry=registry).rows
+    assert growth[1:] == linear[1:]
+    grid = build_grid(registry=registry).rows
+    half = len(grid) // 2
+    assert [row[2:] for row in grid[:half]] == [row[2:] for row in grid[half:]]
 
 
 @pytest.mark.parametrize("build", [build_table2, build_table_a3, build_grid, build_gap_audit])
