@@ -119,7 +119,7 @@ def test_geometric_columns_name_the_first_bad_cell():
         geometric_thetas_of_gap([0.1, 0.1, 100.0], [math.expm1(0.1), -1.0, 1.0], 1.0)
     with pytest.raises(DataValidationError, match="degenerate"):
         geometric_thetas_of_gap([0.1, 0.0], [math.expm1(0.1), 0.0], 0.0)
-    # an overflowing residual names the effect that overflowed
+    # an overflow names the smallest effect, whose residual is sure to overflow
     with pytest.raises(DataValidationError, match="policy residual of a -1000.0 log-point"):
         _policy_residuals([0.1, -800.0, -1000.0, 0.2], 1.0)
 
