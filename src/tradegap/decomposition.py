@@ -130,10 +130,11 @@ def additive_log_thetas(log_points: list[float], _levels: list[float], gap: floa
 
 
 def _geometric_thetas(effects: list[float], residuals: list[float]) -> list[float]:
-    if not (min(effects) > -1 and min(residuals) > -1):
+    # min() can pass over a nan, depending on where it stands; a sum cannot
+    if not (min(effects) > -1 and min(residuals) > -1) or math.isnan(sum(effects) + sum(residuals)):
         for g_ne, g_ns in zip(effects, residuals):
-            if g_ne <= -1 or g_ns <= -1:
-                name, g = ("effect g_NE", g_ne) if g_ne <= -1 else ("policy residual g_NS", g_ns)
+            if not (g_ne > -1 and g_ns > -1):
+                name, g = ("policy residual g_NS", g_ns) if g_ne > -1 else ("effect g_NE", g_ne)
                 raise DataValidationError(f"relative level changes must exceed -1: {name} is {g!r}")
     try:
         return [g_ne / (g_ns + g_ne + g_ns * g_ne) for g_ne, g_ns in zip(effects, residuals)]

@@ -54,7 +54,11 @@ def _checked(log_points: float, relative_level: float) -> None:
     """The invariants of every effect: finite, and the encodings within 1e-12."""
     if not math.isfinite(relative_level):
         raise _out_of_range(log_points)
-    if not math.isclose(relative_level, math.expm1(log_points), rel_tol=1e-12, abs_tol=1e-15):
+    try:
+        expected = math.expm1(log_points)
+    except OverflowError:  # no finite relative level encodes it
+        raise _out_of_range(log_points) from None
+    if not math.isclose(relative_level, expected, rel_tol=1e-12, abs_tol=1e-15):
         raise DataValidationError(
             f"inconsistent effect encodings: log_points={log_points!r} "
             f"but relative_level={relative_level!r}"
@@ -65,10 +69,11 @@ def _screened(log_points: list[float], relative_levels: list[float]) -> Effects:
     """Check every cell in bulk: finite, and encodings equal to the last bit.
     Otherwise rescan with ``_checked``, which raises for the first bad cell and
     lets encodings that differ within 1e-12 pass."""
-    if not (
-        all(map(math.isfinite, relative_levels))
-        and relative_levels == list(map(math.expm1, log_points))
-    ):
+    try:
+        expected = list(map(math.expm1, log_points))
+    except OverflowError:  # an effect beyond float range, which the rescan names
+        expected = []
+    if not (all(map(math.isfinite, relative_levels)) and relative_levels == expected):
         for lp, rel in zip(log_points, relative_levels):
             _checked(lp, rel)
     return log_points, relative_levels

@@ -181,14 +181,15 @@ def _cells(
                 [100.0 * theta for theta in share(log_points, relative_levels, total)]
                 for share in fns
             ]
-        except DataValidationError:
+        except DataValidationError as error:
             for scenario in scenarios:  # name the first bad cell in scenario order
                 try:
                     cell = effect_columns(model, shock_columns((scenario,)))
                     [share(*cell, total) for share in fns]
                 except DataValidationError as exc:
-                    raise DataValidationError(f"{row[2]}, scenario {scenario.id}: {exc}") from exc
-            raise
+                    error = DataValidationError(f"{row[2]}, scenario {scenario.id}: {exc}")
+                    break
+            raise error
         yield row, relative_levels, shares
 
 
@@ -409,40 +410,63 @@ def _format_cell(cell: object, decimals: int) -> str:
     return str(cell)
 
 
-def _format_columns(table: ResultTable, decimals: int) -> list[Sequence[str]]:
-    """The cells as strings by column: all-float and all-str columns in bulk, others per cell."""
-    cols: list[Sequence[str]] = []
+def _columns(table: ResultTable, decimals: int) -> tuple[list[str], list[Sequence[object]]]:
+    """A %-conversion and the cells of each column: a column of finite floats
+    stays raw under ``%.{decimals}f``; any other is strings under ``%s``, an
+    all-str column as it is and others formatted per cell."""
+    specs = ["%s"] * len(table.columns)
+    cols: list[Sequence[object]] = [()] * len(table.columns)
     try:
-        for col in zip(*table.rows):
+        for i, col in enumerate(zip(*table.rows)):
             kinds = set(map(type, col))
             if kinds == {float} and all(map(math.isfinite, col)):
-                cols.append(list(map(f"{{:.{decimals}f}}".format, col)))
+                specs[i], cols[i] = f"%.{decimals}f", col
             else:
-                cols.append(col if kinds == {str} else [_format_cell(c, decimals) for c in col])
-    except DataValidationError:  # name the first bad cell in row-major order
-        [_format_cell(c, decimals) for row in table.rows for c in row]
-        raise
-    return cols or [()] * len(table.columns)
+                cols[i] = col if kinds == {str} else [_format_cell(c, decimals) for c in col]
+    except DataValidationError as error:  # name the first bad cell in row-major order
+        try:
+            [_format_cell(c, decimals) for row in table.rows for c in row]
+        except DataValidationError as exc:
+            error = exc
+        raise error
+    return specs, cols
 
 
 def render_csv(table: ResultTable, decimals: int = 1) -> str:
-    cols = _format_columns(table, decimals)
+    specs, cols = _columns(table, decimals)
     buf = io.StringIO()
     buf.write(f"# {table.caption}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(table.columns)
-    writer.writerows(zip(*cols))
+    strs = [col for spec, col in zip(specs, cols) if spec == "%s"]
+    text = "".join(map("".join, strs))
+    if all(map(all, strs)) and not ("," in text or '"' in text or "\r" in text or "\n" in text):
+        buf.writelines(map((",".join(specs) + "\n").__mod__, zip(*cols)))
+    else:  # csv.writer quotes these cells, by rules that differ between Python versions
+        cells = (col if spec == "%s" else map(spec.__mod__, col) for spec, col in zip(specs, cols))
+        writer.writerows(zip(*cells))
     for note in table.footnotes:
         buf.write(f"# {note}\n")
     return buf.getvalue()
 
 
+def _width(name: str, spec: str, col: Sequence[object]) -> int:
+    """A Markdown column's width: its name's or its longest cell's."""
+    if spec == "%s":
+        return max(len(name), max(map(len, col), default=0))
+    lo, hi = min(col), max(col)  # fixed-point text grows with |x|, plus a sign
+    if lo == 0 and any(math.copysign(1.0, x) < 0 for x in col):
+        lo = -0.0  # min() may pick a 0.0, one narrower than a -0.0
+    return max(len(name), len(spec % lo), len(spec % hi))
+
+
 def render_markdown(table: ResultTable, decimals: int = 1) -> str:
-    cols = _format_columns(table, decimals)
-    widths = [max(map(len, (name, *col))) for name, col in zip(table.columns, cols)]
-    row = "| " + " | ".join(f"{{:<{w}}}" for w in widths) + " |"
+    specs, cols = _columns(table, decimals)
+    widths = list(map(_width, table.columns, specs, cols))
+    row = "| " + " | ".join(f"%-{w}{spec[1:]}" for w, spec in zip(widths, specs)) + " |"
+    header = "| " + " | ".join(map(str.ljust, table.columns, widths)) + " |"
     rule = "|" + "|".join("-" * (w + 2) for w in widths) + "|"
-    lines = [f"**{table.caption}**", "", row.format(*table.columns), rule, *map(row.format, *cols)]
+    lines = [f"**{table.caption}**", "", header, rule, *map(row.__mod__, zip(*cols))]
     lines += ["", *(f"- {note}" for note in table.footnotes)]
     return "\n".join(lines) + "\n"
 

@@ -124,6 +124,19 @@ def test_geometric_columns_name_the_first_bad_cell():
         _policy_residuals([0.1, -800.0, -1000.0, 0.2], 1.0)
 
 
+def test_geometric_rejects_nan_components():
+    with pytest.raises(DataValidationError, match="effect g_NE is nan$"):
+        geometric_share(math.nan, 0.5)
+    with pytest.raises(DataValidationError, match="policy residual g_NS is nan$"):
+        geometric_share(0.5, math.nan)
+    # min() passes over a nan that is not first; the column kernel still names it
+    for levels in ([0.1, 0.2, math.nan], [math.nan, 0.2, 0.1]):
+        with pytest.raises(DataValidationError, match="effect g_NE is nan$"):
+            geometric_thetas_of_gap([0.1, 0.2, 0.1], levels, 1.0)
+    with pytest.raises(DataValidationError, match="policy residual g_NS is nan$"):
+        geometric_thetas_of_gap([0.1, math.nan], [math.expm1(0.1), 0.5], 1.0)
+
+
 def test_geometric_from_levels_trivia():
     assert geometric_share_from_levels(100, 100, 200).theta == 0.0
     assert geometric_share_from_levels(100, 200, 200).theta == 1.0

@@ -71,6 +71,14 @@ def test_effect_columns_name_the_first_bad_cell():
         _compounded(-10.0, 12, [1.0, 20.0, 30.0])
 
 
+def test_finite_level_of_an_effect_beyond_float_range_is_a_data_error():
+    # expm1(800) overflows: no finite relative level can encode the effect
+    with pytest.raises(DataValidationError, match=r"^S: effect of 800.0 log points is out of"):
+        GrowthEffect(800.0, 1.0, "m", "S", Horizon.steady_state())
+    with pytest.raises(DataValidationError, match="^effect of 800.0 log points is out of"):
+        _screened([0.1, 800.0, 0.2], [math.expm1(0.1), 1.0, 5.0])
+
+
 def test_absolute_change_scales_with_y0():
     e = finite_horizon_effect(0.018, 17.1, 12)
     assert e.absolute_change(3105.0) == 3105.0 * e.relative_level

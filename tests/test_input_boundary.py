@@ -131,6 +131,23 @@ def test_unreadable_series_is_a_data_error(tmp_path, body):
         load_series(bad)
 
 
+def test_one_field_series_row_exits_3_naming_the_line(tmp_path):
+    syn = tmp_path / "syn.csv"
+    syn.write_text("year,value\n2023,90\n2024\n", encoding="utf-8")
+    hist = write_series(tmp_path / "hist.csv", (2023, 100), (2024, 100))
+    code, out, err = run_cli([
+        "table2", "--gap-synthetic", str(syn), "--gap-historical", hist, "--gap-year", "2024",
+    ])
+    assert (code, out) == (3, "")
+    assert err == f"data error: {syn}:3: expected year,value[,source_tag]\n"
+
+
+def test_gap_with_gap_series_exits_2():
+    code, out, err = run_cli(["table2", "--gap", "1", "--gap-synthetic", "s.csv"])
+    assert (code, out) == (2, "")
+    assert err == "configuration error: --gap conflicts with --gap-synthetic/--gap-historical\n"
+
+
 def test_series_path_that_is_a_directory_exits_3(tmp_path):
     code, out, err = run_cli([
         "table2", "--gap-synthetic", str(tmp_path), "--gap-historical", str(tmp_path),

@@ -109,6 +109,20 @@ def _table(columns, *rows):
 # column-major order would meet the nan first; row-major meets the inf
 @example(table=_table(("a", "b"), (1.0, math.inf), (math.nan, 2.0)), decimals=1)
 @example(table=_table(("a", "b"), ("s", 1.5), (None, math.inf), (math.nan, 2.0)), decimals=6)
+# the edges of the %-templates: a cell csv.writer may quote sends CSV through
+# it, and a Markdown float column's width comes from its formatted min and max
+@example(table=_table(("s", "x"), ("a\rb", 1.5), ("c", 2.0)), decimals=1)
+@example(table=_table(("s",), ("a",), ("",)), decimals=1)
+@example(table=_table(("x",), (0.0,), (-0.0,), (0.04,)), decimals=1)
+@example(table=_table(("x", "s"), (1.0, "a"), (9.96, "b")), decimals=1)
+@example(
+    table=_table(
+        ("model", "elasticity", "share_C1_pct"),
+        ("Yanikkaya (2003), 12-year", "0.018/pp", 2.0491),
+        ("Frankel and Romer (1999)", "1.97", 31.5),
+    ),
+    decimals=1,
+)
 def test_renderers_match_the_per_cell_reference(table, decimals):
     assert outcome(render_csv, table, decimals) == outcome(ref_csv, table, decimals)
     assert outcome(render_markdown, table, decimals) == outcome(ref_markdown, table, decimals)

@@ -53,6 +53,12 @@ def test_load_minimal_file(tmp_path):
     assert s.value(1959) == 3200.0
 
 
+def test_load_skips_blank_rows(tmp_path):
+    p = tmp_path / "s.csv"
+    p.write_text("year,value\n1958,3105\n\n , \n1959,3200\n", encoding="utf-8")
+    assert load_series(p).observations == (Observation(1958, 3105.0), Observation(1959, 3200.0))
+
+
 def test_load_rejects_malformed_row_with_line_number(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("year,value\n1958,3105\nnineteen,60\n", encoding="utf-8")
