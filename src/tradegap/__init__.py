@@ -36,7 +36,6 @@ from .elasticities import (
     feyrer_elasticity,
     implied_point_elasticity,
     load_registry,
-    save_registry,
     seed_registry,
     steady_state_semi_elasticity,
 )
@@ -61,7 +60,7 @@ from .scenarios import (
     default_scenario_config,
     load_scenario_config,
 )
-from .series import GdpSeries, Observation, load_series, log_gap, splice, write_series
+from .series import GdpSeries, Observation, load_series, log_gap, splice
 
 __version__ = "0.1.0"
 
@@ -111,12 +110,10 @@ __all__ = [
     "render",
     "render_csv",
     "render_markdown",
-    "save_registry",
     "seed_registry",
     "splice",
     "steady_state_effect_loglinear",
     "steady_state_effect_loglog",
     "steady_state_semi_elasticity",
-    "write_series",
     "__version__",
 ]

@@ -136,8 +136,14 @@ def _geometric_thetas(effects: list[float], residuals: list[float]) -> list[floa
             if not (g_ne > -1 and g_ns > -1):
                 name, g = ("policy residual g_NS", g_ns) if g_ne > -1 else ("effect g_NE", g_ne)
                 raise DataValidationError(f"relative level changes must exceed -1: {name} is {g!r}")
+    totals = [g_ns + g_ne + g_ns * g_ne for g_ne, g_ns in zip(effects, residuals)]
+    if not all(map(math.isfinite, totals)):  # a +inf component, or a product beyond float range
+        i = next(i for i, total in enumerate(totals) if not math.isfinite(total))
+        raise DataValidationError(
+            f"total relative gap of g_NE {effects[i]!r} and g_NS {residuals[i]!r} is not finite"
+        )
     try:
-        return [g_ne / (g_ns + g_ne + g_ns * g_ne) for g_ne, g_ns in zip(effects, residuals)]
+        return [g_ne / total for g_ne, total in zip(effects, totals)]
     except ZeroDivisionError:
         raise DataValidationError("degenerate decomposition: total relative gap is zero") from None
 
@@ -203,8 +209,8 @@ def geometric_share_from_levels(
     algebraically identical to :func:`geometric_share` of the implied
     relative changes, and invariant to rescaling all three levels.
     """
-    if min(y_e_s, y_ne_s, y_ne_ns) <= 0:
-        raise DataValidationError("income levels must be positive")
+    if not all(0 < y < math.inf for y in (y_e_s, y_ne_s, y_ne_ns)):
+        raise DataValidationError("income levels must be positive and finite")
     if y_ne_ns <= y_e_s:
         raise DataValidationError(
             "degenerate decomposition: counterfactual does not exceed the factual"
@@ -221,6 +227,8 @@ def geometric_share_from_levels(
 def linear_levels_share(c_ne_linear: float, c_ns_linear: float) -> DecompositionResult:
     """Simple ratio of absolute income contributions (flagged as unsound)."""
     total = c_ne_linear + c_ns_linear
+    if not math.isfinite(total):  # a non-finite component, or a sum beyond float range
+        raise DataValidationError(f"c_NE {c_ne_linear!r} + c_NS {c_ns_linear!r} sums to {total!r}")
     if total == 0:
         raise DataValidationError("degenerate decomposition: contributions sum to zero")
     return DecompositionResult(

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .elasticities import ElasticityModel, FormKind, Horizon, HorizonKind
-from .errors import ConfigurationError, DataValidationError
+from .errors import DataValidationError
 from .scenarios import TradeShockScenario
 
 #: Columns of effects, one entry per scenario: (log points, relative levels).
@@ -84,7 +84,9 @@ def _from_log_points(log_points: list[float]) -> Effects:
         relative_levels = list(map(math.expm1, log_points))
     except OverflowError:  # expm1 is increasing, so the largest effect overflowed
         raise _out_of_range(max(log_points)) from None
-    return _screened(log_points, relative_levels)
+    if not all(map(math.isfinite, relative_levels)):  # expm1 keeps a nan or +inf
+        raise _out_of_range(next(lp for lp in log_points if not lp < math.inf))
+    return log_points, relative_levels
 
 
 def _compounded(epsilon: float, years: int, delta_lambda_pp: list[float]) -> Effects:
@@ -129,17 +131,6 @@ class GrowthEffect:
 
     def __post_init__(self) -> None:
         _cell(self.scenario_id, _screened, [self.log_points], [self.relative_level])
-
-    @classmethod
-    def from_log_points(
-        cls, log_points: float, model_name: str, scenario_id: str, horizon: Horizon
-    ) -> "GrowthEffect":
-        cell = _cell(scenario_id, _from_log_points, [log_points])
-        return cls(*cell, model_name, scenario_id, horizon)
-
-    def absolute_change(self, y0: float) -> float:
-        """Income change in the units of ``y0`` (the baseline level)."""
-        return y0 * self.relative_level
 
 
 def finite_horizon_effect(
@@ -201,10 +192,6 @@ def effect_columns(model: ElasticityModel, shocks: Shocks) -> Effects:
     """
     delta_lambda, delta_lambda_pp, log_ratios = shocks
     if model.horizon.kind is HorizonKind.FINITE:
-        if model.short_run_epsilon is None:
-            raise ConfigurationError(
-                f"model {model.name!r}: finite horizon requested but no short_run_epsilon"
-            )
         return _compounded(model.short_run_epsilon, model.horizon.years, delta_lambda_pp)
     if model.form.kind is FormKind.LOG_LOG_LEVEL:
         return _loglog(model.form.level_coefficient(), log_ratios)

@@ -26,7 +26,6 @@ normalisation happens in exactly one place: :func:`tradegap.effects.effect_colum
 from __future__ import annotations
 
 import enum
-import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -264,15 +263,13 @@ def implied_point_elasticity(semi_elasticity: float, lam: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# registry (de)serialisation — the registry is data, not code
+# registry loading — the registry is data, not code, and is read as written
 # --------------------------------------------------------------------------
 
-def _form_to_json(form: FunctionalForm) -> tuple[str, object]:
-    if form.kind is FormKind.GROWTH_WITH_CONVERGENCE:
-        return form.kind.value, {"alpha1": form.alpha1, "alpha2": form.alpha2}
-    if form.kind is FormKind.LOG_LINEAR_LEVEL:
-        return form.kind.value, form.s
-    return form.kind.value, form.e
+def _number(value: object, what: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigurationError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def _form_from_json(kind: str, coefficient: object) -> FunctionalForm:
@@ -284,29 +281,25 @@ def _form_from_json(kind: str, coefficient: object) -> FunctionalForm:
         if not isinstance(coefficient, dict):
             raise ConfigurationError("growth form coefficient must be {alpha1, alpha2}")
         return FunctionalForm.growth_with_convergence(
-            float(coefficient["alpha1"]), float(coefficient["alpha2"])
+            _number(coefficient["alpha1"], "alpha1"), _number(coefficient["alpha2"], "alpha2")
         )
-    if not isinstance(coefficient, (int, float)) or isinstance(coefficient, bool):
-        raise ConfigurationError(f"coefficient for {kind} must be a number")
+    coefficient = _number(coefficient, f"coefficient for {kind}")
     if k is FormKind.LOG_LINEAR_LEVEL:
-        return FunctionalForm.log_linear(float(coefficient))
-    return FunctionalForm.log_log(float(coefficient))
-
-
-def _horizon_to_json(h: Horizon) -> object:
-    if h.kind is HorizonKind.FINITE:
-        return {"kind": "finite", "years": h.years}
-    return {"kind": "steady_state"}
+        return FunctionalForm.log_linear(coefficient)
+    return FunctionalForm.log_log(coefficient)
 
 
 def _horizon_from_json(obj: object) -> Horizon:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigurationError(f"horizon must be an object with a 'kind': {obj!r}")
-    if obj["kind"] == "finite":
-        return Horizon.finite(int(obj["years"]))
-    if obj["kind"] == "steady_state":
-        return Horizon.steady_state()
-    raise ConfigurationError(f"unknown horizon kind {obj['kind']!r}")
+    try:
+        kind = HorizonKind(obj["kind"])
+    except ValueError:
+        raise ConfigurationError(f"unknown horizon kind {obj['kind']!r}") from None
+    years = obj.get("years")
+    if years is not None and (isinstance(years, bool) or int(years) != years):
+        raise ConfigurationError(f"horizon years must be a whole number, got {years!r}")
+    return Horizon(kind, None if years is None else int(years))
 
 
 def load_registry(path: str | Path) -> ElasticityRegistry:
@@ -336,39 +329,17 @@ def _registry_from_json(raw: object) -> ElasticityRegistry:
                     form=_form_from_json(row["form"], row.get("coefficient")),
                     horizon=_horizon_from_json(row["horizon"]),
                     short_run_epsilon=(
-                        float(row["short_run_epsilon"])
-                        if row.get("short_run_epsilon") is not None
-                        else None
+                        None if row.get("short_run_epsilon") is None
+                        else _number(row["short_run_epsilon"], "short_run_epsilon")
                     ),
                     source_note=str(row.get("source_note", "")),
                 )
             )
         except KeyError as exc:
             raise ConfigurationError(f"model #{i} missing field {exc}") from None
-        except (ConfigurationError, TypeError, ValueError) as exc:
+        except (ConfigurationError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(f"model #{i}: {exc}") from None
     return ElasticityRegistry(entries)
-
-
-def save_registry(registry: ElasticityRegistry, path: str | Path) -> None:
-    """Write a registry back to the versioned JSON layout (round-trip safe)."""
-    models = []
-    for m in registry:
-        form_kind, coefficient = _form_to_json(m.form)
-        row: dict[str, object] = {
-            "name": m.name,
-            "form": form_kind,
-            "coefficient": coefficient,
-            "horizon": _horizon_to_json(m.horizon),
-            "source_note": m.source_note,
-        }
-        if m.short_run_epsilon is not None:
-            row["short_run_epsilon"] = m.short_run_epsilon
-        models.append(row)
-    payload = {"schema_version": REGISTRY_SCHEMA_VERSION, "models": models}
-    Path(path).write_text(
-        json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
 
 
 def seed_registry() -> ElasticityRegistry:

@@ -1,4 +1,4 @@
-"""Annual GDP-per-capita series: CSV I/O, growth-rate splicing, log gaps.
+"""Annual GDP-per-capita series: CSV loading, growth-rate splicing, log gaps.
 
 File format is UTF-8 CSV with header ``year,value,source_tag`` (source_tag
 optional).  No interpolation anywhere: operations fail loudly on missing
@@ -61,9 +61,6 @@ class GdpSeries:
                 return o.value
         raise DataValidationError(f"series {self.label!r}: no observation for {year}")
 
-    def __len__(self) -> int:
-        return len(self.observations)
-
 
 def load_series(path: str | Path, label: str | None = None) -> GdpSeries:
     """Parse a CSV series file; diagnostics carry 1-based line numbers."""
@@ -110,16 +107,6 @@ def load_series(path: str | Path, label: str | None = None) -> GdpSeries:
         return GdpSeries(tuple(rows), label=label or path.stem)
     except DataValidationError as exc:
         raise DataValidationError(f"{path}: {exc}") from None
-
-
-def write_series(series: GdpSeries, path: str | Path) -> None:
-    """Inverse of load_series (round-trips valid series exactly)."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["year", "value", "source_tag"])
-        for o in series.observations:
-            writer.writerow([o.year, repr(o.value), o.source_tag])
 
 
 def splice(base: GdpSeries, extension: GdpSeries, splice_year: int) -> GdpSeries:

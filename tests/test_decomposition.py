@@ -19,11 +19,11 @@ from tradegap import (
     linear_levels_share,
     policy_growth_residual,
 )
-from tradegap.decomposition import _policy_residuals, geometric_thetas_of_gap
+from tradegap.decomposition import _geometric_thetas, _policy_residuals, geometric_thetas_of_gap
 
 
 def effect_from_log_points(lp):
-    return GrowthEffect.from_log_points(lp, "m", "s", Horizon.steady_state())
+    return GrowthEffect(lp, math.expm1(lp), "m", "s", Horizon.steady_state())
 
 
 GAP = GapDenominator.calibrated_2024()
@@ -135,6 +135,23 @@ def test_geometric_rejects_nan_components():
             geometric_thetas_of_gap([0.1, 0.2, 0.1], levels, 1.0)
     with pytest.raises(DataValidationError, match="policy residual g_NS is nan$"):
         geometric_thetas_of_gap([0.1, math.nan], [math.expm1(0.1), 0.5], 1.0)
+
+
+def test_shares_reject_non_finite_components_and_totals():
+    with pytest.raises(DataValidationError, match="g_NE inf and g_NS 0.5 is not finite$"):
+        geometric_share(math.inf, 0.5)
+    # finite components whose product overflows the total relative gap
+    with pytest.raises(DataValidationError, match="g_NE 1e[+]200 and g_NS 1e[+]200 is not"):
+        geometric_share(1e200, 1e200)
+    with pytest.raises(DataValidationError, match="g_NE 0.5 and g_NS inf is not finite$"):
+        _geometric_thetas([0.1, 0.5, math.inf], [0.2, math.inf, 0.3])
+    with pytest.raises(DataValidationError, match=r"^c_NE nan \+ c_NS 1.0 sums to nan$"):
+        linear_levels_share(math.nan, 1.0)
+    with pytest.raises(DataValidationError, match=r"^c_NE 1e\+308 \+ c_NS 1e\+308 sums to inf$"):
+        linear_levels_share(1e308, 1e308)
+    for levels in ((1, math.inf, math.inf), (1, 2, math.inf), (1, math.nan, 2)):
+        with pytest.raises(DataValidationError, match="positive and finite"):
+            geometric_share_from_levels(*levels)
 
 
 def test_geometric_from_levels_trivia():

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tradegap import (
-    ConfigurationError,
     DataValidationError,
     GrowthEffect,
     Horizon,
@@ -15,7 +14,7 @@ from tradegap import (
     steady_state_effect_loglinear,
     steady_state_effect_loglog,
 )
-from tradegap.effects import _compounded, _screened
+from tradegap.effects import _compounded, _from_log_points, _screened
 
 
 def pct(effect):
@@ -71,17 +70,20 @@ def test_effect_columns_name_the_first_bad_cell():
         _compounded(-10.0, 12, [1.0, 20.0, 30.0])
 
 
+def test_effect_that_expm1_keeps_non_finite_is_named():
+    # 1e308 * ln(0.554 / 0.004) is inf, which expm1 returns without an OverflowError
+    with pytest.raises(DataValidationError, match="^deep: effect of inf log points is out of"):
+        steady_state_effect_loglog(1e308, custom_scenario("deep", 0.55, 0.554))
+    with pytest.raises(DataValidationError, match="^effect of nan log points is out of"):
+        _from_log_points([0.1, math.nan, math.inf])
+
+
 def test_finite_level_of_an_effect_beyond_float_range_is_a_data_error():
     # expm1(800) overflows: no finite relative level can encode the effect
     with pytest.raises(DataValidationError, match=r"^S: effect of 800.0 log points is out of"):
         GrowthEffect(800.0, 1.0, "m", "S", Horizon.steady_state())
     with pytest.raises(DataValidationError, match="^effect of 800.0 log points is out of"):
         _screened([0.1, 800.0, 0.2], [math.expm1(0.1), 1.0, 5.0])
-
-
-def test_absolute_change_scales_with_y0():
-    e = finite_horizon_effect(0.018, 17.1, 12)
-    assert e.absolute_change(3105.0) == 3105.0 * e.relative_level
 
 
 # ------------------------------------------------------------- level forms
@@ -136,19 +138,6 @@ def test_evaluate_dispatch_loglog(registry):
     assert pct(evaluate(alcala, c1)) == pytest.approx(59.4, rel=0.02)
 
 
-def test_evaluate_finite_without_epsilon_is_config_error(registry, c123):
-    import dataclasses
-
-    broken = dataclasses.replace(
-        registry.get("sala_i_martin"),
-        horizon=Horizon.steady_state(),
-    )
-    # force a finite request past the dataclass validator via object.__setattr__
-    object.__setattr__(broken, "horizon", Horizon.finite(12))
-    with pytest.raises(ConfigurationError, match="short_run_epsilon"):
-        evaluate(broken, c123[0])
-
-
 # ------------------------------------------------------------- invariants
 
 def test_growth_effect_encodings_must_agree():
@@ -158,7 +147,7 @@ def test_growth_effect_encodings_must_agree():
 
 @given(st.floats(-0.9, 3.0))
 def test_encodings_agree_and_share_sign(lp):
-    e = GrowthEffect.from_log_points(lp, "m", "s", Horizon.steady_state())
+    e = GrowthEffect(lp, math.expm1(lp), "m", "s", Horizon.steady_state())
     assert e.relative_level == pytest.approx(math.expm1(lp), rel=1e-12)
     assert (e.log_points >= 0) == (e.relative_level >= 0)
 

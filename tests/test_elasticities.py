@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -15,7 +17,6 @@ from tradegap import (
     feyrer_elasticity,
     implied_point_elasticity,
     load_registry,
-    save_registry,
     seed_registry,
     steady_state_semi_elasticity,
 )
@@ -113,6 +114,25 @@ def test_horizon_validation():
         Horizon.finite(0)
 
 
+@pytest.mark.parametrize(
+    "kind,coefficients,message",
+    [
+        (FormKind.GROWTH_WITH_CONVERGENCE, {"alpha1": -0.5}, "requires alpha1 and alpha2"),
+        (FormKind.GROWTH_WITH_CONVERGENCE, {"alpha2": 1.0}, "requires alpha1 and alpha2"),
+        (FormKind.GROWTH_WITH_CONVERGENCE, {"alpha1": -0.5, "alpha2": 1.0, "s": 1.0}, "no level"),
+        (FormKind.GROWTH_WITH_CONVERGENCE, {"alpha1": -0.5, "alpha2": 1.0, "e": 1.0}, "no level"),
+        (FormKind.LOG_LINEAR_LEVEL, {}, "exactly one coefficient s"),
+        (FormKind.LOG_LINEAR_LEVEL, {"s": 1.0, "e": 1.0}, "exactly one coefficient s"),
+        (FormKind.LOG_LINEAR_LEVEL, {"s": 1.0, "alpha1": -0.5}, "exactly one coefficient s"),
+        (FormKind.LOG_LOG_LEVEL, {"s": 1.0}, "exactly one coefficient e"),
+        (FormKind.LOG_LOG_LEVEL, {"e": 1.0, "alpha2": 1.0}, "exactly one coefficient e"),
+    ],
+)
+def test_form_takes_exactly_its_coefficients(kind, coefficients, message):
+    with pytest.raises(DataValidationError, match=message):
+        FunctionalForm(kind, **coefficients)
+
+
 # ------------------------------------------------------------------ registry
 
 def test_seed_registry_contents(registry):
@@ -137,13 +157,6 @@ def test_seed_registry_contents(registry):
     # Feyrer stored at full conversion precision; displays as 1.26
     assert registry.get("feyrer").form.e == 0.558 / (1 - 0.558)
     assert all(m.form.kind is not FormKind.GROWTH_WITH_CONVERGENCE for m in registry)
-
-
-def test_registry_round_trip_bit_for_bit(registry, tmp_path):
-    out = tmp_path / "registry.json"
-    save_registry(registry, out)
-    again = load_registry(out)
-    assert again.entries == registry.entries  # dataclass equality covers floats bitwise
 
 
 def test_registry_rejects_duplicates(registry):
@@ -179,6 +192,66 @@ def test_registry_bad_json_and_unknown_form(tmp_path):
     )
     with pytest.raises(ConfigurationError, match="unknown functional form"):
         load_registry(p)
+
+
+STEADY = {
+    "name": "x", "form": "log_linear_level", "coefficient": 1.0,
+    "horizon": {"kind": "steady_state"},
+}
+FINITE = {**STEADY, "short_run_epsilon": 0.02, "horizon": {"kind": "finite", "years": 12}}
+GROWTH = {**STEADY, "form": "growth_with_convergence"}
+
+
+def horizon(kind, **years):
+    """A model with a short_run_epsilon and the horizon ``{"kind": kind, **years}``."""
+    return {**FINITE, "horizon": {"kind": kind, **years}}
+
+
+def write_registry(path, models):
+    path.write_text(json.dumps({"schema_version": 1, "models": models}), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "model,message",
+    [
+        ({**STEADY, "name": ""}, "model name must be non-empty"),
+        ({**GROWTH, "coefficient": 1.0}, "growth form coefficient must be {alpha1, alpha2}"),
+        ({**GROWTH, "coefficient": {"alpha1": "-0.5", "alpha2": 1}}, "alpha1 must be a number"),
+        ({**GROWTH, "coefficient": {"alpha1": -0.5, "alpha2": "1"}}, "alpha2 must be a number"),
+        ({**STEADY, "coefficient": "1.0"}, "coefficient for log_linear_level must be a number"),
+        ({**STEADY, "coefficient": True}, "coefficient for log_linear_level must be a number"),
+        ({**STEADY, "coefficient": 10**400}, "int too large to convert to float"),
+        ({**FINITE, "short_run_epsilon": "0.02"}, "short_run_epsilon must be a number"),
+        ({**STEADY, "horizon": "steady_state"}, "horizon must be an object with a 'kind'"),
+        ({**STEADY, "horizon": {"kind": "decadal"}}, "unknown horizon kind 'decadal'"),
+        (horizon("finite", years=12.7), "horizon years must be a whole number, got 12.7"),
+        (horizon("finite", years=True), "horizon years must be a whole number, got True"),
+        (horizon("finite", years="12"), "horizon years must be a whole number, got '12'"),
+        (horizon("finite"), "finite horizon requires years >= 1"),
+        (horizon("steady_state", years=40), "steady-state horizon takes no years"),
+    ],
+)
+def test_registry_reads_each_field_as_written(tmp_path, model, message):
+    reg = write_registry(tmp_path / "r.json", [{**STEADY, "name": "ok"}, model])
+    with pytest.raises(ConfigurationError, match=r"r\.json: model #1: " + re.escape(message)):
+        load_registry(reg)
+
+
+def test_registry_structure_errors(tmp_path):
+    reg = tmp_path / "r.json"
+    reg.write_text('{"schema_version": 1, "models": {}}', encoding="utf-8")
+    with pytest.raises(ConfigurationError, match="'models' must be an array"):
+        load_registry(reg)
+    missing = {key: value for key, value in STEADY.items() if key != "horizon"}
+    with pytest.raises(ConfigurationError, match="model #0 missing field 'horizon'"):
+        load_registry(write_registry(reg, [missing]))
+
+
+def test_registry_reads_whole_float_years_as_int(tmp_path):
+    registry = load_registry(write_registry(tmp_path / "r.json", [horizon("finite", years=12.0)]))
+    assert type(registry.get("x").horizon.years) is int
+    assert registry.get("x").horizon == Horizon.finite(12)
 
 
 def test_registry_missing_file():

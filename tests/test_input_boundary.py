@@ -217,7 +217,7 @@ def test_nan_baseline_is_named_as_the_bad_input(command):
 
 def test_effect_beyond_float_range_is_a_data_error():
     with pytest.raises(DataValidationError, match="out of float range"):
-        GrowthEffect.from_log_points(800.0, "m", "s", Horizon.steady_state())
+        GrowthEffect(800.0, math.inf, "m", "s", Horizon.steady_state())
 
 
 @pytest.mark.parametrize("build", [build_grid, build_table_a3])

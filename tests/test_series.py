@@ -12,12 +12,18 @@ from tradegap import (
     load_series,
     log_gap,
     splice,
-    write_series,
 )
 
 
 def series(label, *pairs):
     return GdpSeries(tuple(Observation(y, v) for y, v in pairs), label=label)
+
+
+def write_csv(s, path):
+    """Write ``s`` as series CSV, each value as its repr, and return ``path``."""
+    rows = [f"{o.year},{o.value!r},{o.source_tag}" for o in s.observations]
+    path.write_text("\n".join(["year,value,source_tag", *rows]) + "\n", encoding="utf-8")
+    return path
 
 
 # ----------------------------------------------------------------- invariants
@@ -35,7 +41,7 @@ def test_series_invariants():
 
 def test_series_lookup():
     s = series("cuba", (1958, 3105.0), (1959, 3200.0))
-    assert len(s) == 2
+    assert s.years == (1958, 1959)
     assert s.value(1958) == 3105.0
     assert s.has_year(1959) and not s.has_year(1960)
     with pytest.raises(DataValidationError, match="no observation"):
@@ -48,7 +54,7 @@ def test_load_minimal_file(tmp_path):
     p = tmp_path / "s.csv"
     p.write_text("year,value\n1958,3105\n1959,3200\n", encoding="utf-8")
     s = load_series(p)
-    assert len(s) == 2
+    assert s.years == (1958, 1959)
     assert s.label == "s"
     assert s.value(1959) == 3200.0
 
@@ -104,9 +110,7 @@ def test_round_trip_is_identity(tmp_path):
         ),
         label="cuba",
     )
-    path = tmp_path / "cuba.csv"
-    write_series(s, path)
-    assert load_series(path) == s
+    assert load_series(write_csv(s, tmp_path / "cuba.csv")) == s
 
 
 @given(
@@ -121,8 +125,7 @@ def test_round_trip_arbitrary_values(tmp_path_factory, values):
         tuple(Observation(1900 + i, v) for i, v in enumerate(values)), label="w"
     )
     path = tmp_path_factory.mktemp("rt") / "w.csv"
-    write_series(s, path)
-    assert load_series(path, label="w") == s
+    assert load_series(write_csv(s, path), label="w") == s
 
 
 # -------------------------------------------------------------------- splice
