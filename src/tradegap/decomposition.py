@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .effects import GrowthEffect
-from .errors import DataValidationError
+from .errors import ConfigurationError, DataValidationError
 
 #: Calibrated 2024 log gap ln(y_synthetic / y_historical).  Not printed in
 #: the source tables; recovered by the back-out oracle (see
@@ -43,6 +44,9 @@ DEFAULT_GAP_2024_LOG_POINTS = 1.085
 #: share cells against the replicated 12-year effects gives
 #: {1.2335, 1.2410, 1.2447}; the median is adopted.
 DEFAULT_GAP_1972_RELATIVE = 1.24095
+
+#: Largest gap, in log points, whose relative level exp(gap) - 1 is a float.
+_MAX_GAP_LOG_POINTS = math.log(sys.float_info.max)
 
 
 class GapKind(enum.Enum):
@@ -70,6 +74,16 @@ class GapDenominator:
     @classmethod
     def explicit(cls, log_points: float) -> "GapDenominator":
         return cls(GapKind.EXPLICIT, log_points)
+
+    def checked_log_points(self) -> float:
+        """The gap as a share denominator: positive, and finite as a relative
+        level.  Not checked on construction: ``log_gap`` returns either sign."""
+        if not 0 < self.log_points < _MAX_GAP_LOG_POINTS:
+            raise ConfigurationError(
+                f"gap denominator must be positive and finite (below "
+                f"{_MAX_GAP_LOG_POINTS:.2f} log points), got {self.log_points}"
+            )
+        return self.log_points
 
     @property
     def relative_level(self) -> float:
@@ -124,8 +138,6 @@ class DecompositionResult:
 
 def additive_log_thetas(log_points: list[float], _levels: list[float], gap: float) -> list[float]:
     """The additive-log shares of a column of effects, with the gap in log points."""
-    if gap <= 0:
-        raise DataValidationError(f"no underperformance to decompose: total gap {gap} <= 0")
     return [lp / gap for lp in log_points]
 
 
@@ -173,12 +185,12 @@ def additive_log_share(effect: GrowthEffect, total: GapDenominator) -> Decomposi
     denominator by construction.  Shares above one are reported untruncated
     (the counterfactual then overshoots the synthetic comparator).
     """
-    c_ne = effect.log_points
+    c_ne, gap = effect.log_points, total.checked_log_points()
     return DecompositionResult(
         scheme=DecompositionScheme.ADDITIVE_LOG,
-        theta=additive_log_thetas([c_ne], [effect.relative_level], total.log_points)[0],
+        theta=additive_log_thetas([c_ne], [effect.relative_level], gap)[0],
         c_ne=c_ne,
-        c_ns=total.log_points - c_ne,
+        c_ns=gap - c_ne,
     )
 
 
@@ -205,9 +217,9 @@ def geometric_share_from_levels(
 
     ``y_e_s`` is the factual (embargo + policies), ``y_ne_s`` the
     embargo-lifted counterfactual, ``y_ne_ns`` the no-embargo no-policy
-    counterfactual.  ``theta = (y_NE,S - y_E,S) / (y_NE,NS - y_E,S)``;
-    algebraically identical to :func:`geometric_share` of the implied
-    relative changes, and invariant to rescaling all three levels.
+    counterfactual.  ``theta = (y_NE,S - y_E,S) / (y_NE,NS - y_E,S)``,
+    computed as :func:`geometric_share` of the implied relative changes, so
+    invariant to rescaling all three levels.
     """
     if not all(0 < y < math.inf for y in (y_e_s, y_ne_s, y_ne_ns)):
         raise DataValidationError("income levels must be positive and finite")
@@ -215,13 +227,7 @@ def geometric_share_from_levels(
         raise DataValidationError(
             "degenerate decomposition: counterfactual does not exceed the factual"
         )
-    return DecompositionResult(
-        scheme=DecompositionScheme.GEOMETRIC,
-        theta=(y_ne_s - y_e_s) / (y_ne_ns - y_e_s),
-        g_ne=y_ne_s / y_e_s - 1.0,
-        g_ns=y_ne_ns / y_ne_s - 1.0,
-        interaction=(y_ne_s / y_e_s - 1.0) * (y_ne_ns / y_ne_s - 1.0),
-    )
+    return geometric_share(y_ne_s / y_e_s - 1.0, y_ne_ns / y_ne_s - 1.0)
 
 
 def linear_levels_share(c_ne_linear: float, c_ns_linear: float) -> DecompositionResult:
@@ -247,7 +253,7 @@ def policy_growth_residual(effect: GrowthEffect, total: GapDenominator) -> float
     component is always the residual claimant of whatever part of the total
     gap the embargo effect leaves unexplained.
     """
-    return _policy_residuals([effect.log_points], total.log_points)[0]
+    return _policy_residuals([effect.log_points], total.checked_log_points())[0]
 
 
 def geometric_share_of_gap(effect: GrowthEffect, total: GapDenominator) -> DecompositionResult:
@@ -262,6 +268,8 @@ def backout_gap(effect: GrowthEffect, reported_share: float) -> float:
     ``gap = log_points / share``.  Running this over all log-linear table
     cells audits the calibrated denominator (see the ``gap`` subcommand).
     """
-    if reported_share <= 0:
-        raise DataValidationError("reported share must be positive")
+    if not 0 < reported_share < math.inf:
+        raise DataValidationError(
+            f"reported share must be positive and finite, got {reported_share}"
+        )
     return effect.log_points / reported_share

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .elasticities import ElasticityModel, FormKind, Horizon, HorizonKind
+from .elasticities import ElasticityModel, FormKind, FunctionalForm, Horizon, HorizonKind
 from .errors import DataValidationError
 from .scenarios import TradeShockScenario
 
@@ -52,7 +52,7 @@ def _out_of_range(log_points: float) -> DataValidationError:
 
 def _checked(log_points: float, relative_level: float) -> None:
     """The invariants of every effect: finite, and the encodings within 1e-12."""
-    if not math.isfinite(relative_level):
+    if not (math.isfinite(log_points) and math.isfinite(relative_level)):
         raise _out_of_range(log_points)
     try:
         expected = math.expm1(log_points)
@@ -73,7 +73,7 @@ def _screened(log_points: list[float], relative_levels: list[float]) -> Effects:
         expected = list(map(math.expm1, log_points))
     except OverflowError:  # an effect beyond float range, which the rescan names
         expected = []
-    if not (all(map(math.isfinite, relative_levels)) and relative_levels == expected):
+    if not (all(map(math.isfinite, log_points + relative_levels)) and relative_levels == expected):
         for lp, rel in zip(log_points, relative_levels):
             _checked(lp, rel)
     return log_points, relative_levels
@@ -84,8 +84,8 @@ def _from_log_points(log_points: list[float]) -> Effects:
         relative_levels = list(map(math.expm1, log_points))
     except OverflowError:  # expm1 is increasing, so the largest effect overflowed
         raise _out_of_range(max(log_points)) from None
-    if not all(map(math.isfinite, relative_levels)):  # expm1 keeps a nan or +inf
-        raise _out_of_range(next(lp for lp in log_points if not lp < math.inf))
+    if not all(map(math.isfinite, log_points)):  # expm1 keeps a nan or +inf, maps -inf to -1
+        raise _out_of_range(next(lp for lp in log_points if not math.isfinite(lp)))
     return log_points, relative_levels
 
 
@@ -100,14 +100,6 @@ def _compounded(epsilon: float, years: int, delta_lambda_pp: list[float]) -> Eff
     if years == 1:
         return _screened(list(map(math.log1p, annuals)), annuals)
     return _from_log_points([years * math.log1p(annual) for annual in annuals])
-
-
-def _loglinear(semi_elasticity: float, delta_lambda: list[float]) -> Effects:
-    return _from_log_points([semi_elasticity * dl for dl in delta_lambda])
-
-
-def _loglog(elasticity: float, log_ratios: list[float]) -> Effects:
-    return _from_log_points([elasticity * ratio for ratio in log_ratios])
 
 
 def _cell(scenario_id: str, kernel: Callable[..., Effects], *args: object) -> tuple[float, float]:
@@ -154,9 +146,7 @@ def finite_horizon_effect(
     With ``years=1`` the relative level change equals
     ``epsilon * delta_lambda_pp / 100`` exactly (no compounding noise).
     """
-    if years < 1:
-        raise DataValidationError(f"years must be >= 1, got {years}")
-    horizon = Horizon.finite(years)  # first: it rejects years beyond float range
+    horizon = Horizon.finite(years)  # first: it rejects years < 1 or beyond float range
     cell = _cell(scenario_id, _compounded, epsilon, years, [delta_lambda_pp])
     return GrowthEffect(*cell, model_name, scenario_id, horizon)
 
@@ -167,8 +157,8 @@ def steady_state_effect_loglinear(
     model_name: str = "custom",
 ) -> GrowthEffect:
     """Steady-state effect of a log-linear level form: ``s * delta_lambda``."""
-    cell = _cell(scenario.id, _loglinear, semi_elasticity, [scenario.delta_lambda])
-    return GrowthEffect(*cell, model_name, scenario.id, Horizon.steady_state())
+    form = FunctionalForm.log_linear(semi_elasticity)
+    return evaluate(ElasticityModel(model_name, form, Horizon.steady_state()), scenario)
 
 
 def steady_state_effect_loglog(
@@ -177,9 +167,8 @@ def steady_state_effect_loglog(
     model_name: str = "custom",
 ) -> GrowthEffect:
     """Steady-state effect of a log-log form: ``e * ln(lambda0/lambda_cf)``."""
-    _, _, log_ratios = shock_columns((scenario,))
-    cell = _cell(scenario.id, _loglog, elasticity, log_ratios)
-    return GrowthEffect(*cell, model_name, scenario.id, Horizon.steady_state())
+    form = FunctionalForm.log_log(elasticity)
+    return evaluate(ElasticityModel(model_name, form, Horizon.steady_state()), scenario)
 
 
 def effect_columns(model: ElasticityModel, shocks: Shocks) -> Effects:
@@ -193,10 +182,11 @@ def effect_columns(model: ElasticityModel, shocks: Shocks) -> Effects:
     delta_lambda, delta_lambda_pp, log_ratios = shocks
     if model.horizon.kind is HorizonKind.FINITE:
         return _compounded(model.short_run_epsilon, model.horizon.years, delta_lambda_pp)
+    coefficient = model.form.level_coefficient()
     if model.form.kind is FormKind.LOG_LOG_LEVEL:
-        return _loglog(model.form.level_coefficient(), log_ratios)
+        return _from_log_points([coefficient * ratio for ratio in log_ratios])
     # log-linear directly, or the steady-state limit of a growth form
-    return _loglinear(model.form.level_coefficient(), delta_lambda)
+    return _from_log_points([coefficient * dl for dl in delta_lambda])
 
 
 def evaluate(model: ElasticityModel, scenario: TradeShockScenario) -> GrowthEffect:

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import enum
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .errors import ConfigurationError, DataValidationError, read_json
+from .errors import ConfigurationError, DataValidationError, number, read_json, string
 
 REGISTRY_SCHEMA_VERSION = 1
 
@@ -70,10 +70,7 @@ class FunctionalForm:
                 raise DataValidationError(
                     "growth form requires alpha1 and alpha2 coefficients"
                 )
-            if self.alpha1 >= 0:
-                raise DataValidationError(
-                    f"alpha1 must be negative for a stable steady state, got {self.alpha1}"
-                )
+            steady_state_semi_elasticity(self.alpha1, self.alpha2)
             if self.s is not None or self.e is not None:
                 raise DataValidationError("growth form takes no level coefficient")
         elif self.kind is FormKind.LOG_LINEAR_LEVEL:
@@ -179,11 +176,13 @@ class ElasticityModel:
 
 @dataclass
 class ElasticityRegistry:
-    """Ordered, name-unique collection of :class:`ElasticityModel`."""
+    """Ordered, name-unique, non-empty collection of :class:`ElasticityModel`."""
 
-    entries: list[ElasticityModel] = field(default_factory=list)
+    entries: list[ElasticityModel]
 
     def __post_init__(self) -> None:
+        if not self.entries:
+            raise ConfigurationError("empty selection: no models in registry")
         seen: set[str] = set()
         for m in self.entries:
             if m.name in seen:
@@ -266,12 +265,6 @@ def implied_point_elasticity(semi_elasticity: float, lam: float) -> float:
 # registry loading — the registry is data, not code, and is read as written
 # --------------------------------------------------------------------------
 
-def _number(value: object, what: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigurationError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
 def _form_from_json(kind: str, coefficient: object) -> FunctionalForm:
     try:
         k = FormKind(kind)
@@ -281,9 +274,9 @@ def _form_from_json(kind: str, coefficient: object) -> FunctionalForm:
         if not isinstance(coefficient, dict):
             raise ConfigurationError("growth form coefficient must be {alpha1, alpha2}")
         return FunctionalForm.growth_with_convergence(
-            _number(coefficient["alpha1"], "alpha1"), _number(coefficient["alpha2"], "alpha2")
+            number(coefficient["alpha1"], "alpha1"), number(coefficient["alpha2"], "alpha2")
         )
-    coefficient = _number(coefficient, f"coefficient for {kind}")
+    coefficient = number(coefficient, f"coefficient for {kind}")
     if k is FormKind.LOG_LINEAR_LEVEL:
         return FunctionalForm.log_linear(coefficient)
     return FunctionalForm.log_log(coefficient)
@@ -325,14 +318,14 @@ def _registry_from_json(raw: object) -> ElasticityRegistry:
         try:
             entries.append(
                 ElasticityModel(
-                    name=str(row["name"]),
+                    name=string(row["name"], "name"),
                     form=_form_from_json(row["form"], row.get("coefficient")),
                     horizon=_horizon_from_json(row["horizon"]),
                     short_run_epsilon=(
                         None if row.get("short_run_epsilon") is None
-                        else _number(row["short_run_epsilon"], "short_run_epsilon")
+                        else number(row["short_run_epsilon"], "short_run_epsilon")
                     ),
-                    source_note=str(row.get("source_note", "")),
+                    source_note=string(row.get("source_note", ""), "source_note"),
                 )
             )
         except KeyError as exc:

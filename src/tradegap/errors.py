@@ -30,6 +30,20 @@ def _finite(text: str) -> float:
     return value
 
 
+def number(value: object, what: str) -> float:
+    """A JSON number as a float; a string, a bool or any other value raises."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigurationError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def string(value: object, what: str) -> str:
+    """A JSON string as it is; a number or any other value raises."""
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def read_json(path: Path, what: str, parse: Callable[[Any], _T]) -> _T:
     """Read the JSON file ``path`` and ``parse`` it; every bad input raises
     a :class:`ConfigurationError` naming ``what`` and the file.

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import sys
 from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Callable, Iterator, Sequence
@@ -75,10 +74,6 @@ class ResultTable:
     footnotes: tuple[str, ...] = ()
 
 
-#: Largest gap, in log points, whose relative level exp(gap) - 1 is a float.
-_MAX_GAP_LOG_POINTS = math.log(sys.float_info.max)
-
-
 # --------------------------------------------------------------------------
 # the evaluation core: rows, scenarios and cells
 # --------------------------------------------------------------------------
@@ -138,14 +133,6 @@ def _table_scenarios(
 _ShareKernel = Callable[[list[float], list[float], float], list[float]]
 
 
-def _nonempty_registry(registry: ElasticityRegistry | None) -> ElasticityRegistry:
-    """The registry a table reads: the seed registry by default, never empty."""
-    registry = seed_registry() if registry is None else registry
-    if not registry.entries:
-        raise ConfigurationError("empty selection: no models in registry")
-    return registry
-
-
 def _cells(
     registry: ElasticityRegistry,
     scenarios: tuple[TradeShockScenario, ...],
@@ -163,18 +150,13 @@ def _cells(
     window, are measured geometrically against that 1972 gap whatever the
     share kernel: the convention of the study being replicated.
     """
-    if not 0 < gap.log_points < _MAX_GAP_LOG_POINTS:
-        raise ConfigurationError(
-            f"gap denominator must be positive and finite (below "
-            f"{_MAX_GAP_LOG_POINTS:.2f} log points), got {gap.log_points}"
-        )
+    share_gap = gap.checked_log_points()
     finite_fns = (geometric_thetas_of_gap,) * len(share_fns)
     shocks = shock_columns(scenarios)
     for row in expand_rows(registry, years):
         model = row[0]
         finite = finite_gap is not None and model.horizon.kind is HorizonKind.FINITE
-        fns, denominator = (finite_fns, finite_gap) if finite else (share_fns, gap)
-        total = denominator.log_points
+        fns, total = (finite_fns, finite_gap.log_points) if finite else (share_fns, share_gap)
         try:
             log_points, relative_levels = effect_columns(model, shocks)
             shares = [
@@ -210,11 +192,12 @@ def build_replication_table(
     """
     config = config or default_scenario_config()
     lam0 = config.lambda_baseline if lambda_baseline is None else lambda_baseline
+    model = seed_registry().get("yanikkaya")
     rows = []
     for scenario in build_scenarios(config.inputs, lam0):
         ratio_pp = round(scenario.delta_lambda_pp, 1)
         effect = finite_horizon_effect(
-            0.018, ratio_pp, years, model_name="yanikkaya", scenario_id=scenario.id
+            model.short_run_epsilon, ratio_pp, years, model.name, scenario.id
         )
         rows.append((scenario.id, ratio_pp, 100.0 * effect.relative_level))
     return ResultTable(
@@ -222,8 +205,8 @@ def build_replication_table(
         columns=("scenario", "trade_ratio_change_pp", "growth_effect_pct"),
         rows=tuple(rows),
         footnotes=(
-            "growth effects compound 0.018 growth points per percentage point "
-            f"of openness for {years} year" + ("s" if years != 1 else ""),
+            f"growth effects compound {model.short_run_epsilon:g} growth points per "
+            f"percentage point of openness for {years} year" + ("s" if years != 1 else ""),
             "ratios are percentage points of 1958 GDP; effects compound the "
             "one-decimal ratios as originally published",
             _inputs_footnote(config),
@@ -244,6 +227,7 @@ def _share_table(
 ) -> ResultTable:
     """Table 2 or A3: per model row, its label, its coefficient, the effects
     (if ``with_effects``) and then the ``scheme`` shares, one per scenario."""
+    registry = seed_registry() if registry is None else registry
     config = config or default_scenario_config()
     gap = gap or GapDenominator.calibrated_2024()
     gap_1972 = GapDenominator.gap_1972()
@@ -251,7 +235,7 @@ def _share_table(
     ids = [s.id for s in scenarios]
     rows = []
     for (model, _display, label), relative_levels, (shares,) in _cells(
-        _nonempty_registry(registry), scenarios, gap, (share,), years, gap_1972
+        registry, scenarios, gap, (share,), years, gap_1972
     ):
         effects = [100.0 * rel for rel in relative_levels] if with_effects else []
         rows.append((label, _coefficient_label(model), *effects, *shares))
@@ -316,7 +300,7 @@ def build_grid(
     all rows are measured against the single ``gap``.  Row order is registry
     order, then scenario id.
     """
-    registry = _nonempty_registry(registry)
+    registry = seed_registry() if registry is None else registry
     config = config or default_scenario_config()
     gap = gap or GapDenominator.calibrated_2024()
     scenarios = _table_scenarios(config) + config.custom_scenarios
@@ -344,18 +328,17 @@ def build_grid(
 
 
 def build_gap_audit(
-    registry: ElasticityRegistry | None = None,
-    config: ScenarioConfig | None = None,
-    lambda_baseline: float | None = None,
+    config: ScenarioConfig | None = None, lambda_baseline: float | None = None
 ) -> ResultTable:
     """Back out the gap each published log-linear share cell implies.
 
     The calibrated 2024 denominator is not printed anywhere; this table is
     the evidence for it.  Every published share of a log-linear model
     implies gap = effect_log_points / share; the audit lists all nine,
-    their median, and the adopted default.
+    their median, and the adopted default.  The published cells belong to
+    the seed registry's models, so the audit reads those.
     """
-    registry = _nonempty_registry(registry)
+    registry = seed_registry()
     config = config or default_scenario_config()
     adopted = GapDenominator.calibrated_2024()
     names = dict.fromkeys(name for name, _ in PUBLISHED_LOG_LINEAR_SHARES)

@@ -11,10 +11,10 @@ forewent, each divided by 1958 GDP (all currency in 1957 USD millions):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigurationError, DataValidationError, read_json
+from .errors import ConfigurationError, DataValidationError, number, read_json, string
 
 #: Baseline openness share. 0.554 rather than the quoted 0.55: the published
 #: log-log cells (back-solved via the acceptance oracle) are only consistent
@@ -163,16 +163,12 @@ def load_scenario_config(path: str | Path) -> ScenarioConfig:
 def _config_from_json(raw: object) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigurationError("expected a JSON object")
-    inputs = ShockInputs(
-        trade_gap_vs_synthetic_1972=float(raw["inputs"]["trade_gap_vs_synthetic_1972"]),
-        trade_with_us_1958=float(raw["inputs"]["trade_with_us_1958"]),
-        synthetic_export_excess_1972=float(raw["inputs"]["synthetic_export_excess_1972"]),
-        gdp_1958=float(raw["inputs"]["gdp_1958"]),
-    )
-    lam0 = float(raw.get("lambda_baseline", DEFAULT_LAMBDA_BASELINE))
+    inputs = ShockInputs(*(number(raw["inputs"][f.name], f.name) for f in fields(ShockInputs)))
+    lam0 = number(raw.get("lambda_baseline", DEFAULT_LAMBDA_BASELINE), "lambda_baseline")
     extra = tuple(
         custom_scenario(
-            str(row["id"]), float(row["delta_lambda"]), lam0, str(row.get("description", ""))
+            string(row["id"], "id"), number(row["delta_lambda"], "delta_lambda"), lam0,
+            string(row.get("description", ""), "description"),
         )
         for row in raw.get("custom_scenarios", [])
     )

@@ -69,6 +69,8 @@ def ref_effect(row, delta_lambda, lambda_baseline):
         relative_level = ref_expm1(log_points)
     if not math.isfinite(relative_level):
         raise DataValidationError("out of float range")
+    if not math.isfinite(log_points):
+        raise DataValidationError("out of float range")
     if not math.isclose(relative_level, math.expm1(log_points), rel_tol=1e-12, abs_tol=1e-15):
         raise DataValidationError("inconsistent encodings")
     return log_points, relative_level

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tradegap import (
+    ConfigurationError,
     DataValidationError,
     DecompositionScheme,
     GapDenominator,
@@ -74,9 +75,9 @@ def test_additive_log_share_above_one_is_not_clamped():
 
 
 def test_additive_log_requires_positive_gap():
-    with pytest.raises(DataValidationError, match="no underperformance"):
+    with pytest.raises(ConfigurationError, match="gap denominator must be positive"):
         additive_log_share(effect_from_log_points(0.1), GapDenominator.explicit(0.0))
-    with pytest.raises(DataValidationError):
+    with pytest.raises(ConfigurationError, match="gap denominator must be positive"):
         additive_log_share(effect_from_log_points(0.1), GapDenominator.explicit(-0.2))
 
 
@@ -162,6 +163,12 @@ def test_geometric_from_levels_trivia():
     )
 
 
+def test_geometric_from_levels_rejects_an_overflowing_level_ratio():
+    # y_NE,S / y_E,S overflows: the total relative gap is not finite
+    with pytest.raises(DataValidationError, match="g_NE inf and g_NS 0.0 is not finite"):
+        geometric_share_from_levels(1e-300, 1e300, 1e300)
+
+
 def test_geometric_from_levels_errors():
     with pytest.raises(DataValidationError, match="counterfactual"):
         geometric_share_from_levels(100, 100, 100)
@@ -240,6 +247,27 @@ def test_linear_levels_degenerate():
 
 
 # ------------------------------------------------------------------ back-out
+
+@pytest.mark.parametrize(
+    "share,gap",
+    [
+        (additive_log_share, math.nan),
+        (additive_log_share, math.inf),
+        (geometric_share_of_gap, -1.0),
+        (geometric_share_of_gap, 710.0),
+        (policy_growth_residual, math.nan),
+    ],
+)
+def test_library_gap_must_be_positive_and_finite(share, gap):
+    with pytest.raises(ConfigurationError, match="gap denominator must be positive"):
+        share(effect_from_log_points(0.1), GapDenominator.explicit(gap))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_backout_gap_rejects_a_non_finite_share(bad):
+    with pytest.raises(DataValidationError, match=f"positive and finite, got {bad}"):
+        backout_gap(effect_from_log_points(0.1), bad)
+
 
 def test_backout_gap_inverts_additive_share():
     e = effect_from_log_points(0.711865)

@@ -78,6 +78,14 @@ def test_effect_that_expm1_keeps_non_finite_is_named():
         _from_log_points([0.1, math.nan, math.inf])
 
 
+def test_minus_infinite_effect_is_out_of_float_range():
+    # expm1(-inf) is a finite -1.0, so the log points themselves are checked
+    with pytest.raises(DataValidationError, match="^deep: effect of -inf log points is out of"):
+        steady_state_effect_loglog(-1e308, custom_scenario("deep", 0.55, 0.554))
+    with pytest.raises(DataValidationError, match="^S: effect of -inf log points is out of"):
+        GrowthEffect(-math.inf, -1.0, "m", "S", Horizon.steady_state())
+
+
 def test_finite_level_of_an_effect_beyond_float_range_is_a_data_error():
     # expm1(800) overflows: no finite relative level can encode the effect
     with pytest.raises(DataValidationError, match=r"^S: effect of 800.0 log points is out of"):

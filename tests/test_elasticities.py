@@ -230,6 +230,9 @@ def write_registry(path, models):
         (horizon("finite", years="12"), "horizon years must be a whole number, got '12'"),
         (horizon("finite"), "finite horizon requires years >= 1"),
         (horizon("steady_state", years=40), "steady-state horizon takes no years"),
+        ({**STEADY, "name": 5}, "name must be a string, got 5"),
+        ({**STEADY, "source_note": ["a"]}, "source_note must be a string, got ['a']"),
+        ({**GROWTH, "coefficient": {"alpha1": 0.5, "alpha2": 1}}, "no stable steady state"),
     ],
 )
 def test_registry_reads_each_field_as_written(tmp_path, model, message):
@@ -246,6 +249,14 @@ def test_registry_structure_errors(tmp_path):
     missing = {key: value for key, value in STEADY.items() if key != "horizon"}
     with pytest.raises(ConfigurationError, match="model #0 missing field 'horizon'"):
         load_registry(write_registry(reg, [missing]))
+
+
+def test_registry_is_never_empty(tmp_path):
+    with pytest.raises(ConfigurationError, match="empty selection: no models in registry"):
+        ElasticityRegistry([])
+    reg = write_registry(tmp_path / "r.json", [])
+    with pytest.raises(ConfigurationError, match=r"r\.json: empty selection: no models"):
+        load_registry(reg)
 
 
 def test_registry_reads_whole_float_years_as_int(tmp_path):

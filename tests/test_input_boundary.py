@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -258,10 +259,35 @@ def test_json_rejects_non_finite_numbers(tmp_path, token):
 def test_config_string_where_a_number_belongs(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"inputs": {**INPUTS, "gdp_1958": "abc"}}), encoding="utf-8")
-    with pytest.raises(ConfigurationError, match=r"cfg\.json: could not convert"):
+    with pytest.raises(ConfigurationError, match=r"cfg\.json: gdp_1958 must be a number"):
         load_scenario_config(cfg)
     assert main(["table2", "--config", str(cfg)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"inputs": {**INPUTS, "trade_gap_vs_synthetic_1972": "530"}},
+         "trade_gap_vs_synthetic_1972 must be a number, got '530'"),
+        ({"inputs": {**INPUTS, "trade_with_us_1958": True}},
+         "trade_with_us_1958 must be a number, got True"),
+        ({"lambda_baseline": "0.554"}, "lambda_baseline must be a number, got '0.554'"),
+        ({"custom_scenarios": [{"id": 5, "delta_lambda": 0.1}]}, "id must be a string, got 5"),
+        ({"custom_scenarios": [{"id": "x", "delta_lambda": "0.1"}]},
+         "delta_lambda must be a number, got '0.1'"),
+        ({"custom_scenarios": [{"id": "x", "delta_lambda": 0.1, "description": 1}]},
+         "description must be a string, got 1"),
+    ],
+)
+def test_config_reads_each_field_as_written(tmp_path, change, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"inputs": INPUTS, **change}), encoding="utf-8")
+    with pytest.raises(ConfigurationError, match=r"cfg\.json: " + re.escape(message)):
+        load_scenario_config(cfg)
+    code, out, err = run_cli(["grid", "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def test_registry_string_where_years_belong(tmp_path):

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,17 @@ def test_replication_single_year_override():
     table = build_replication_table(years=1)
     # single-period effect is the uncompounded product
     assert table.rows[0][2] == 100 * 0.018 * 17.1 / 100
+
+
+def test_replication_reads_the_registry_entry(monkeypatch):
+    seed = seed_registry()
+    doubled = [
+        replace(m, short_run_epsilon=0.036) if m.name == "yanikkaya" else m for m in seed
+    ]
+    monkeypatch.setattr(tradegap.report, "seed_registry", lambda: ElasticityRegistry(doubled))
+    table = build_replication_table(years=1)
+    assert table.rows[0][2] == 100 * 0.036 * 17.1 / 100
+    assert table.footnotes[0].startswith("growth effects compound 0.036 growth points")
 
 
 # -------------------------------------------------------------------- table2
@@ -174,7 +186,7 @@ def test_growth_form_from_a_registry_file_is_its_steady_state_limit(tmp_path):
 
 @pytest.mark.parametrize("build", [build_table2, build_table_a3, build_grid, build_gap_audit])
 def test_empty_registry_is_an_empty_selection(build):
-    # an empty registry is falsy: it must not fall back to the seed registry
+    # an empty registry cannot be built, so no builder falls back to the seed registry
     with pytest.raises(ConfigurationError, match="empty selection: no models in registry"):
         build(registry=ElasticityRegistry([]))
 
