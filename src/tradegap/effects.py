@@ -38,11 +38,12 @@ Effects = tuple[list[float], list[float]]
 Shocks = tuple[list[float], list[float], list[float]]
 
 
-def shock_columns(scenarios: Sequence[TradeShockScenario]) -> Shocks:
-    """The scenario columns, read once per table."""
+def shock_columns(delta_lambdas: Sequence[float], lambda_baseline: float) -> Shocks:
+    """The columns of scenarios with openness changes ``delta_lambdas`` from
+    one ``lambda_baseline``, read once per table."""
     return (
-        [s.delta_lambda for s in scenarios], [s.delta_lambda_pp for s in scenarios],
-        [math.log(s.lambda_baseline / s.lambda_counterfactual) for s in scenarios],
+        list(delta_lambdas), [dl * 100.0 for dl in delta_lambdas],
+        [math.log(lambda_baseline / (lambda_baseline - dl)) for dl in delta_lambdas],
     )
 
 
@@ -191,5 +192,6 @@ def effect_columns(model: ElasticityModel, shocks: Shocks) -> Effects:
 
 def evaluate(model: ElasticityModel, scenario: TradeShockScenario) -> GrowthEffect:
     """Evaluate a model at a scenario, over the model's own horizon."""
-    cell = _cell(scenario.id, effect_columns, model, shock_columns((scenario,)))
+    shocks = shock_columns((scenario.delta_lambda,), scenario.lambda_baseline)
+    cell = _cell(scenario.id, effect_columns, model, shocks)
     return GrowthEffect(*cell, model.name, scenario.id, model.horizon)

@@ -269,14 +269,15 @@ def _form_from_json(kind: str, coefficient: object) -> FunctionalForm:
     try:
         k = FormKind(kind)
     except ValueError:
-        raise ConfigurationError(f"unknown functional form {kind!r}") from None
+        raise ConfigurationError(f"form: unknown functional form {kind!r}") from None
     if k is FormKind.GROWTH_WITH_CONVERGENCE:
         if not isinstance(coefficient, dict):
-            raise ConfigurationError("growth form coefficient must be {alpha1, alpha2}")
+            raise ConfigurationError("coefficient of a growth form must be {alpha1, alpha2}")
         return FunctionalForm.growth_with_convergence(
-            number(coefficient["alpha1"], "alpha1"), number(coefficient["alpha2"], "alpha2")
+            number(coefficient["alpha1"], "coefficient.alpha1"),
+            number(coefficient["alpha2"], "coefficient.alpha2"),
         )
-    coefficient = number(coefficient, f"coefficient for {kind}")
+    coefficient = number(coefficient, "coefficient")
     if k is FormKind.LOG_LINEAR_LEVEL:
         return FunctionalForm.log_linear(coefficient)
     return FunctionalForm.log_log(coefficient)
@@ -288,10 +289,10 @@ def _horizon_from_json(obj: object) -> Horizon:
     try:
         kind = HorizonKind(obj["kind"])
     except ValueError:
-        raise ConfigurationError(f"unknown horizon kind {obj['kind']!r}") from None
+        raise ConfigurationError(f"horizon.kind: unknown horizon kind {obj['kind']!r}") from None
     years = obj.get("years")
-    if years is not None and (isinstance(years, bool) or int(years) != years):
-        raise ConfigurationError(f"horizon years must be a whole number, got {years!r}")
+    if years is not None and (type(years) not in (int, float) or int(years) != years):
+        raise ConfigurationError(f"horizon.years must be a whole number, got {years!r}")
     return Horizon(kind, None if years is None else int(years))
 
 
@@ -329,9 +330,11 @@ def _registry_from_json(raw: object) -> ElasticityRegistry:
                 )
             )
         except KeyError as exc:
-            raise ConfigurationError(f"model #{i} missing field {exc}") from None
-        except (ConfigurationError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigurationError(f"model #{i}: {exc}") from None
+            raise ConfigurationError(f"models[{i}] missing field {exc}") from None
+        except ConfigurationError as exc:  # its message starts with the field's path
+            raise ConfigurationError(f"models[{i}].{exc}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigurationError(f"models[{i}]: {exc}") from None
     return ElasticityRegistry(entries)
 
 

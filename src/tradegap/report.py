@@ -15,7 +15,7 @@ from itertools import repeat
 from typing import Callable, Iterator, Sequence
 
 from .decomposition import GapDenominator, additive_log_thetas, backout_gap, geometric_thetas_of_gap
-from .effects import effect_columns, evaluate, finite_horizon_effect, shock_columns
+from .effects import Shocks, effect_columns, evaluate, finite_horizon_effect, shock_columns
 from .elasticities import (
     ElasticityModel,
     ElasticityRegistry,
@@ -66,12 +66,46 @@ _DISPLAY_NAMES = {
 }
 
 
-@dataclass(frozen=True)
+#: A block of a table's rows, one entry per column: a ``str`` is one cell
+#: shared by every row of the block, and any other entry holds the block's
+#: cells in that column, one per row.
+Block = tuple[object, ...]
+
+
+def _length(block: Block) -> int:
+    """A block's row count: none if it holds shared cells only."""
+    return len(next((col for col in block if not isinstance(col, str)), ()))
+
+
+@dataclass(frozen=True, init=False)
 class ResultTable:
+    """A table held as column blocks, its rows running block by block.
+    ``rows``, given in place of ``blocks``, makes one block of those rows."""
+
     caption: str
     columns: tuple[str, ...]
-    rows: tuple[tuple[object, ...], ...]
-    footnotes: tuple[str, ...] = ()
+    blocks: tuple[Block, ...]
+    footnotes: tuple[str, ...]
+
+    def __init__(
+        self,
+        caption: str,
+        columns: tuple[str, ...],
+        blocks: tuple[Block, ...] = (),
+        footnotes: tuple[str, ...] = (),
+        *,
+        rows: Sequence[Sequence[object]] | None = None,
+    ) -> None:
+        blocks = blocks if rows is None else (tuple(zip(*rows)),)
+        self.__dict__.update(caption=caption, columns=columns, blocks=blocks, footnotes=footnotes)
+
+    @property
+    def rows(self) -> tuple[tuple[object, ...], ...]:
+        """Every row as a tuple of cells."""
+        return tuple(
+            row for block in self.blocks
+            for row in zip(*(repeat(c, _length(block)) if isinstance(c, str) else c for c in block))
+        )
 
 
 # --------------------------------------------------------------------------
@@ -135,14 +169,16 @@ _ShareKernel = Callable[[list[float], list[float], float], list[float]]
 
 def _cells(
     registry: ElasticityRegistry,
-    scenarios: tuple[TradeShockScenario, ...],
+    ids: Sequence[str],
+    shocks: Shocks,
     gap: GapDenominator,
     share_fns: tuple[_ShareKernel, ...],
     years: int | None = None,
     finite_gap: GapDenominator | None = None,
 ) -> Iterator[tuple[_Row, list[float], list[list[float]]]]:
     """Every model row with its relative levels and one share % column per
-    share kernel, each a column over ``scenarios``, on plain floats.
+    share kernel, each a column over the scenarios ``ids`` with ``shocks``,
+    on plain floats.
 
     A row whose column pass fails runs again one scenario at a time, so the
     error names the row and its first bad cell.  Given ``finite_gap`` (Tables
@@ -152,7 +188,6 @@ def _cells(
     """
     share_gap = gap.checked_log_points()
     finite_fns = (geometric_thetas_of_gap,) * len(share_fns)
-    shocks = shock_columns(scenarios)
     for row in expand_rows(registry, years):
         model = row[0]
         finite = finite_gap is not None and model.horizon.kind is HorizonKind.FINITE
@@ -164,12 +199,12 @@ def _cells(
                 for share in fns
             ]
         except DataValidationError as error:
-            for scenario in scenarios:  # name the first bad cell in scenario order
+            for j, sid in enumerate(ids):  # name the first bad cell in scenario order
                 try:
-                    cell = effect_columns(model, shock_columns((scenario,)))
+                    cell = effect_columns(model, ([shocks[0][j]], [shocks[1][j]], [shocks[2][j]]))
                     [share(*cell, total) for share in fns]
                 except DataValidationError as exc:
-                    error = DataValidationError(f"{row[2]}, scenario {scenario.id}: {exc}")
+                    error = DataValidationError(f"{row[2]}, scenario {sid}: {exc}")
                     break
             raise error
         yield row, relative_levels, shares
@@ -203,7 +238,7 @@ def build_replication_table(
     return ResultTable(
         caption=f"Replication: trade-ratio changes and {years}-year growth effects",
         columns=("scenario", "trade_ratio_change_pp", "growth_effect_pct"),
-        rows=tuple(rows),
+        rows=rows,
         footnotes=(
             f"growth effects compound {model.short_run_epsilon:g} growth points per "
             f"percentage point of openness for {years} year" + ("s" if years != 1 else ""),
@@ -233,9 +268,10 @@ def _share_table(
     gap_1972 = GapDenominator.gap_1972()
     scenarios = _table_scenarios(config, lambda_baseline)
     ids = [s.id for s in scenarios]
+    shocks = shock_columns([s.delta_lambda for s in scenarios], scenarios[0].lambda_baseline)
     rows = []
     for (model, _display, label), relative_levels, (shares,) in _cells(
-        registry, scenarios, gap, (share,), years, gap_1972
+        registry, ids, shocks, gap, (share,), years, gap_1972
     ):
         effects = [100.0 * rel for rel in relative_levels] if with_effects else []
         rows.append((label, _coefficient_label(model), *effects, *shares))
@@ -244,7 +280,7 @@ def _share_table(
         columns=("model", "elasticity")
         + tuple(f"effect_{i}_pct" for i in ids if with_effects)
         + tuple(f"share_{i}_pct" for i in ids),
-        rows=tuple(rows),
+        rows=rows,
         footnotes=(
             f"shares: {scheme} decomposition against the "
             f"{gap.describe()} (synthetic = {1.0 + gap.relative_level:.2f}x historical)",
@@ -303,22 +339,23 @@ def build_grid(
     registry = seed_registry() if registry is None else registry
     config = config or default_scenario_config()
     gap = gap or GapDenominator.calibrated_2024()
-    scenarios = _table_scenarios(config) + config.custom_scenarios
-    ids = [scenario.id for scenario in scenarios]
-    shocks = [f"{scenario.delta_lambda:.6f}" for scenario in scenarios]
-    shares = (additive_log_thetas, geometric_thetas_of_gap)
-    rows = []
-    for (model, display, _label), relative_levels, thetas in _cells(
-        registry, scenarios, gap, shares, years
-    ):
-        effects = [100.0 * rel for rel in relative_levels]
-        horizon = model.horizon.describe()
-        rows.extend(zip(repeat(display), repeat(horizon), ids, shocks, effects, *thetas))
+    scenarios = _table_scenarios(config)
+    ids = [s.id for s in scenarios] + list(config.custom_ids)
+    delta_lambdas = [s.delta_lambda for s in scenarios] + list(config.custom_delta_lambdas)
+    shocks = [f"{dl:.6f}" for dl in delta_lambdas]
+    cells = _cells(
+        registry, ids, shock_columns(delta_lambdas, config.lambda_baseline), gap,
+        (additive_log_thetas, geometric_thetas_of_gap), years,
+    )
     return ResultTable(
         caption="Sensitivity grid: embargo effect and gap share per model and scenario",
         columns=("model", "horizon", "scenario", "delta_lambda", "effect_pct",
                  "theta_additive_log_pct", "theta_geometric_pct"),
-        rows=tuple(rows),
+        blocks=tuple(
+            (display, model.horizon.describe(), ids, shocks,
+             [100.0 * rel for rel in relative_levels], *thetas)
+            for (model, display, _label), relative_levels, thetas in cells
+        ),
         footnotes=(
             f"all shares measured against the {gap.describe()}",
             f"baseline openness {config.lambda_baseline:g}",
@@ -359,7 +396,7 @@ def build_gap_audit(
     return ResultTable(
         caption="Gap back-out audit: denominator implied by each published share cell",
         columns=("model", "scenario", "effect_log_points", "published_share_pct", "implied_gap"),
-        rows=tuple(rows),
+        rows=rows,
         footnotes=(
             f"implied gaps span [{min(implied):.6f}, {max(implied):.6f}] "
             f"log points; median {sorted(implied)[len(implied) // 2]:.6f}",
@@ -393,63 +430,92 @@ def _format_cell(cell: object, decimals: int) -> str:
     return str(cell)
 
 
-def _columns(table: ResultTable, decimals: int) -> tuple[list[str], list[Sequence[object]]]:
-    """A %-conversion and the cells of each column: a column of finite floats
-    stays raw under ``%.{decimals}f``; any other is strings under ``%s``, an
-    all-str column as it is and others formatted per cell."""
-    specs = ["%s"] * len(table.columns)
-    cols: list[Sequence[object]] = [()] * len(table.columns)
+#: A %-conversion and the cells of one column of a block.  A column of finite
+#: floats stays raw under ``%.{decimals}f``; any other is strings under ``%s``,
+#: an all-str column as it is and others formatted per cell.  A shared cell's
+#: conversion is its own text, escaped, and its cells that text.
+_Part = tuple[str, Sequence[object]]
+
+
+def _parts(table: ResultTable, decimals: int) -> list[list[_Part]]:
+    """The parts of each block that has rows, in order."""
+    spec = f"%.{decimals}f"
+    blocks = []
     try:
-        for i, col in enumerate(zip(*table.rows)):
-            kinds = set(map(type, col))
-            if kinds == {float} and all(map(math.isfinite, col)):
-                specs[i], cols[i] = f"%.{decimals}f", col
-            else:
-                cols[i] = col if kinds == {str} else [_format_cell(c, decimals) for c in col]
+        for block in table.blocks:
+            if not _length(block):
+                continue
+            parts: list[_Part] = []
+            for col in block:
+                if isinstance(col, str):
+                    parts.append((col.replace("%", "%%"), col))
+                    continue
+                kinds = set(map(type, col))
+                if kinds == {float} and all(map(math.isfinite, col)):
+                    parts.append((spec, col))
+                else:
+                    cells = col if kinds == {str} else [_format_cell(c, decimals) for c in col]
+                    parts.append(("%s", cells))
+            blocks.append(parts)
     except DataValidationError as error:  # name the first bad cell in row-major order
         try:
             [_format_cell(c, decimals) for row in table.rows for c in row]
         except DataValidationError as exc:
             error = exc
         raise error
-    return specs, cols
+    return blocks
 
 
 def render_csv(table: ResultTable, decimals: int = 1) -> str:
-    specs, cols = _columns(table, decimals)
+    blocks = _parts(table, decimals)
     buf = io.StringIO()
     buf.write(f"# {table.caption}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(table.columns)
-    strs = [col for spec, col in zip(specs, cols) if spec == "%s"]
-    text = "".join(map("".join, strs))
-    if all(map(all, strs)) and not ("," in text or '"' in text or "\r" in text or "\n" in text):
-        buf.writelines(map((",".join(specs) + "\n").__mod__, zip(*cols)))
-    else:  # csv.writer quotes these cells, by rules that differ between Python versions
-        cells = (col if spec == "%s" else map(spec.__mod__, col) for spec, col in zip(specs, cols))
-        writer.writerows(zip(*cells))
+    spec = f"%.{decimals}f"
+    for parts in blocks:
+        strs = [[cells] if isinstance(cells, str) else cells for s, cells in parts if s != spec]
+        text = "".join(map("".join, strs))
+        if all(map(all, strs)) and not ("," in text or '"' in text or "\r" in text or "\n" in text):
+            template = ",".join(s for s, _cells in parts) + "\n"  # shared cells baked in
+            cols = (cells for _s, cells in parts if not isinstance(cells, str))
+            buf.writelines(map(template.__mod__, zip(*cols)))
+        else:  # csv.writer quotes these cells, by rules that differ between Python versions
+            writer.writerows(zip(*(
+                repeat(cells) if isinstance(cells, str) else map(s.__mod__, cells)
+                for s, cells in parts
+            )))
     for note in table.footnotes:
         buf.write(f"# {note}\n")
     return buf.getvalue()
 
 
-def _width(name: str, spec: str, col: Sequence[object]) -> int:
-    """A Markdown column's width: its name's or its longest cell's."""
+def _width(spec: str, cells: Sequence[object]) -> int:
+    """The width of a block's column in Markdown: its longest cell's."""
+    if isinstance(cells, str):
+        return len(cells)
     if spec == "%s":
-        return max(len(name), max(map(len, col), default=0))
-    lo, hi = min(col), max(col)  # fixed-point text grows with |x|, plus a sign
-    if lo == 0 and any(math.copysign(1.0, x) < 0 for x in col):
+        return max(map(len, cells), default=0)
+    lo, hi = min(cells), max(cells)  # fixed-point text grows with |x|, plus a sign
+    if lo == 0 and any(math.copysign(1.0, x) < 0 for x in cells):
         lo = -0.0  # min() may pick a 0.0, one narrower than a -0.0
-    return max(len(name), len(spec % lo), len(spec % hi))
+    return max(len(spec % lo), len(spec % hi))
 
 
 def render_markdown(table: ResultTable, decimals: int = 1) -> str:
-    specs, cols = _columns(table, decimals)
-    widths = list(map(_width, table.columns, specs, cols))
-    row = "| " + " | ".join(f"%-{w}{spec[1:]}" for w, spec in zip(widths, specs)) + " |"
+    blocks = _parts(table, decimals)
+    widths = [len(name) for name in table.columns]
+    for parts in blocks:  # the widest cell of any block
+        widths = [max(w, _width(*part)) for w, part in zip(widths, parts)]
     header = "| " + " | ".join(map(str.ljust, table.columns, widths)) + " |"
     rule = "|" + "|".join("-" * (w + 2) for w in widths) + "|"
-    lines = [f"**{table.caption}**", "", header, rule, *map(row.__mod__, zip(*cols))]
+    lines = [f"**{table.caption}**", "", header, rule]
+    for parts in blocks:
+        template = "| " + " | ".join(
+            cells.ljust(w).replace("%", "%%") if isinstance(cells, str) else f"%-{w}{s[1:]}"
+            for (s, cells), w in zip(parts, widths)
+        ) + " |"
+        lines += map(template.__mod__, zip(*(c for _s, c in parts if not isinstance(c, str))))
     lines += ["", *(f"- {note}" for note in table.footnotes)]
     return "\n".join(lines) + "\n"
 

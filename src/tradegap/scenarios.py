@@ -132,22 +132,54 @@ def custom_scenario(
 # scenario config file
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+#: Ids of the scenarios every table builds in; no custom scenario may take one.
+_BUILT_IN = frozenset({"C1", "C2", "C3"})
+
+
+@dataclass(frozen=True, init=False)
 class ScenarioConfig:
-    """Parsed scenario config: inputs, baseline openness, extra scenarios."""
+    """Parsed scenario config: inputs, baseline openness, extra scenarios.
+
+    The extra scenarios are held as two columns, all at ``lambda_baseline``;
+    ``custom_scenarios`` builds them as scenario objects on each access.
+    """
 
     inputs: ShockInputs
     lambda_baseline: float
-    custom_scenarios: tuple[TradeShockScenario, ...] = ()
+    custom_ids: tuple[str, ...]
+    custom_delta_lambdas: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        seen = {"C1", "C2", "C3"}
-        for scenario in self.custom_scenarios:
-            if scenario.id in seen:
+    def __init__(
+        self,
+        inputs: ShockInputs,
+        lambda_baseline: float,
+        custom_scenarios: tuple[TradeShockScenario, ...] = (),
+    ) -> None:
+        seen = set(_BUILT_IN)
+        for i, s in enumerate(custom_scenarios):
+            if s.lambda_baseline != lambda_baseline:
                 raise ConfigurationError(
-                    f"custom scenario id {scenario.id!r} is taken (C1-C3 are built in)"
+                    f"custom_scenarios[{i}] is at baseline {s.lambda_baseline}, "
+                    f"not the config's {lambda_baseline}"
                 )
-            seen.add(scenario.id)
+            if s.id in seen:
+                raise ConfigurationError(
+                    f"custom_scenarios[{i}].id {s.id!r} is taken (C1-C3 are built in)"
+                )
+            seen.add(s.id)
+        ids = tuple(s.id for s in custom_scenarios)
+        self._fill(inputs, lambda_baseline, ids, tuple(s.delta_lambda for s in custom_scenarios))
+
+    def _fill(self, *values: object) -> ScenarioConfig:
+        """Set the fields past the frozen ``__setattr__``; a loaded config's
+        columns come here without scenario objects, checked in bulk."""
+        self.__dict__.update(zip(self.__dataclass_fields__, values))
+        return self
+
+    @property
+    def custom_scenarios(self) -> tuple[TradeShockScenario, ...]:
+        baselines = [self.lambda_baseline] * len(self.custom_ids)
+        return tuple(map(TradeShockScenario, self.custom_ids, self.custom_delta_lambdas, baselines))
 
 
 def load_scenario_config(path: str | Path) -> ScenarioConfig:
@@ -165,14 +197,44 @@ def _config_from_json(raw: object) -> ScenarioConfig:
         raise ConfigurationError("expected a JSON object")
     inputs = ShockInputs(*(number(raw["inputs"][f.name], f.name) for f in fields(ShockInputs)))
     lam0 = number(raw.get("lambda_baseline", DEFAULT_LAMBDA_BASELINE), "lambda_baseline")
-    extra = tuple(
-        custom_scenario(
+    rows = raw.get("custom_scenarios", [])
+    columns = _custom_columns(rows, lam0)
+    if columns is None:  # the scalar checks, one row at a time, name the first bad input
+        scenarios = tuple(_custom_row(i, row, lam0) for i, row in enumerate(rows))
+        return ScenarioConfig(inputs, lam0, scenarios)
+    return object.__new__(ScenarioConfig)._fill(inputs, lam0, *columns)
+
+
+def _custom_columns(rows: list, lam0: float) -> tuple[tuple[str, ...], tuple[float, ...]] | None:
+    """The custom scenarios' ids and delta_lambdas, checked in bulk as
+    ``_custom_row`` and ``ScenarioConfig`` check each row; None if one fails."""
+    try:
+        ids = tuple(row["id"] for row in rows)
+        deltas = tuple(row["delta_lambda"] for row in rows)
+        texts = ids + tuple(row.get("description", "") for row in rows)
+        if not ({str}.issuperset(map(type, texts)) and {int, float}.issuperset(map(type, deltas))):
+            return None
+        deltas = tuple(map(float, deltas))
+    except (KeyError, TypeError, OverflowError):  # OverflowError: an int beyond float range
+        return None
+    in_range = not deltas or (min(deltas) >= 0 and lam0 - max(deltas) > 0)
+    unique = len(set(ids)) == len(ids) and _BUILT_IN.isdisjoint(ids)
+    return (ids, deltas) if in_range and unique else None
+
+
+def _custom_row(i: int, row: dict, lam0: float) -> TradeShockScenario:
+    """Custom scenario ``i`` through the scalar checks, which name it by its JSON path."""
+    try:
+        return custom_scenario(
             string(row["id"], "id"), number(row["delta_lambda"], "delta_lambda"), lam0,
             string(row.get("description", ""), "description"),
         )
-        for row in raw.get("custom_scenarios", [])
-    )
-    return ScenarioConfig(inputs=inputs, lambda_baseline=lam0, custom_scenarios=extra)
+    except KeyError as exc:
+        raise ConfigurationError(f"custom_scenarios[{i}] missing field {exc}") from None
+    except ConfigurationError as exc:  # its message starts with the field's name
+        raise ConfigurationError(f"custom_scenarios[{i}].{exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"custom_scenarios[{i}]: {exc}") from None
 
 
 def default_scenario_config() -> ScenarioConfig:

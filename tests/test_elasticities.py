@@ -215,29 +215,38 @@ def write_registry(path, models):
 @pytest.mark.parametrize(
     "model,message",
     [
-        ({**STEADY, "name": ""}, "model name must be non-empty"),
-        ({**GROWTH, "coefficient": 1.0}, "growth form coefficient must be {alpha1, alpha2}"),
-        ({**GROWTH, "coefficient": {"alpha1": "-0.5", "alpha2": 1}}, "alpha1 must be a number"),
-        ({**GROWTH, "coefficient": {"alpha1": -0.5, "alpha2": "1"}}, "alpha2 must be a number"),
-        ({**STEADY, "coefficient": "1.0"}, "coefficient for log_linear_level must be a number"),
-        ({**STEADY, "coefficient": True}, "coefficient for log_linear_level must be a number"),
-        ({**STEADY, "coefficient": 10**400}, "int too large to convert to float"),
-        ({**FINITE, "short_run_epsilon": "0.02"}, "short_run_epsilon must be a number"),
-        ({**STEADY, "horizon": "steady_state"}, "horizon must be an object with a 'kind'"),
-        ({**STEADY, "horizon": {"kind": "decadal"}}, "unknown horizon kind 'decadal'"),
-        (horizon("finite", years=12.7), "horizon years must be a whole number, got 12.7"),
-        (horizon("finite", years=True), "horizon years must be a whole number, got True"),
-        (horizon("finite", years="12"), "horizon years must be a whole number, got '12'"),
-        (horizon("finite"), "finite horizon requires years >= 1"),
-        (horizon("steady_state", years=40), "steady-state horizon takes no years"),
-        ({**STEADY, "name": 5}, "name must be a string, got 5"),
-        ({**STEADY, "source_note": ["a"]}, "source_note must be a string, got ['a']"),
-        ({**GROWTH, "coefficient": {"alpha1": 0.5, "alpha2": 1}}, "no stable steady state"),
+        ({**STEADY, "name": ""}, "models[1]: model name must be non-empty"),
+        ({**GROWTH, "coefficient": 1.0},
+         "models[1].coefficient of a growth form must be {alpha1, alpha2}"),
+        ({**GROWTH, "coefficient": {"alpha1": "-0.5", "alpha2": 1}},
+         "models[1].coefficient.alpha1 must be a number, got '-0.5'"),
+        ({**GROWTH, "coefficient": {"alpha1": -0.5, "alpha2": "1"}},
+         "models[1].coefficient.alpha2 must be a number, got '1'"),
+        ({**STEADY, "coefficient": "1.0"}, "models[1].coefficient must be a number, got '1.0'"),
+        ({**STEADY, "coefficient": True}, "models[1].coefficient must be a number, got True"),
+        ({**STEADY, "coefficient": 10**400}, "models[1]: int too large to convert to float"),
+        ({**FINITE, "short_run_epsilon": "0.02"},
+         "models[1].short_run_epsilon must be a number, got '0.02'"),
+        ({**STEADY, "horizon": "steady_state"},
+         "models[1].horizon must be an object with a 'kind': 'steady_state'"),
+        ({**STEADY, "horizon": {"kind": "decadal"}},
+         "models[1].horizon.kind: unknown horizon kind 'decadal'"),
+        (horizon("finite", years=12.7), "models[1].horizon.years must be a whole number, got 12.7"),
+        (horizon("finite", years=True), "models[1].horizon.years must be a whole number, got True"),
+        (horizon("finite", years="12"), "models[1].horizon.years must be a whole number, got '12'"),
+        (horizon("finite"), "models[1]: finite horizon requires years >= 1"),
+        (horizon("steady_state", years=40), "models[1]: steady-state horizon takes no years"),
+        ({**STEADY, "name": 5}, "models[1].name must be a string, got 5"),
+        ({**STEADY, "source_note": ["a"]}, "models[1].source_note must be a string, got ['a']"),
+        ({**STEADY, "form": "quadratic"}, "models[1].form: unknown functional form 'quadratic'"),
+        ({**GROWTH, "coefficient": {"alpha1": 0.5, "alpha2": 1}},
+         "models[1]: no stable steady state"),
     ],
 )
 def test_registry_reads_each_field_as_written(tmp_path, model, message):
+    """Each error names the bad field by its JSON path."""
     reg = write_registry(tmp_path / "r.json", [{**STEADY, "name": "ok"}, model])
-    with pytest.raises(ConfigurationError, match=r"r\.json: model #1: " + re.escape(message)):
+    with pytest.raises(ConfigurationError, match=r"r\.json: " + re.escape(message)):
         load_registry(reg)
 
 
@@ -247,7 +256,7 @@ def test_registry_structure_errors(tmp_path):
     with pytest.raises(ConfigurationError, match="'models' must be an array"):
         load_registry(reg)
     missing = {key: value for key, value in STEADY.items() if key != "horizon"}
-    with pytest.raises(ConfigurationError, match="model #0 missing field 'horizon'"):
+    with pytest.raises(ConfigurationError, match=re.escape("models[0] missing field 'horizon'")):
         load_registry(write_registry(reg, [missing]))
 
 

@@ -273,11 +273,23 @@ def test_config_string_where_a_number_belongs(tmp_path, capsys):
         ({"inputs": {**INPUTS, "trade_with_us_1958": True}},
          "trade_with_us_1958 must be a number, got True"),
         ({"lambda_baseline": "0.554"}, "lambda_baseline must be a number, got '0.554'"),
-        ({"custom_scenarios": [{"id": 5, "delta_lambda": 0.1}]}, "id must be a string, got 5"),
-        ({"custom_scenarios": [{"id": "x", "delta_lambda": "0.1"}]},
-         "delta_lambda must be a number, got '0.1'"),
+        ({"custom_scenarios": [{"id": 5, "delta_lambda": 0.1}]},
+         "custom_scenarios[0].id must be a string, got 5"),
+        ({"custom_scenarios": [{"id": "a", "delta_lambda": 0.1},
+                               {"id": "b", "delta_lambda": "0.2"}]},
+         "custom_scenarios[1].delta_lambda must be a number, got '0.2'"),
         ({"custom_scenarios": [{"id": "x", "delta_lambda": 0.1, "description": 1}]},
-         "description must be a string, got 1"),
+         "custom_scenarios[0].description must be a string, got 1"),
+        ({"custom_scenarios": [{"id": "x"}]}, "custom_scenarios[0] missing field 'delta_lambda'"),
+        ({"custom_scenarios": [["x", 0.1]]},
+         "custom_scenarios[0]: list indices must be integers or slices, not str"),
+        ({"custom_scenarios": [{"id": "x", "delta_lambda": 10**400}]},
+         "custom_scenarios[0]: int too large to convert to float"),
+        ({"custom_scenarios": [{"id": "x", "delta_lambda": 0.6}]},
+         "custom_scenarios[0]: x: counterfactual openness non-positive"),
+        ({"custom_scenarios": [{"id": "a", "delta_lambda": 0.1},
+                               {"id": "a", "delta_lambda": 0.2}]},
+         "custom_scenarios[1].id 'a' is taken (C1-C3 are built in)"),
     ],
 )
 def test_config_reads_each_field_as_written(tmp_path, change, message):
@@ -298,7 +310,8 @@ def test_registry_string_where_years_belong(tmp_path):
         '"horizon": {"kind": "finite", "years": "abc"}}]}',
         encoding="utf-8",
     )
-    with pytest.raises(ConfigurationError, match=r"reg\.json: model #0: invalid literal"):
+    message = "reg.json: models[0].horizon.years must be a whole number, got 'abc'"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
         load_registry(reg)
 
 

@@ -1,7 +1,8 @@
-"""The column-wise renderers against a literal reference of the per-cell ones.
+"""The column-block renderers against a literal reference of the per-cell ones.
 
-The reference below restates, cell by cell, what a rendered table is: every
-cell passes through one formatting rule (a float must be finite and prints
+The reference below restates, cell by cell, what a rendered table is: its
+rows run block by block, a block's shared text standing in every one of its
+rows; every cell passes through one formatting rule (a float must be finite and prints
 at ``decimals`` places, anything else prints as ``str``), CSV rows go
 through ``csv.writer`` one at a time, and Markdown pads each cell to its
 column's width.  It is written out here rather than imported, so that the
@@ -24,6 +25,15 @@ from tradegap.report import ResultTable, render_csv, render_markdown
 
 # ------------------------------------------------------------- the reference
 
+def ref_rows(table):
+    rows = []
+    for block in table.blocks:
+        lists = [col for col in block if not isinstance(col, str)]
+        for i in range(len(lists[0]) if lists else 0):
+            rows.append(tuple(col if isinstance(col, str) else col[i] for col in block))
+    return rows
+
+
 def ref_cell(cell, decimals):
     if isinstance(cell, float):
         if not math.isfinite(cell):
@@ -39,7 +49,7 @@ def ref_csv(table, decimals):
     buf.write(f"# {table.caption}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(table.columns)
-    for row in table.rows:
+    for row in ref_rows(table):
         writer.writerow([ref_cell(c, decimals) for c in row])
     for note in table.footnotes:
         buf.write(f"# {note}\n")
@@ -47,7 +57,7 @@ def ref_csv(table, decimals):
 
 
 def ref_markdown(table, decimals):
-    cells = [[ref_cell(c, decimals) for c in row] for row in table.rows]
+    cells = [[ref_cell(c, decimals) for c in row] for row in ref_rows(table)]
     widths = [
         max(len(col), *(len(r[i]) for r in cells)) if cells else len(col)
         for i, col in enumerate(table.columns)
@@ -87,19 +97,43 @@ CELLS = {
 
 @st.composite
 def tables(draw):
+    """Up to four blocks over one set of columns.  In each block a column
+    holds cells of its kind, or one text shared by the block's rows, or the
+    same cells object as the block before, as the grid shares its scenario
+    columns."""
     kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=5))
-    n_rows = draw(st.integers(0, 6))
-    columns = [draw(st.lists(CELLS[k], min_size=n_rows, max_size=n_rows)) for k in kinds]
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        n_rows = draw(st.integers(0, 4))
+        block = []
+        for j, kind in enumerate(kinds):
+            how = draw(st.sampled_from(["cells", "cells", "shared", "previous"]))
+            before = blocks[-1][j] if blocks else ""
+            if how == "shared":
+                block.append(draw(TEXT))
+            elif how == "previous" and not isinstance(before, str) and len(before) == n_rows:
+                block.append(before)
+            else:
+                block.append(draw(st.lists(CELLS[kind], min_size=n_rows, max_size=n_rows)))
+        blocks.append(tuple(block))
     return ResultTable(
         caption=draw(TEXT),
         columns=tuple(draw(st.lists(TEXT, min_size=len(kinds), max_size=len(kinds)))),
-        rows=tuple(zip(*columns)) if n_rows else (),
+        blocks=tuple(blocks),
         footnotes=tuple(draw(st.lists(TEXT, max_size=2))),
     )
 
 
 def _table(columns, *rows):
-    return ResultTable("caption", columns, tuple(rows), ("note",))
+    return ResultTable("caption", columns, footnotes=("note",), rows=rows)
+
+
+def _blocks(columns, *blocks):
+    return ResultTable("caption", columns, blocks, ("note",))
+
+
+SCENARIOS = ["C1", "C2", "C3"]
+SHOCKS = ["0.174000", "0.361353", "0.439936"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -123,7 +157,31 @@ def _table(columns, *rows):
     ),
     decimals=1,
 )
+# non-finite cells in block 2, column 5 and in block 3, column 1: the first in
+# row-major order is named, though block 3's sits in an earlier column
+@example(
+    table=_blocks(
+        ("model", "horizon", "scenario", "delta_lambda", "effect_pct"),
+        ("Yanikkaya (2003)", "12-year", SCENARIOS, SHOCKS, [1.0, 2.0, 3.0]),
+        ("Feyrer (2019)", "long-run", SCENARIOS, SHOCKS, [4.0, 5.0, math.nan]),
+        ([math.inf, 1.0, 2.0], "long-run", SCENARIOS, SHOCKS, [6.0, 7.0, 8.0]),
+    ),
+    decimals=1,
+)
+# shared text with a %, a comma or nothing at all; a block of shared text
+# alone has no rows, so its text sets no width
+@example(
+    table=_blocks(
+        ("model", "share"),
+        ("100% open", [1.25, -0.0]),
+        ("a,b", [2.0]),
+        ("", [-3.5]),
+        ("a block with no rows", "-"),
+    ),
+    decimals=1,
+)
 def test_renderers_match_the_per_cell_reference(table, decimals):
+    assert table.rows == tuple(ref_rows(table))
     assert outcome(render_csv, table, decimals) == outcome(ref_csv, table, decimals)
     assert outcome(render_markdown, table, decimals) == outcome(ref_markdown, table, decimals)
 

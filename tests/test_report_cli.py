@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -15,18 +16,26 @@ from tradegap import (
     ElasticityRegistry,
     GapDenominator,
     ShockInputs,
+    TradeShockScenario,
+    additive_log_share,
     build_gap_audit,
     build_grid,
     build_replication_table,
+    build_scenarios,
     build_table2,
     build_table_a3,
+    custom_scenario,
     default_scenario_config,
+    evaluate,
+    geometric_share_of_gap,
     load_registry,
+    load_scenario_config,
     render,
     render_csv,
     render_markdown,
     seed_registry,
 )
+from tradegap import report
 from tradegap.cli import main
 from tradegap.scenarios import ScenarioConfig
 
@@ -152,8 +161,6 @@ def test_grid_bias_direction_every_row(registry, config):
 
 
 def test_grid_zero_custom_scenario(registry, config, tmp_path):
-    from tradegap import TradeShockScenario
-
     zero = TradeShockScenario("none", 0.0, 0.554)
     cfg = ScenarioConfig(
         inputs=config.inputs, lambda_baseline=0.554, custom_scenarios=(zero,)
@@ -164,6 +171,44 @@ def test_grid_zero_custom_scenario(registry, config, tmp_path):
     for row in zero_rows:
         assert row[4] == 0.0  # effect
         assert row[5] == 0.0 and row[6] == 0.0  # both thetas
+
+
+def test_grid_rows_are_the_cells_one_at_a_time(registry, config, tmp_path):
+    """The grid's column blocks, on a config file's custom scenarios, read back
+    as the rows of its cells, each from the scalar API: registry order, then
+    C1-C3 and the custom scenarios."""
+    lam0 = 0.5
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "inputs": dataclasses.asdict(config.inputs), "lambda_baseline": lam0,
+        "custom_scenarios": [{"id": "mild", "delta_lambda": 0.05},
+                             {"id": "deep", "delta_lambda": 0.45, "description": "most of it"}],
+    }), encoding="utf-8")
+    cfg = load_scenario_config(path)
+    customs = (TradeShockScenario("mild", 0.05, lam0), TradeShockScenario("deep", 0.45, lam0))
+    assert cfg.custom_scenarios == customs
+    gap = GapDenominator.explicit(1.2)
+    c1 = custom_scenario("C1", report.TABLE_C1_DELTA_LAMBDA, lam0)
+    scenarios = (c1, *build_scenarios(config.inputs, lam0)[1:], *customs)
+    expected = []
+    for model, display, _label in report.expand_rows(registry, 6):
+        for scenario in scenarios:
+            effect = evaluate(model, scenario)
+            expected.append((
+                display, model.horizon.describe(), scenario.id, f"{scenario.delta_lambda:.6f}",
+                100.0 * effect.relative_level, 100.0 * additive_log_share(effect, gap).theta,
+                100.0 * geometric_share_of_gap(effect, gap).theta,
+            ))
+    table = build_grid(registry=registry, config=cfg, gap=gap, years=6)
+    assert table.rows == tuple(expected)
+    assert len(table.blocks) == 7
+
+
+def test_config_scenarios_share_its_baseline(config):
+    other = TradeShockScenario("x", 0.1, 0.6)
+    message = "custom_scenarios[0] is at baseline 0.6, not the config's 0.554"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        ScenarioConfig(config.inputs, 0.554, (other,))
 
 
 def test_growth_form_from_a_registry_file_is_its_steady_state_limit(tmp_path):
@@ -182,13 +227,6 @@ def test_growth_form_from_a_registry_file_is_its_steady_state_limit(tmp_path):
     grid = build_grid(registry=registry).rows
     half = len(grid) // 2
     assert [row[2:] for row in grid[:half]] == [row[2:] for row in grid[half:]]
-
-
-@pytest.mark.parametrize("build", [build_table2, build_table_a3, build_grid, build_gap_audit])
-def test_empty_registry_is_an_empty_selection(build):
-    # an empty registry cannot be built, so no builder falls back to the seed registry
-    with pytest.raises(ConfigurationError, match="empty selection: no models in registry"):
-        build(registry=ElasticityRegistry([]))
 
 
 # ----------------------------------------------------------------- gap audit
