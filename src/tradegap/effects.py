@@ -16,19 +16,21 @@ Three evaluation paths:
   income gain from restoring openness from the post-shock share back to
   baseline.
 
-Each path is a column kernel: it maps a model row's scenario columns to its
+Each path is a column kernel: it maps per-cell columns to the cells'
 ``(log_points, relative_levels)`` columns, checking every cell in bulk.
-The table builders call :func:`effect_columns` once per model row; the
-public functions run the same kernels on one-element columns.
+The table builders call :func:`effect_cells` once over all finite-horizon
+rows and once over all steady-state rows; the public functions run the
+same kernels on one row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, Sequence
 
-from .elasticities import ElasticityModel, FormKind, FunctionalForm, Horizon, HorizonKind
+from .elasticities import ElasticityModel, FormKind, FunctionalForm, Horizon
 from .errors import DataValidationError
 from .scenarios import TradeShockScenario
 
@@ -90,17 +92,23 @@ def _from_log_points(log_points: list[float]) -> Effects:
     return log_points, relative_levels
 
 
-def _compounded(epsilon: float, years: int, delta_lambda_pp: list[float]) -> Effects:
-    annuals = [epsilon * pp / 100.0 for pp in delta_lambda_pp]
+def _compounded(epsilons: list[float], years: list[int], delta_lambda_pp: list[float]) -> Effects:
+    annuals = [epsilon * pp / 100.0 for epsilon, pp in zip(epsilons, delta_lambda_pp)]
     if not min(annuals) > -1.0:
         for annual in annuals:
             if annual <= -1.0:
                 raise DataValidationError(
                     f"degenerate compounding: growth factor {1.0 + annual} is non-positive"
                 )
-    if years == 1:
-        return _screened(list(map(math.log1p, annuals)), annuals)
-    return _from_log_points([years * math.log1p(annual) for annual in annuals])
+    log_points, relative_levels = _from_log_points(
+        [n * math.log1p(annual) for n, annual in zip(years, annuals)]
+    )
+    if 1 in years:  # one year: the annual rate itself, with no compounding noise
+        relative_levels = [
+            annual if n == 1 else rel for n, annual, rel in zip(years, annuals, relative_levels)
+        ]
+        return _screened(log_points, relative_levels)
+    return log_points, relative_levels
 
 
 def _cell(scenario_id: str, kernel: Callable[..., Effects], *args: object) -> tuple[float, float]:
@@ -148,7 +156,7 @@ def finite_horizon_effect(
     ``epsilon * delta_lambda_pp / 100`` exactly (no compounding noise).
     """
     horizon = Horizon.finite(years)  # first: it rejects years < 1 or beyond float range
-    cell = _cell(scenario_id, _compounded, epsilon, years, [delta_lambda_pp])
+    cell = _cell(scenario_id, _compounded, [epsilon], [years], [delta_lambda_pp])
     return GrowthEffect(*cell, model_name, scenario_id, horizon)
 
 
@@ -172,22 +180,49 @@ def steady_state_effect_loglog(
     return evaluate(ElasticityModel(model_name, form, Horizon.steady_state()), scenario)
 
 
-def effect_columns(model: ElasticityModel, shocks: Shocks) -> Effects:
-    """The effects of one model row over the scenario columns ``shocks``.
+#: A model row's effect parameters: its years (None at the steady state), its
+#: coefficient, and the index of the scenario column in ``Shocks`` it scales.
+EffectRow = tuple[int | None, float, int]
+
+
+def effect_row(
+    form: FormKind, level: float, epsilon: float | None, years: int | None
+) -> EffectRow:
+    """The parameters of a model row of ``form`` with level coefficient
+    ``level``, compounding ``epsilon`` for ``years`` or, if None, at the
+    steady state.
 
     This is the single place where the percentage-point convention of
     ``short_run_epsilon`` meets the unit-share convention of the level
     forms: finite horizons receive ``delta_lambda_pp``, level forms receive
-    ``delta_lambda``.
+    ``delta_lambda`` (log-linear, or the steady-state limit of a growth
+    form) or ``ln(lambda0 / lambda_cf)`` (log-log).
     """
-    delta_lambda, delta_lambda_pp, log_ratios = shocks
-    if model.horizon.kind is HorizonKind.FINITE:
-        return _compounded(model.short_run_epsilon, model.horizon.years, delta_lambda_pp)
-    coefficient = model.form.level_coefficient()
-    if model.form.kind is FormKind.LOG_LOG_LEVEL:
-        return _from_log_points([coefficient * ratio for ratio in log_ratios])
-    # log-linear directly, or the steady-state limit of a growth form
-    return _from_log_points([coefficient * dl for dl in delta_lambda])
+    if years is not None:
+        return years, epsilon, 1
+    return None, level, 2 if form is FormKind.LOG_LOG_LEVEL else 0
+
+
+def effect_cells(rows: Sequence[EffectRow], shocks: Shocks) -> Effects:
+    """The effects of model ``rows`` over the scenario columns ``shocks``,
+    row-major in one list per quantity.  The rows are all at finite horizons
+    or all at the steady state, so one kernel runs over all of their cells:
+    a level form's effect is its coefficient times its scenario column."""
+    if rows[0][0] is None:
+        return _from_log_points([c * x for _years, c, col in rows for x in shocks[col]])
+    n = len(shocks[1])
+    return _compounded(
+        list(chain.from_iterable(repeat(epsilon, n) for _years, epsilon, _col in rows)),
+        list(chain.from_iterable(repeat(years, n) for years, _epsilon, _col in rows)),
+        shocks[1] * len(rows),
+    )
+
+
+def effect_columns(model: ElasticityModel, shocks: Shocks) -> Effects:
+    """The effects of one model row over the scenario columns ``shocks``."""
+    form, years = model.form, model.horizon.years
+    row = effect_row(form.kind, form.level_coefficient(), model.short_run_epsilon, years)
+    return effect_cells([row], shocks)
 
 
 def evaluate(model: ElasticityModel, scenario: TradeShockScenario) -> GrowthEffect:

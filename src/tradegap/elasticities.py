@@ -20,16 +20,17 @@ Level-form coefficients are per *unit share* of openness (lambda on [0, 1]).
 The short-run growth coefficient ``short_run_epsilon`` is per *percentage
 point* of openness, as conventionally quoted (0.018 growth points per
 point).  Mixing the two silently is the classic bug in this domain, so the
-normalisation happens in exactly one place: :func:`tradegap.effects.effect_columns`.
+normalisation happens in exactly one place: :func:`tradegap.effects.effect_row`.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import ConfigurationError, DataValidationError, number, read_json, string
 
@@ -174,29 +175,70 @@ class ElasticityModel:
             )
 
 
-@dataclass
+@dataclass(frozen=True, init=False)
 class ElasticityRegistry:
-    """Ordered, name-unique, non-empty collection of :class:`ElasticityModel`."""
+    """Ordered, name-unique, non-empty collection of elasticity models.
 
-    entries: list[ElasticityModel]
+    The models are held as one column per field: ``levels`` holds each
+    form's steady-state level coefficient, ``alphas`` a growth form's
+    ``(alpha1, alpha2)`` and None for a level form, and ``years`` a finite
+    horizon's years and None at the steady state.  ``entries``, iteration
+    and :meth:`get` build :class:`ElasticityModel` objects on each access.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.entries:
+    names: tuple[str, ...]
+    forms: tuple[FormKind, ...]
+    levels: tuple[float, ...]
+    alphas: tuple[tuple[float, float] | None, ...]
+    years: tuple[int | None, ...]
+    epsilons: tuple[float | None, ...]
+    notes: tuple[str, ...]
+
+    def __init__(self, entries: Iterable[ElasticityModel]) -> None:
+        entries = tuple(entries)
+        if not entries:
             raise ConfigurationError("empty selection: no models in registry")
         seen: set[str] = set()
-        for m in self.entries:
+        for m in entries:
             if m.name in seen:
                 raise ConfigurationError(f"duplicate model name {m.name!r} in registry")
             seen.add(m.name)
+        self._fill(*zip(*(
+            (m.name, m.form.kind, m.form.level_coefficient(),
+             None if m.form.kind is not FormKind.GROWTH_WITH_CONVERGENCE
+             else (m.form.alpha1, m.form.alpha2),
+             m.horizon.years, m.short_run_epsilon, m.source_note)
+            for m in entries
+        )))
+
+    def _fill(self, *columns: tuple) -> ElasticityRegistry:
+        """Set the columns past the frozen ``__setattr__``; a loaded
+        registry's columns come here without model objects, checked in bulk."""
+        self.__dict__.update(zip(self.__dataclass_fields__, columns))
+        return self
+
+    def _model(self, i: int) -> ElasticityModel:
+        kind, level, alphas, years = self.forms[i], self.levels[i], self.alphas[i], self.years[i]
+        if alphas is not None:
+            form = FunctionalForm(kind, *alphas)
+        elif kind is FormKind.LOG_LINEAR_LEVEL:
+            form = FunctionalForm(kind, s=level)
+        else:
+            form = FunctionalForm(kind, e=level)
+        horizon = Horizon.steady_state() if years is None else Horizon.finite(years)
+        return ElasticityModel(self.names[i], form, horizon, self.epsilons[i], self.notes[i])
+
+    @property
+    def entries(self) -> tuple[ElasticityModel, ...]:
+        return tuple(self)
 
     def get(self, name: str) -> ElasticityModel:
-        for m in self.entries:
-            if m.name == name:
-                return m
-        raise ConfigurationError(f"no model named {name!r} in registry")
+        if name not in self.names:
+            raise ConfigurationError(f"no model named {name!r} in registry")
+        return self._model(self.names.index(name))
 
     def __iter__(self) -> Iterator[ElasticityModel]:
-        return iter(self.entries)
+        return map(self._model, range(len(self.names)))
 
 
 # --------------------------------------------------------------------------
@@ -314,30 +356,80 @@ def _registry_from_json(raw: object) -> ElasticityRegistry:
     models = raw.get("models")
     if not isinstance(models, list):
         raise ConfigurationError("'models' must be an array")
-    entries = []
-    for i, row in enumerate(models):
-        try:
-            entries.append(
-                ElasticityModel(
-                    name=string(row["name"], "name"),
-                    form=_form_from_json(row["form"], row.get("coefficient")),
-                    horizon=_horizon_from_json(row["horizon"]),
-                    short_run_epsilon=(
-                        None if row.get("short_run_epsilon") is None
-                        else number(row["short_run_epsilon"], "short_run_epsilon")
-                    ),
-                    source_note=string(row.get("source_note", ""), "source_note"),
-                )
-            )
-        except KeyError as exc:
-            raise ConfigurationError(f"models[{i}] missing field {exc}") from None
-        except ConfigurationError as exc:  # its message starts with the field's path
-            raise ConfigurationError(f"models[{i}].{exc}") from None
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigurationError(f"models[{i}]: {exc}") from None
-    return ElasticityRegistry(entries)
+    columns = _registry_columns(models)
+    if columns is None:  # the scalar checks, one model at a time, name the first bad input
+        return ElasticityRegistry([_model_from_json(i, row) for i, row in enumerate(models)])
+    return object.__new__(ElasticityRegistry)._fill(*columns)
 
 
+_FORM_KINDS = {kind.value: kind for kind in FormKind}
+_FINITE = {kind.value: kind is HorizonKind.FINITE for kind in HorizonKind}
+
+
+def _registry_columns(rows: list) -> tuple[tuple, ...] | None:
+    """The models' columns, checked in bulk as ``_model_from_json`` and
+    ``ElasticityRegistry`` check each model; None if one fails."""
+    growth = FormKind.GROWTH_WITH_CONVERGENCE
+    try:
+        names, forms, coefficients, horizons, epsilons, notes = zip(*[
+            (row["name"], _FORM_KINDS[row["form"]], row.get("coefficient"), row["horizon"],
+             row.get("short_run_epsilon"), row.get("source_note", ""))
+            for row in rows
+        ])
+        finite, years = zip(*[(_FINITE[h["kind"]], h.get("years")) for h in horizons])
+        numbers = [
+            v for form, c in zip(forms, coefficients)
+            for v in ((c["alpha1"], c["alpha2"]) if form is growth else (c,))
+        ]
+        numbers += [e for e in epsilons if e is not None] + [y for y, f in zip(years, finite) if f]
+        if not ({str}.issuperset(map(type, names + notes))
+                and {int, float}.issuperset(map(type, numbers))):
+            return None
+        alphas = tuple([
+            (float(c["alpha1"]), float(c["alpha2"])) if form is growth else None
+            for form, c in zip(forms, coefficients)
+        ])
+        # the growth form's limit raises for alpha1 >= 0, as the scalar read does
+        levels = tuple([
+            float(c) if a is None else steady_state_semi_elasticity(*a)
+            for c, a in zip(coefficients, alphas)
+        ])
+        epsilons = tuple([None if e is None else float(e) for e in epsilons])
+        whole = tuple([int(y) if f else None for y, f in zip(years, finite)])
+    except (KeyError, TypeError, ValueError, OverflowError):  # ValueError: no models, too
+        return None
+    horizons_valid = all([
+        y is None if n is None else n == y and 1 <= n <= sys.float_info.max and e is not None
+        for n, y, e in zip(whole, years, epsilons)
+    ])
+    if not (horizons_valid and all(names) and len(set(names)) == len(names)):
+        return None
+    return names, forms, levels, alphas, whole, epsilons, notes
+
+
+def _model_from_json(i: int, row: dict) -> ElasticityModel:
+    """Model ``i`` through the scalar checks, which name it by its JSON path."""
+    try:
+        return ElasticityModel(
+            name=string(row["name"], "name"),
+            form=_form_from_json(row["form"], row.get("coefficient")),
+            horizon=_horizon_from_json(row["horizon"]),
+            short_run_epsilon=(
+                None if row.get("short_run_epsilon") is None
+                else number(row["short_run_epsilon"], "short_run_epsilon")
+            ),
+            source_note=string(row.get("source_note", ""), "source_note"),
+        )
+    except KeyError as exc:
+        raise ConfigurationError(f"models[{i}] missing field {exc}") from None
+    except ConfigurationError as exc:  # its message starts with the field's path
+        raise ConfigurationError(f"models[{i}].{exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"models[{i}]: {exc}") from None
+
+
+@functools.cache
 def seed_registry() -> ElasticityRegistry:
-    """The packaged six-study registry (see ``data/registry.json``)."""
+    """The packaged six-study registry (see ``data/registry.json``), parsed
+    once: the registry is immutable, so every call returns the same one."""
     return load_registry(_SEED_RESOURCE)

@@ -11,18 +11,20 @@ import csv
 import io
 import math
 from dataclasses import dataclass, replace
-from itertools import repeat
-from typing import Callable, Iterator, Sequence
+from itertools import product, repeat
+from typing import Callable, NamedTuple, Sequence
 
 from .decomposition import GapDenominator, additive_log_thetas, backout_gap, geometric_thetas_of_gap
-from .effects import Shocks, effect_columns, evaluate, finite_horizon_effect, shock_columns
-from .elasticities import (
-    ElasticityModel,
-    ElasticityRegistry,
-    Horizon,
-    HorizonKind,
-    seed_registry,
+from .effects import (
+    EffectRow,
+    Shocks,
+    effect_cells,
+    effect_row,
+    evaluate,
+    finite_horizon_effect,
+    shock_columns,
 )
+from .elasticities import ElasticityRegistry, Horizon, seed_registry
 from .errors import ConfigurationError, DataValidationError
 from .scenarios import (
     ScenarioConfig,
@@ -112,46 +114,48 @@ class ResultTable:
 # the evaluation core: rows, scenarios and cells
 # --------------------------------------------------------------------------
 
-#: A table row: (model at the row's horizon, display name, row label).
-_Row = tuple[ElasticityModel, str, str]
+_LONG_RUN = Horizon.steady_state().describe()
 
 
-def expand_rows(registry: ElasticityRegistry, years: int | None = None) -> list[_Row]:
-    """One table row per (model, horizon), as (model, display, row label).
+class _Rows(NamedTuple):
+    """A table's model rows as columns: the row label, the study's display
+    name, the horizon, the coefficient as printed and the effect parameters."""
+
+    labels: list[str]
+    displays: list[str]
+    horizons: list[str]
+    coefficients: list[str]
+    effects: list[EffectRow]
+
+
+def expand_rows(registry: ElasticityRegistry, years: int | None = None) -> _Rows:
+    """One table row per (model, horizon), as columns.
 
     A model whose default horizon is finite gets two rows — the compounded
     finite-horizon effect and the steady-state effect of its level form —
     with the horizon folded into the row label.  Steady-state models get
     one row labelled by the study alone.
     """
-    rows: list[_Row] = []
-    for model in registry:
-        display = _DISPLAY_NAMES.get(model.name, model.name)
-        if model.horizon.kind is HorizonKind.FINITE:
-            horizon = Horizon.finite(model.horizon.years if years is None else years)
-            rows.append(
-                (
-                    replace(model, horizon=horizon),
-                    display,
-                    f"{display}, {horizon.describe()}",
-                )
-            )
-            rows.append(
-                (
-                    replace(model, horizon=Horizon.steady_state()),
-                    display,
-                    f"{display}, long-run",
-                )
-            )
-        else:
-            rows.append((model, display, display))
-    return rows
-
-
-def _coefficient_label(model: ElasticityModel) -> str:
-    if model.horizon.kind is HorizonKind.FINITE:
-        return f"{model.short_run_epsilon:.3f}/pp"
-    return f"{model.form.level_coefficient():.2f}"
+    horizons = {
+        n: Horizon.finite(n if years is None else years) for n in set(registry.years) - {None}
+    }
+    rows = []
+    for name, form, level, epsilon, own_years in zip(
+        registry.names, registry.forms, registry.levels, registry.epsilons, registry.years
+    ):
+        display = _DISPLAY_NAMES.get(name, name)
+        steady = effect_row(form, level, None, None)
+        if own_years is None:
+            rows.append((display, display, _LONG_RUN, f"{level:.2f}", steady))
+            continue
+        horizon = horizons[own_years]
+        text = horizon.describe()
+        rows += (
+            (f"{display}, {text}", display, text, f"{epsilon:.3f}/pp",
+             effect_row(form, level, epsilon, horizon.years)),
+            (f"{display}, {_LONG_RUN}", display, _LONG_RUN, f"{level:.2f}", steady),
+        )
+    return _Rows(*map(list, zip(*rows)))
 
 
 def _table_scenarios(
@@ -166,6 +170,11 @@ def _table_scenarios(
 #: The share kernel of a column of effects: (log points, relative levels, gap) -> thetas.
 _ShareKernel = Callable[[list[float], list[float], float], list[float]]
 
+#: The most cells one pass of the kernels takes: enough to spread their
+#: set-up over many short rows, few enough that a long row's columns (the
+#: grid's thousands of scenarios) stay in the processor's cache.
+_PASS_CELLS = 2048
+
 
 def _cells(
     registry: ElasticityRegistry,
@@ -175,39 +184,59 @@ def _cells(
     share_fns: tuple[_ShareKernel, ...],
     years: int | None = None,
     finite_gap: GapDenominator | None = None,
-) -> Iterator[tuple[_Row, list[float], list[list[float]]]]:
-    """Every model row with its relative levels and one share % column per
-    share kernel, each a column over the scenarios ``ids`` with ``shocks``,
-    on plain floats.
+) -> tuple[_Rows, list[tuple[list[list[float]], int]]]:
+    """The model rows, and per row the columns of its pass and where its
+    cells start in them: an effect % column and one share % column per share
+    kernel, over the scenarios ``ids`` with ``shocks``, on plain floats.
+    Row ``i``'s cells are ``column[start:start + len(ids)]`` of each of its
+    columns.
 
-    A row whose column pass fails runs again one scenario at a time, so the
-    error names the row and its first bad cell.  Given ``finite_gap`` (Tables
-    2 and A3), finite-horizon rows, which end at the original comparison
-    window, are measured geometrically against that 1972 gap whatever the
-    share kernel: the convention of the study being replicated.
+    The cells of all steady-state rows go through the kernels in one pass,
+    and those of all finite-horizon rows in another; a pass of more than
+    ``_PASS_CELLS`` cells is split by rows.  If a pass fails, the cells run
+    again one at a time in row-major order, so the error names the first
+    bad cell and its row.  Given ``finite_gap`` (Tables 2 and A3),
+    finite-horizon rows, which end at the original comparison window, are
+    measured geometrically against that 1972 gap whatever the share kernel:
+    the convention of the study being replicated.
     """
     share_gap = gap.checked_log_points()
+    rows = expand_rows(registry, years)
     finite_fns = (geometric_thetas_of_gap,) * len(share_fns)
-    for row in expand_rows(registry, years):
-        model = row[0]
-        finite = finite_gap is not None and model.horizon.kind is HorizonKind.FINITE
-        fns, total = (finite_fns, finite_gap.log_points) if finite else (share_fns, share_gap)
-        try:
-            log_points, relative_levels = effect_columns(model, shocks)
-            shares = [
-                [100.0 * theta for theta in share(log_points, relative_levels, total)]
-                for share in fns
-            ]
-        except DataValidationError as error:
-            for j, sid in enumerate(ids):  # name the first bad cell in scenario order
-                try:
-                    cell = effect_columns(model, ([shocks[0][j]], [shocks[1][j]], [shocks[2][j]]))
-                    [share(*cell, total) for share in fns]
-                except DataValidationError as exc:
-                    error = DataValidationError(f"{row[2]}, scenario {sid}: {exc}")
-                    break
-            raise error
-        yield row, relative_levels, shares
+
+    def shares_of(effect: EffectRow) -> tuple[tuple[_ShareKernel, ...], float]:
+        if finite_gap is not None and effect[0] is not None:
+            return finite_fns, finite_gap.log_points
+        return share_fns, share_gap
+
+    n = len(ids)
+    step = max(1, _PASS_CELLS // n)  # rows per pass
+    places: list[tuple[list[list[float]], int]] = [([], 0)] * len(rows.effects)  # set per pass
+    try:
+        for finite in (False, True):
+            group = [i for i, (n_years, _c, _col) in enumerate(rows.effects)
+                     if (n_years is not None) is finite]
+            for chunk in (group[k:k + step] for k in range(0, len(group), step)):
+                effects = [rows.effects[i] for i in chunk]
+                fns, total = shares_of(effects[0])
+                log_points, relative_levels = effect_cells(effects, shocks)
+                columns = [[100.0 * rel for rel in relative_levels]] + [
+                    [100.0 * theta for theta in share(log_points, relative_levels, total)]
+                    for share in fns
+                ]
+                for k, i in enumerate(chunk):
+                    places[i] = (columns, k * n)
+    except DataValidationError as error:
+        for i, j in product(range(len(rows.effects)), range(n)):  # the first bad cell, row-major
+            fns, total = shares_of(rows.effects[i])
+            try:
+                cell = effect_cells([rows.effects[i]], tuple([column[j]] for column in shocks))
+                [share(*cell, total) for share in fns]
+            except DataValidationError as exc:
+                error = DataValidationError(f"{rows.labels[i]}, scenario {ids[j]}: {exc}")
+                break
+        raise error
+    return rows, places
 
 
 # --------------------------------------------------------------------------
@@ -269,18 +298,17 @@ def _share_table(
     scenarios = _table_scenarios(config, lambda_baseline)
     ids = [s.id for s in scenarios]
     shocks = shock_columns([s.delta_lambda for s in scenarios], scenarios[0].lambda_baseline)
-    rows = []
-    for (model, _display, label), relative_levels, (shares,) in _cells(
-        registry, ids, shocks, gap, (share,), years, gap_1972
-    ):
-        effects = [100.0 * rel for rel in relative_levels] if with_effects else []
-        rows.append((label, _coefficient_label(model), *effects, *shares))
+    rows, places = _cells(registry, ids, shocks, gap, (share,), years, gap_1972)
     return ResultTable(
         caption=caption,
         columns=("model", "elasticity")
         + tuple(f"effect_{i}_pct" for i in ids if with_effects)
         + tuple(f"share_{i}_pct" for i in ids),
-        rows=rows,
+        blocks=((
+            rows.labels, rows.coefficients,
+            *([columns[c][start + j] for columns, start in places]
+              for c in ((0, 1) if with_effects else (1,)) for j in range(len(ids))),
+        ),),
         footnotes=(
             f"shares: {scheme} decomposition against the "
             f"{gap.describe()} (synthetic = {1.0 + gap.relative_level:.2f}x historical)",
@@ -343,18 +371,18 @@ def build_grid(
     ids = [s.id for s in scenarios] + list(config.custom_ids)
     delta_lambdas = [s.delta_lambda for s in scenarios] + list(config.custom_delta_lambdas)
     shocks = [f"{dl:.6f}" for dl in delta_lambdas]
-    cells = _cells(
+    rows, places = _cells(
         registry, ids, shock_columns(delta_lambdas, config.lambda_baseline), gap,
         (additive_log_thetas, geometric_thetas_of_gap), years,
     )
+    n = len(ids)
     return ResultTable(
         caption="Sensitivity grid: embargo effect and gap share per model and scenario",
         columns=("model", "horizon", "scenario", "delta_lambda", "effect_pct",
                  "theta_additive_log_pct", "theta_geometric_pct"),
         blocks=tuple(
-            (display, model.horizon.describe(), ids, shocks,
-             [100.0 * rel for rel in relative_levels], *thetas)
-            for (model, display, _label), relative_levels, thetas in cells
+            (display, horizon, ids, shocks, *(column[start:start + n] for column in columns))
+            for display, horizon, (columns, start) in zip(rows.displays, rows.horizons, places)
         ),
         footnotes=(
             f"all shares measured against the {gap.describe()}",

@@ -10,6 +10,7 @@ forewent, each divided by 1958 GDP (all currency in 1957 USD millions):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -237,6 +238,8 @@ def _custom_row(i: int, row: dict, lam0: float) -> TradeShockScenario:
         raise ConfigurationError(f"custom_scenarios[{i}]: {exc}") from None
 
 
+@functools.cache
 def default_scenario_config() -> ScenarioConfig:
-    """The packaged config with the published dollar magnitudes."""
+    """The packaged config with the published dollar magnitudes, parsed once:
+    the config is immutable, so every call returns the same one."""
     return load_scenario_config(_CONFIG_RESOURCE)

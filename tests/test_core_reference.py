@@ -6,7 +6,8 @@ row's form and horizon, then each scheme's share of the gap.  It is written
 out here rather than imported, so that the tables are compared with an
 independent transcription and not with themselves.  Effect and share
 percentages must be equal with ``==``, and an invalid draw must raise the
-same exception class as the reference, naming the same first bad scenario.
+same exception class as the reference, naming the same first bad row and
+scenario.
 """
 
 import math
@@ -32,6 +33,7 @@ from tradegap import (
     build_table_a3,
     default_scenario_config,
 )
+from tradegap import report
 
 MAX_GAP = math.log(sys.float_info.max)
 GAP_1972 = math.log1p(1.24095)
@@ -96,9 +98,9 @@ def ref_geometric(log_points, relative_level, gap):
     return g_ne / denominator
 
 
-def ref_rows(form, horizon, epsilon, years):
-    """The table rows of one model: a finite-horizon model gets a compounded
-    row and a steady-state row, a steady-state model one row."""
+def ref_rows(name, form, horizon, epsilon, years):
+    """The labelled table rows of one model: a finite-horizon model gets a
+    compounded row and a steady-state row, a steady-state model one row."""
     kind, *coefficients = form
     if kind == "growth":
         alpha1, alpha2 = coefficients
@@ -106,20 +108,22 @@ def ref_rows(form, horizon, epsilon, years):
     else:
         steady = (kind, coefficients[0], None)
     if horizon is None:
-        return [steady]
-    return [("finite", epsilon, horizon if years is None else years), steady]
+        return [(name, steady)]
+    years = horizon if years is None else years
+    return [(f"{name}, {years}-year", ("finite", epsilon, years)), (f"{name}, long-run", steady)]
 
 
 def ref_cells(rows, shocks, lambda_baseline, gap, schemes, finite_gap=None):
     """[(effect %, [share % per scheme])] in table order, or the first error.
 
-    ``shocks`` maps each scenario id to its delta_lambda.  A cell error is
-    raised again as ``scenario <id>: <message>`` for the first failing cell.
+    ``rows`` holds (label, row) pairs and ``shocks`` maps each scenario id to
+    its delta_lambda.  A cell error is raised again as ``<label>, scenario
+    <id>: <message>`` for the first failing cell in row-major order.
     """
     if not 0 < gap < MAX_GAP:
         raise ConfigurationError("gap out of range")
     cells = []
-    for row in rows:
+    for label, row in rows:
         finite = finite_gap is not None and row[0] == "finite"
         for sid, delta_lambda in shocks.items():
             try:
@@ -131,7 +135,7 @@ def ref_cells(rows, shocks, lambda_baseline, gap, schemes, finite_gap=None):
                 else:
                     shares = [share(log_points, relative_level, gap) for share in schemes]
             except DataValidationError as exc:
-                raise DataValidationError(f"scenario {sid}: {exc}") from exc
+                raise DataValidationError(f"{label}, scenario {sid}: {exc}") from exc
             cells.append((100.0 * relative_level, [100.0 * theta for theta in shares]))
     return cells
 
@@ -155,7 +159,14 @@ horizons = st.none() | st.integers(1, 60)  # None: steady state
 year_overrides = st.none() | st.integers(1, 60)
 
 
-def model_of(form, horizon, epsilon):
+#: 1-8 models of mixed forms and horizons: (form, horizon, epsilon) each.
+models = st.lists(
+    st.tuples(forms, horizons, st.one_of(st.floats(-10, 10), st.floats(-1e3, 1e3))),
+    min_size=1, max_size=8,
+)
+
+
+def model_of(name, form, horizon, epsilon):
     kind, *coefficients = form
     if kind == "growth":
         functional_form = FunctionalForm.growth_with_convergence(*coefficients)
@@ -164,16 +175,40 @@ def model_of(form, horizon, epsilon):
     else:
         functional_form = FunctionalForm.log_log(coefficients[0])
     if horizon is None:
-        return ElasticityModel("drawn", functional_form, Horizon.steady_state())
+        return ElasticityModel(name, functional_form, Horizon.steady_state())
     return ElasticityModel(
-        "drawn", functional_form, Horizon.finite(horizon), short_run_epsilon=epsilon
+        name, functional_form, Horizon.finite(horizon), short_run_epsilon=epsilon
     )
+
+
+def registry_and_rows(drawn, years):
+    """The registry of the drawn models, named m0, m1, ..., and its reference rows."""
+    names = [f"m{i}" for i in range(len(drawn))]
+    registry = ElasticityRegistry([model_of(name, *model) for name, model in zip(names, drawn)])
+    rows = [row for name, model in zip(names, drawn) for row in ref_rows(name, *model, years)]
+    return registry, rows
+
+
+#: Cells per pass of the table core: the default, and sizes that split the
+#: rows of every draw into several passes.
+pass_sizes = st.sampled_from([report._PASS_CELLS, 7, 1])
+
+
+def in_passes_of(pass_cells, build):
+    """``build`` with the table core's passes capped at ``pass_cells`` cells."""
+    def run():
+        default, report._PASS_CELLS = report._PASS_CELLS, pass_cells
+        try:
+            return build()
+        finally:
+            report._PASS_CELLS = default
+    return run
 
 
 def check(build, expected, project):
     """``build()`` projected to [(effect %, [share %...])] equals ``expected()``,
     or both raise the same exception class, a cell error naming the same
-    first failing scenario."""
+    first failing row and scenario."""
     try:
         want = expected()
     except (ConfigurationError, DataValidationError) as exc:
@@ -181,8 +216,8 @@ def check(build, expected, project):
             build()
         assert type(info.value) is type(exc), (info.value, exc)
         if isinstance(exc, DataValidationError):
-            scenario = str(exc).split(":")[0]
-            assert f"{scenario}:" in str(info.value), (info.value, exc)
+            cell = str(exc).split(":")[0]
+            assert str(info.value).startswith(f"{cell}:"), (info.value, exc)
         return
     assert project(build()) == want
 
@@ -191,20 +226,19 @@ def check(build, expected, project):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    form=forms,
-    horizon=horizons,
-    epsilon=st.one_of(st.floats(-10, 10), st.floats(-1e3, 1e3)),
+    drawn=models,
     years=year_overrides,
     lambda_baseline=st.floats(0.45, 0.99),
     fraction=st.floats(0, 1, exclude_max=True),
     gap=gaps,
+    pass_cells=pass_sizes,
 )
 # a growth factor of exactly zero at C1 (annual rate -1.0)
 @example(
-    form=("loglinear", 1.0), horizon=12, epsilon=-5.74712643678161, years=1,
-    lambda_baseline=0.554, fraction=0.0, gap=1.085,
+    drawn=[(("loglinear", 1.0), 12, -5.74712643678161)], years=1,
+    lambda_baseline=0.554, fraction=0.0, gap=1.085, pass_cells=report._PASS_CELLS,
 )
-def test_grid_matches_reference(form, horizon, epsilon, years, lambda_baseline, fraction, gap):
+def test_grid_matches_reference(drawn, years, lambda_baseline, fraction, gap, pass_cells):
     assume(fraction * lambda_baseline < lambda_baseline)
     base = default_scenario_config()
     custom = TradeShockScenario("X", fraction * lambda_baseline, lambda_baseline)
@@ -214,14 +248,13 @@ def test_grid_matches_reference(form, horizon, epsilon, years, lambda_baseline, 
         "C1": C1_DELTA_LAMBDA, "C2": c2.delta_lambda, "C3": c3.delta_lambda,
         "X": custom.delta_lambda,
     }
-    registry = ElasticityRegistry([model_of(form, horizon, epsilon)])
+    registry, rows = registry_and_rows(drawn, years)
     check(
-        lambda: build_grid(
+        in_passes_of(pass_cells, lambda: build_grid(
             registry=registry, config=config, gap=GapDenominator.explicit(gap), years=years
-        ),
+        )),
         lambda: ref_cells(
-            ref_rows(form, horizon, epsilon, years), shocks, lambda_baseline, gap,
-            (ref_additive_log, ref_geometric),
+            rows, shocks, lambda_baseline, gap, (ref_additive_log, ref_geometric),
         ),
         lambda table: [(row[4], list(row[5:])) for row in table.rows],
     )
@@ -229,22 +262,26 @@ def test_grid_matches_reference(form, horizon, epsilon, years, lambda_baseline, 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    form=forms,
-    horizon=horizons,
-    epsilon=st.one_of(st.floats(-10, 10), st.floats(-1e3, 1e3)),
+    drawn=models,
     years=year_overrides,
     lambda_baseline=st.floats(0.45, 0.99),
     gap=gaps,
     geometric=st.booleans(),
+    pass_cells=pass_sizes,
+)
+# one year of a rate whose expm1(log1p(rate)) is one ulp above it, at C1
+@example(
+    drawn=[(("loglinear", 1.0), 12, 0.11)], years=1, lambda_baseline=0.554, gap=1.085,
+    geometric=False, pass_cells=report._PASS_CELLS,
 )
 def test_tables_2_and_a3_match_reference(
-    form, horizon, epsilon, years, lambda_baseline, gap, geometric
+    drawn, years, lambda_baseline, gap, geometric, pass_cells
 ):
     """Finite-horizon rows are measured geometrically against the 1972 gap."""
     inputs = default_scenario_config().inputs
     _, c2, c3 = build_scenarios(inputs, lambda_baseline)
     shocks = {"C1": C1_DELTA_LAMBDA, "C2": c2.delta_lambda, "C3": c3.delta_lambda}
-    registry = ElasticityRegistry([model_of(form, horizon, epsilon)])
+    registry, rows = registry_and_rows(drawn, years)
     if geometric:  # Table A3 prints the three shares only
         build, scheme = build_table_a3, ref_geometric
 
@@ -266,15 +303,30 @@ def test_tables_2_and_a3_match_reference(
         def pick(cells):
             return cells
     check(
-        lambda: build(
+        in_passes_of(pass_cells, lambda: build(
             registry=registry, gap=GapDenominator.explicit(gap),
             lambda_baseline=lambda_baseline, years=years,
-        ),
-        lambda: pick(
-            ref_cells(
-                ref_rows(form, horizon, epsilon, years), shocks, lambda_baseline, gap,
-                (scheme,), finite_gap=GAP_1972,
-            )
-        ),
+        )),
+        lambda: pick(ref_cells(rows, shocks, lambda_baseline, gap, (scheme,), GAP_1972)),
         project,
     )
+
+
+@pytest.mark.parametrize("pass_cells", [report._PASS_CELLS, 1])
+@pytest.mark.parametrize("build", [build_grid, build_table2, build_table_a3])
+def test_first_bad_cell_in_row_major_order_is_named(build, pass_cells):
+    """Rows 3 and 5 hold bad cells: row 3 from scenario C2 on (a finite-horizon
+    growth factor below zero), row 5 from C1 on (a steady-state effect beyond
+    float range).  Row 3's C2 cell is named, though row 5's C1 cell comes
+    first in scenario order and the steady-state rows run as one group."""
+    drawn = [
+        (("loglinear", 1.0), None, 0.0),
+        (("loglog", 0.5), None, 0.0),
+        (("growth", -0.05, 0.02), None, 0.0),
+        (("loglinear", 1.0), 12, -4.0),  # rows 3 and 4: -4 * 36.1 / 100 at C2
+        (("loglinear", 1e4), None, 0.0),  # row 5: 1e4 * 0.174 at C1
+    ]
+    registry, rows = registry_and_rows(drawn, None)
+    assert [label for label, _row in rows][3:] == ["m3, 12-year", "m3, long-run", "m4"]
+    with pytest.raises(DataValidationError, match="^m3, 12-year, scenario C2: degenerate"):
+        in_passes_of(pass_cells, lambda: build(registry=registry))()

@@ -39,6 +39,8 @@ def test_zero_shock_is_zero():
 def test_single_year_has_no_compounding_noise():
     e = finite_horizon_effect(0.018, 17.1, 1)
     assert e.relative_level == 0.018 * 17.1 / 100  # exact, not approx
+    # expm1(log1p(rate)) is one ulp above this rate: the rate itself is kept
+    assert finite_horizon_effect(0.11, 17.4, 1).relative_level == 0.11 * 17.4 / 100
 
 
 def test_degenerate_compounding_rejected():
@@ -67,7 +69,7 @@ def test_effect_columns_name_the_first_bad_cell():
         _screened(lps, [math.expm1(0.1), 5.0, math.inf])
     assert _screened(lps, [math.expm1(lp) * (1 + 1e-14) for lp in lps])[0] == lps
     with pytest.raises(DataValidationError, match=r"growth factor -1\.0 is non-positive"):
-        _compounded(-10.0, 12, [1.0, 20.0, 30.0])
+        _compounded([-10.0] * 3, [12] * 3, [1.0, 20.0, 30.0])
 
 
 def test_effect_that_expm1_keeps_non_finite_is_named():

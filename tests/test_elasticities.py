@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import math
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tradegap import (
@@ -20,6 +21,7 @@ from tradegap import (
     seed_registry,
     steady_state_semi_elasticity,
 )
+from tradegap.elasticities import _model_from_json, _registry_from_json
 
 
 # ---------------------------------------------------------------- conversions
@@ -279,7 +281,119 @@ def test_registry_missing_file():
         load_registry("/no/such/registry.json")
 
 
-def test_seed_registry_is_fresh_each_call():
+def test_seed_registry_is_parsed_once_and_frozen():
     a = seed_registry()
-    b = seed_registry()
-    assert a is not b and a.entries == b.entries
+    assert seed_registry() is a
+    assert all(type(getattr(a, f.name)) is tuple for f in dataclasses.fields(a))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.names = ("x",)
+    assert type(a.entries) is tuple and a.entries == tuple(a)
+
+
+def test_registry_columns_round_trip_its_models(registry):
+    assert ElasticityRegistry(registry.entries) == registry
+    assert ElasticityRegistry(registry.entries).entries == registry.entries
+    assert registry.get("feyrer") == registry.entries[-1]
+
+
+# ---------------------------------------- the bulk read against the scalar read
+
+numbers = st.one_of(st.floats(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def valid_models(draw):
+    form = draw(st.sampled_from(["log_linear_level", "log_log_level", "growth_with_convergence"]))
+    finite = draw(st.booleans())
+    model = {
+        "form": form,
+        "coefficient": (
+            {"alpha1": draw(st.floats(-0.1, -1e-3)), "alpha2": draw(numbers)}
+            if form == "growth_with_convergence" else draw(numbers)
+        ),
+        "horizon": (
+            {"kind": "finite", "years": draw(st.integers(1, 40) | st.sampled_from([12.0, 1e300]))}
+            if finite else {"kind": "steady_state"}
+        ),
+    }
+    if finite or draw(st.booleans()):
+        model["short_run_epsilon"] = draw(numbers)
+    if draw(st.booleans()):
+        model["source_note"] = draw(st.text(max_size=3))
+    return model
+
+
+MISSING = object()
+#: (field, value): a model's field replaced by a value, or left out if MISSING.
+#: Most are invalid; a few are valid for one form or horizon and not the other.
+CHANGES = [
+    ("name", ""), ("name", 5), ("name", None), ("name", "m0"), ("name", MISSING),
+    ("form", "cubic"), ("form", 3), ("form", ["x"]), ("form", MISSING),
+    ("coefficient", True), ("coefficient", "1.0"), ("coefficient", None),
+    ("coefficient", 10**400), ("coefficient", 0.4), ("coefficient", MISSING),
+    ("coefficient", [-0.04, 0.01]), ("coefficient", {"alpha1": -0.04}),
+    ("coefficient", {"alpha1": -0.04, "alpha2": 0.01}),
+    ("coefficient", {"alpha1": 0, "alpha2": 0.01}),
+    ("coefficient", {"alpha1": -0.0, "alpha2": 0.01}),
+    ("coefficient", {"alpha1": 0.5, "alpha2": 0.01}),
+    ("coefficient", {"alpha1": True, "alpha2": 0.01}),
+    ("coefficient", {"alpha1": -0.04, "alpha2": "1"}),
+    ("coefficient", {"alpha1": -1e-300, "alpha2": 1e300}),
+    ("horizon", {"kind": "finite", "years": 12}), ("horizon", {"kind": "finite"}),
+    *(("horizon", {"kind": "finite", "years": n}) for n in (0, -1, 12.5, 10**400, True, "12")),
+    ("horizon", {"kind": "steady_state", "years": 12}), ("horizon", {"kind": "decadal"}),
+    ("horizon", {"kind": ["finite"]}), ("horizon", {"years": 12}),
+    ("horizon", "steady_state"), ("horizon", None), ("horizon", []), ("horizon", MISSING),
+    ("short_run_epsilon", "0.02"), ("short_run_epsilon", True), ("short_run_epsilon", None),
+    ("short_run_epsilon", 10**400), ("short_run_epsilon", MISSING),
+    ("source_note", 5), ("source_note", None), ("source_note", ["a"]),
+    ("row", None), ("row", "x"), ("row", [1]),
+]
+
+
+@st.composite
+def registry_json(draw):
+    """1-5 valid models, mostly with one field of one model changed by ``CHANGES``."""
+    models = draw(st.lists(valid_models(), min_size=1, max_size=5))
+    for i, model in enumerate(models):
+        model["name"] = f"m{i}"
+    if draw(st.integers(0, 4)):
+        i = draw(st.integers(0, len(models) - 1))
+        field, value = draw(st.sampled_from(CHANGES))
+        if field == "row":
+            models[i] = value
+        elif value is MISSING:
+            models[i].pop(field, None)
+        else:
+            models[i][field] = value
+    return models
+
+
+def read(parse, models):
+    """``parse``'s registry of ``models``, or the message it raises."""
+    try:
+        return parse(models)
+    except ConfigurationError as exc:
+        return str(exc)
+
+
+def scalar_read(models):
+    return ElasticityRegistry([_model_from_json(i, row) for i, row in enumerate(models)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(registry_json())
+@example([])
+@example([{**STEADY, "name": "a"}, {**FINITE, "name": "a"}])
+@example([{**STEADY, "horizon": {"kind": "steady_state", "years": 12}}])
+@example([{**FINITE, "short_run_epsilon": None}])
+@example([horizon("finite", years=12.5)])
+def test_bulk_read_is_the_scalar_read(models):
+    """The column read loads the registry the scalar read loads, field for
+    field, or raises the same message."""
+    models = json.loads(json.dumps(models))
+    bulk = read(lambda rows: _registry_from_json({"schema_version": 1, "models": rows}), models)
+    scalar = read(scalar_read, models)
+    assert bulk == scalar
+    if not isinstance(bulk, str):
+        assert bulk.entries == scalar.entries

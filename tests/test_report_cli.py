@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -15,6 +17,7 @@ from tradegap import (
     ConfigurationError,
     ElasticityRegistry,
     GapDenominator,
+    Horizon,
     ShockInputs,
     TradeShockScenario,
     additive_log_share,
@@ -191,8 +194,13 @@ def test_grid_rows_are_the_cells_one_at_a_time(registry, config, tmp_path):
     c1 = custom_scenario("C1", report.TABLE_C1_DELTA_LAMBDA, lam0)
     scenarios = (c1, *build_scenarios(config.inputs, lam0)[1:], *customs)
     expected = []
-    for model, display, _label in report.expand_rows(registry, 6):
-        for scenario in scenarios:
+    for entry in registry:  # a finite-horizon model gives a 6-year row, then a long-run one
+        models = [entry]
+        if entry.horizon.years is not None:
+            models = [replace(entry, horizon=horizon)
+                      for horizon in (Horizon.finite(6), Horizon.steady_state())]
+        for model, scenario in itertools.product(models, scenarios):
+            display = report._DISPLAY_NAMES[model.name]
             effect = evaluate(model, scenario)
             expected.append((
                 display, model.horizon.describe(), scenario.id, f"{scenario.delta_lambda:.6f}",
@@ -247,6 +255,15 @@ def test_import_leaves_statistics_out():
     env = dict(os.environ, PYTHONPATH=str(Path(tradegap.__file__).resolve().parents[1]))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert (run.returncode, run.stdout) == (0, "[]\n")
+
+
+def test_package_init_holds_only_a_docstring_imports_and_assignments():
+    """CI's line trace cannot see ``__init__.py`` (stdlib ``trace`` ignores
+    files by basename), so no statement that might not run may live there."""
+    path = Path(__file__).resolve().parents[1] / "src" / "tradegap" / "__init__.py"
+    docstring, *body = ast.parse(path.read_text(encoding="utf-8")).body
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value.value, str)
+    assert body and all(isinstance(node, (ast.Import, ast.ImportFrom, ast.Assign)) for node in body)
 
 
 # ----------------------------------------------------------------- rendering
