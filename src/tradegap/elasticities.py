@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import ConfigurationError, DataValidationError, number, read_json, string
+from .errors import ConfigurationError, DataValidationError, known, number, read_json, string
 
 REGISTRY_SCHEMA_VERSION = 1
 
@@ -119,13 +119,7 @@ class Horizon:
     years: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is HorizonKind.FINITE:
-            if self.years is None or self.years < 1:
-                raise DataValidationError("finite horizon requires years >= 1")
-            if self.years > sys.float_info.max:  # compounding runs on floats
-                raise DataValidationError("years beyond float range")
-        elif self.years is not None:
-            raise DataValidationError("steady-state horizon takes no years")
+        _check_years(self.kind is HorizonKind.FINITE, self.years)
 
     @classmethod
     def finite(cls, years: int) -> "Horizon":
@@ -139,6 +133,17 @@ class Horizon:
         if self.kind is HorizonKind.FINITE:
             return f"{self.years}-year"
         return "long-run"
+
+
+def _check_years(finite: bool, years: int | None) -> None:
+    """The horizon rules: a finite horizon has 1 or more years, the steady state none."""
+    if finite:
+        if years is None or years < 1:
+            raise DataValidationError("finite horizon requires years >= 1")
+        if years > sys.float_info.max:  # compounding runs on floats
+            raise DataValidationError("years beyond float range")
+    elif years is not None:
+        raise DataValidationError("steady-state horizon takes no years")
 
 
 @dataclass(frozen=True)
@@ -167,12 +172,15 @@ class ElasticityModel:
     source_note: str = ""
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise DataValidationError("model name must be non-empty")
-        if self.horizon.kind is HorizonKind.FINITE and self.short_run_epsilon is None:
-            raise DataValidationError(
-                f"model {self.name!r}: finite horizon requires short_run_epsilon"
-            )
+        _check_model(self.name, self.horizon.kind is HorizonKind.FINITE, self.short_run_epsilon)
+
+
+def _check_model(name: str, finite: bool, short_run_epsilon: float | None) -> None:
+    """The model rules: a name, and a short-run epsilon for a finite horizon."""
+    if not name:
+        raise DataValidationError("model name must be non-empty")
+    if finite and short_run_epsilon is None:
+        raise DataValidationError(f"model {name!r}: finite horizon requires short_run_epsilon")
 
 
 @dataclass(frozen=True, init=False)
@@ -195,26 +203,26 @@ class ElasticityRegistry:
     notes: tuple[str, ...]
 
     def __init__(self, entries: Iterable[ElasticityModel]) -> None:
-        entries = tuple(entries)
-        if not entries:
-            raise ConfigurationError("empty selection: no models in registry")
-        seen: set[str] = set()
-        for m in entries:
-            if m.name in seen:
-                raise ConfigurationError(f"duplicate model name {m.name!r} in registry")
-            seen.add(m.name)
-        self._fill(*zip(*(
+        self._fill([
             (m.name, m.form.kind, m.form.level_coefficient(),
              None if m.form.kind is not FormKind.GROWTH_WITH_CONVERGENCE
              else (m.form.alpha1, m.form.alpha2),
              m.horizon.years, m.short_run_epsilon, m.source_note)
             for m in entries
-        )))
+        ])
 
-    def _fill(self, *columns: tuple) -> ElasticityRegistry:
-        """Set the columns past the frozen ``__setattr__``; a loaded
-        registry's columns come here without model objects, checked in bulk."""
-        self.__dict__.update(zip(self.__dataclass_fields__, columns))
+    def _fill(self, rows: list[tuple]) -> ElasticityRegistry:
+        """Check that there is a model and no name twice, and set the columns
+        of ``rows``, one value per field each, past the frozen ``__setattr__``.
+        A loaded registry's rows come here without model objects."""
+        if not rows:
+            raise ConfigurationError("empty selection: no models in registry")
+        seen: set[str] = set()
+        for name, *_ in rows:
+            if name in seen:
+                raise ConfigurationError(f"duplicate model name {name!r} in registry")
+            seen.add(name)
+        self.__dict__.update(zip(self.__dataclass_fields__, zip(*rows)))
         return self
 
     def _model(self, i: int) -> ElasticityModel:
@@ -307,45 +315,24 @@ def implied_point_elasticity(semi_elasticity: float, lam: float) -> float:
 # registry loading — the registry is data, not code, and is read as written
 # --------------------------------------------------------------------------
 
-def _form_from_json(kind: str, coefficient: object) -> FunctionalForm:
-    try:
-        k = FormKind(kind)
-    except ValueError:
-        raise ConfigurationError(f"form: unknown functional form {kind!r}") from None
-    if k is FormKind.GROWTH_WITH_CONVERGENCE:
-        if not isinstance(coefficient, dict):
-            raise ConfigurationError("coefficient of a growth form must be {alpha1, alpha2}")
-        return FunctionalForm.growth_with_convergence(
-            number(coefficient["alpha1"], "coefficient.alpha1"),
-            number(coefficient["alpha2"], "coefficient.alpha2"),
-        )
-    coefficient = number(coefficient, "coefficient")
-    if k is FormKind.LOG_LINEAR_LEVEL:
-        return FunctionalForm.log_linear(coefficient)
-    return FunctionalForm.log_log(coefficient)
-
-
-def _horizon_from_json(obj: object) -> Horizon:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigurationError(f"horizon must be an object with a 'kind': {obj!r}")
-    try:
-        kind = HorizonKind(obj["kind"])
-    except ValueError:
-        raise ConfigurationError(f"horizon.kind: unknown horizon kind {obj['kind']!r}") from None
-    years = obj.get("years")
-    if years is not None and (type(years) not in (int, float) or int(years) != years):
-        raise ConfigurationError(f"horizon.years must be a whole number, got {years!r}")
-    return Horizon(kind, None if years is None else int(years))
-
-
 def load_registry(path: str | Path) -> ElasticityRegistry:
     """Load a registry from a versioned JSON file.
 
     The file is an object ``{"schema_version": 1, "models": [...]}``; each
-    model is ``{name, form, coefficient, short_run_epsilon?, horizon,
-    source_note}``.  A missing or unsupported schema version is rejected.
+    model is ``{name, form, coefficient, horizon, short_run_epsilon?,
+    source_note?}``, where ``coefficient`` is a number, or ``{alpha1,
+    alpha2}`` for a growth form, and ``horizon`` is ``{kind, years?}``; a
+    field marked ``?`` may be left out.  A missing or unsupported schema
+    version is rejected, and so is any other field, named by its path.
     """
     return read_json(Path(path), "registry", _registry_from_json)
+
+
+_MODEL_FIELDS = ("name", "form", "coefficient", "horizon", "short_run_epsilon", "source_note")
+#: The kinds by their JSON values: a dict finds one in a fraction of the
+#: time an enum call takes, and a registry read looks up two per model.
+_FORMS = {kind.value: kind for kind in FormKind}
+_HORIZONS = {kind.value: kind for kind in HorizonKind}
 
 
 def _registry_from_json(raw: object) -> ElasticityRegistry:
@@ -356,76 +343,59 @@ def _registry_from_json(raw: object) -> ElasticityRegistry:
     models = raw.get("models")
     if not isinstance(models, list):
         raise ConfigurationError("'models' must be an array")
-    columns = _registry_columns(models)
-    if columns is None:  # the scalar checks, one model at a time, name the first bad input
-        return ElasticityRegistry([_model_from_json(i, row) for i, row in enumerate(models)])
-    return object.__new__(ElasticityRegistry)._fill(*columns)
+    known(raw, ("schema_version", "models"), "")
+    rows = [_model_row(i, row) for i, row in enumerate(models)]
+    return object.__new__(ElasticityRegistry)._fill(rows)
 
 
-_FORM_KINDS = {kind.value: kind for kind in FormKind}
-_FINITE = {kind.value: kind is HorizonKind.FINITE for kind in HorizonKind}
-
-
-def _registry_columns(rows: list) -> tuple[tuple, ...] | None:
-    """The models' columns, checked in bulk as ``_model_from_json`` and
-    ``ElasticityRegistry`` check each model; None if one fails."""
-    growth = FormKind.GROWTH_WITH_CONVERGENCE
+def _model_row(i: int, row: dict) -> tuple:
+    """Model ``i``'s value in each registry column.  Its fields are checked
+    in turn and its unknown fields last; an error names its JSON path."""
     try:
-        names, forms, coefficients, horizons, epsilons, notes = zip(*[
-            (row["name"], _FORM_KINDS[row["form"]], row.get("coefficient"), row["horizon"],
-             row.get("short_run_epsilon"), row.get("source_note", ""))
-            for row in rows
-        ])
-        finite, years = zip(*[(_FINITE[h["kind"]], h.get("years")) for h in horizons])
-        numbers = [
-            v for form, c in zip(forms, coefficients)
-            for v in ((c["alpha1"], c["alpha2"]) if form is growth else (c,))
-        ]
-        numbers += [e for e in epsilons if e is not None] + [y for y, f in zip(years, finite) if f]
-        if not ({str}.issuperset(map(type, names + notes))
-                and {int, float}.issuperset(map(type, numbers))):
-            return None
-        alphas = tuple([
-            (float(c["alpha1"]), float(c["alpha2"])) if form is growth else None
-            for form, c in zip(forms, coefficients)
-        ])
-        # the growth form's limit raises for alpha1 >= 0, as the scalar read does
-        levels = tuple([
-            float(c) if a is None else steady_state_semi_elasticity(*a)
-            for c, a in zip(coefficients, alphas)
-        ])
-        epsilons = tuple([None if e is None else float(e) for e in epsilons])
-        whole = tuple([int(y) if f else None for y, f in zip(years, finite)])
-    except (KeyError, TypeError, ValueError, OverflowError):  # ValueError: no models, too
-        return None
-    horizons_valid = all([
-        y is None if n is None else n == y and 1 <= n <= sys.float_info.max and e is not None
-        for n, y, e in zip(whole, years, epsilons)
-    ])
-    if not (horizons_valid and all(names) and len(set(names)) == len(names)):
-        return None
-    return names, forms, levels, alphas, whole, epsilons, notes
-
-
-def _model_from_json(i: int, row: dict) -> ElasticityModel:
-    """Model ``i`` through the scalar checks, which name it by its JSON path."""
-    try:
-        return ElasticityModel(
-            name=string(row["name"], "name"),
-            form=_form_from_json(row["form"], row.get("coefficient")),
-            horizon=_horizon_from_json(row["horizon"]),
-            short_run_epsilon=(
-                None if row.get("short_run_epsilon") is None
-                else number(row["short_run_epsilon"], "short_run_epsilon")
-            ),
-            source_note=string(row.get("source_note", ""), "source_note"),
-        )
+        name = string(row["name"], "name")
+        form = row["form"]
+        if not isinstance(form, str) or form not in _FORMS:
+            raise ConfigurationError(f"form: unknown functional form {form!r}")
+        form, coefficient = _FORMS[form], row.get("coefficient")
+        alphas = None
+        if form is FormKind.GROWTH_WITH_CONVERGENCE:
+            if not isinstance(coefficient, dict):
+                raise ConfigurationError("coefficient of a growth form must be {alpha1, alpha2}")
+            alphas = (
+                number(coefficient["alpha1"], "coefficient.alpha1"),
+                number(coefficient["alpha2"], "coefficient.alpha2"),
+            )
+            level = steady_state_semi_elasticity(*alphas)
+        else:
+            level = number(coefficient, "coefficient")
+        horizon = row["horizon"]
+        if not isinstance(horizon, dict) or "kind" not in horizon:
+            raise ConfigurationError(f"horizon must be an object with a 'kind': {horizon!r}")
+        kind, years = horizon["kind"], horizon.get("years")
+        if not isinstance(kind, str) or kind not in _HORIZONS:
+            raise ConfigurationError(f"horizon.kind: unknown horizon kind {kind!r}")
+        if years is not None:
+            if type(years) not in (int, float) or int(years) != years:
+                raise ConfigurationError(f"horizon.years must be a whole number, got {years!r}")
+            years = int(years)
+        finite = _HORIZONS[kind] is HorizonKind.FINITE
+        _check_years(finite, years)
+        epsilon = row.get("short_run_epsilon")
+        if epsilon is not None:
+            epsilon = number(epsilon, "short_run_epsilon")
+        note = string(row.get("source_note", ""), "source_note")
+        _check_model(name, finite, epsilon)
     except KeyError as exc:
         raise ConfigurationError(f"models[{i}] missing field {exc}") from None
     except ConfigurationError as exc:  # its message starts with the field's path
         raise ConfigurationError(f"models[{i}].{exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"models[{i}]: {exc}") from None
+    if alphas is not None:
+        known(coefficient, ("alpha1", "alpha2"), "models[{}].coefficient: ", i)
+    known(horizon, ("kind", "years"), "models[{}].horizon: ", i)
+    known(row, _MODEL_FIELDS, "models[{}]: ", i)
+    return name, form, level, alphas, years, epsilon, note
 
 
 @functools.cache

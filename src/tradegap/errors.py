@@ -32,7 +32,7 @@ def _finite(text: str) -> float:
 
 def number(value: object, what: str) -> float:
     """A JSON number as a float; a string, a bool or any other value raises."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if type(value) not in (int, float):  # a bool's type is bool
         raise ConfigurationError(f"{what} must be a number, got {value!r}")
     return float(value)
 
@@ -44,14 +44,22 @@ def string(value: object, what: str) -> str:
     return value
 
 
+def known(value: dict, fields: tuple[str, ...], where: str, index: int | None = None) -> None:
+    """Raise on the first key of the JSON object ``value`` that is not one of
+    ``fields``; ``where.format(index)`` is the object's path."""
+    for key in value:
+        if key not in fields:
+            raise ConfigurationError(f"{where.format(index)}unknown field {key!r}")
+
+
 def read_json(path: Path, what: str, parse: Callable[[Any], _T]) -> _T:
     """Read the JSON file ``path`` and ``parse`` it; every bad input raises
     a :class:`ConfigurationError` naming ``what`` and the file.
 
     ``NaN``, ``Infinity`` and out-of-range numbers are rejected.  A missing
-    field, a wrong type, a value ``float``/``int`` cannot read and a domain
-    violation (:class:`DataValidationError`) raised by ``parse`` are all
-    configuration errors.
+    or unknown field, a wrong type, a value ``float``/``int`` cannot read
+    and a domain violation (:class:`DataValidationError`) raised by
+    ``parse`` are all configuration errors.
     """
     try:
         raw = json.loads(

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigurationError, DataValidationError, number, read_json, string
+from .errors import ConfigurationError, DataValidationError, known, number, read_json, string
 
 #: Baseline openness share. 0.554 rather than the quoted 0.55: the published
 #: log-log cells (back-solved via the acceptance oracle) are only consistent
@@ -57,18 +57,7 @@ class TradeShockScenario:
     description: str = ""
 
     def __post_init__(self) -> None:
-        # negated comparisons so that a NaN share is rejected too
-        if not self.lambda_baseline < math.inf:
-            raise DataValidationError(
-                f"{self.id}: baseline openness must be finite, got {self.lambda_baseline}"
-            )
-        if not self.delta_lambda >= 0:
-            raise DataValidationError(f"{self.id}: delta_lambda must be non-negative")
-        if not self.lambda_counterfactual > 0:
-            raise DataValidationError(
-                f"{self.id}: counterfactual openness non-positive "
-                f"(delta {self.delta_lambda} >= baseline {self.lambda_baseline})"
-            )
+        _check_shock(self.id, self.delta_lambda, self.lambda_baseline)
 
     @property
     def lambda_counterfactual(self) -> float:
@@ -79,6 +68,20 @@ class TradeShockScenario:
     def delta_lambda_pp(self) -> float:
         """The shock in percentage points (for finite-horizon compounding)."""
         return self.delta_lambda * 100.0
+
+
+def _check_shock(sid: str, delta_lambda: float, lambda_baseline: float) -> None:
+    """The scenario rules: a finite baseline and 0 <= delta_lambda < baseline."""
+    # negated comparisons so that a NaN share is rejected too
+    if not lambda_baseline < math.inf:
+        raise DataValidationError(f"{sid}: baseline openness must be finite, got {lambda_baseline}")
+    if not delta_lambda >= 0:
+        raise DataValidationError(f"{sid}: delta_lambda must be non-negative")
+    if not lambda_baseline - delta_lambda > 0:
+        raise DataValidationError(
+            f"{sid}: counterfactual openness non-positive "
+            f"(delta {delta_lambda} >= baseline {lambda_baseline})"
+        )
 
 
 def build_scenarios(
@@ -156,25 +159,28 @@ class ScenarioConfig:
         lambda_baseline: float,
         custom_scenarios: tuple[TradeShockScenario, ...] = (),
     ) -> None:
-        seen = set(_BUILT_IN)
         for i, s in enumerate(custom_scenarios):
             if s.lambda_baseline != lambda_baseline:
                 raise ConfigurationError(
                     f"custom_scenarios[{i}] is at baseline {s.lambda_baseline}, "
                     f"not the config's {lambda_baseline}"
                 )
-            if s.id in seen:
-                raise ConfigurationError(
-                    f"custom_scenarios[{i}].id {s.id!r} is taken (C1-C3 are built in)"
-                )
-            seen.add(s.id)
         ids = tuple(s.id for s in custom_scenarios)
         self._fill(inputs, lambda_baseline, ids, tuple(s.delta_lambda for s in custom_scenarios))
 
     def _fill(self, *values: object) -> ScenarioConfig:
-        """Set the fields past the frozen ``__setattr__``; a loaded config's
-        columns come here without scenario objects, checked in bulk."""
-        self.__dict__.update(zip(self.__dataclass_fields__, values))
+        """Check that no custom scenario takes the id of a built-in or an
+        earlier one, and set the fields past the frozen ``__setattr__``.  A
+        loaded config's columns come here without scenario objects."""
+        named = dict(zip(self.__dataclass_fields__, values))
+        seen = set(_BUILT_IN)
+        for i, sid in enumerate(named["custom_ids"]):
+            if sid in seen:
+                raise ConfigurationError(
+                    f"custom_scenarios[{i}].id {sid!r} is taken (C1-C3 are built in)"
+                )
+            seen.add(sid)
+        self.__dict__.update(named)
         return self
 
     @property
@@ -186,56 +192,49 @@ class ScenarioConfig:
 def load_scenario_config(path: str | Path) -> ScenarioConfig:
     """Read a JSON scenario config.
 
-    Layout: ``{"inputs": {<four dollar magnitudes>}, "lambda_baseline": x,
-    "custom_scenarios": [{"id", "delta_lambda", "description"?}, ...]}``.
-    All numbers plain decimals, shares on [0, 1].
+    Layout: ``{inputs, lambda_baseline?, custom_scenarios?}``, where
+    ``inputs`` is ``{trade_gap_vs_synthetic_1972, trade_with_us_1958,
+    synthetic_export_excess_1972, gdp_1958}`` and each custom scenario is
+    ``{id, delta_lambda, description?}``; a field marked ``?`` may be left
+    out.  All numbers plain decimals, shares on [0, 1].  Any other field is
+    rejected, named by its path.
     """
     return read_json(Path(path), "scenario config", _config_from_json)
 
 
 def _config_from_json(raw: object) -> ScenarioConfig:
+    """The config in one pass: each object's fields are checked in turn and
+    then its unknown fields, the top level's before the custom scenarios."""
     if not isinstance(raw, dict):
         raise ConfigurationError("expected a JSON object")
-    inputs = ShockInputs(*(number(raw["inputs"][f.name], f.name) for f in fields(ShockInputs)))
+    given = raw["inputs"]
+    if not isinstance(given, dict):
+        raise ConfigurationError("'inputs' must be an object")
+    names = tuple(f.name for f in fields(ShockInputs))
+    inputs = ShockInputs(*(number(given[name], name) for name in names))
+    known(given, names, "inputs: ")
     lam0 = number(raw.get("lambda_baseline", DEFAULT_LAMBDA_BASELINE), "lambda_baseline")
     rows = raw.get("custom_scenarios", [])
-    columns = _custom_columns(rows, lam0)
-    if columns is None:  # the scalar checks, one row at a time, name the first bad input
-        scenarios = tuple(_custom_row(i, row, lam0) for i, row in enumerate(rows))
-        return ScenarioConfig(inputs, lam0, scenarios)
-    return object.__new__(ScenarioConfig)._fill(inputs, lam0, *columns)
-
-
-def _custom_columns(rows: list, lam0: float) -> tuple[tuple[str, ...], tuple[float, ...]] | None:
-    """The custom scenarios' ids and delta_lambdas, checked in bulk as
-    ``_custom_row`` and ``ScenarioConfig`` check each row; None if one fails."""
-    try:
-        ids = tuple(row["id"] for row in rows)
-        deltas = tuple(row["delta_lambda"] for row in rows)
-        texts = ids + tuple(row.get("description", "") for row in rows)
-        if not ({str}.issuperset(map(type, texts)) and {int, float}.issuperset(map(type, deltas))):
-            return None
-        deltas = tuple(map(float, deltas))
-    except (KeyError, TypeError, OverflowError):  # OverflowError: an int beyond float range
-        return None
-    in_range = not deltas or (min(deltas) >= 0 and lam0 - max(deltas) > 0)
-    unique = len(set(ids)) == len(ids) and _BUILT_IN.isdisjoint(ids)
-    return (ids, deltas) if in_range and unique else None
-
-
-def _custom_row(i: int, row: dict, lam0: float) -> TradeShockScenario:
-    """Custom scenario ``i`` through the scalar checks, which name it by its JSON path."""
-    try:
-        return custom_scenario(
-            string(row["id"], "id"), number(row["delta_lambda"], "delta_lambda"), lam0,
-            string(row.get("description", ""), "description"),
-        )
-    except KeyError as exc:
-        raise ConfigurationError(f"custom_scenarios[{i}] missing field {exc}") from None
-    except ConfigurationError as exc:  # its message starts with the field's name
-        raise ConfigurationError(f"custom_scenarios[{i}].{exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(f"custom_scenarios[{i}]: {exc}") from None
+    if not isinstance(rows, list):
+        raise ConfigurationError("'custom_scenarios' must be an array")
+    known(raw, ("inputs", "lambda_baseline", "custom_scenarios"), "")
+    ids, deltas = [], []
+    for i, row in enumerate(rows):
+        try:
+            sid = string(row["id"], "id")
+            delta = number(row["delta_lambda"], "delta_lambda")
+            string(row.get("description", ""), "description")
+            _check_shock(sid, delta, lam0)
+        except KeyError as exc:
+            raise ConfigurationError(f"custom_scenarios[{i}] missing field {exc}") from None
+        except ConfigurationError as exc:  # its message starts with the field's name
+            raise ConfigurationError(f"custom_scenarios[{i}].{exc}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigurationError(f"custom_scenarios[{i}]: {exc}") from None
+        known(row, ("id", "delta_lambda", "description"), "custom_scenarios[{}]: ", i)
+        ids.append(sid)
+        deltas.append(delta)
+    return object.__new__(ScenarioConfig)._fill(inputs, lam0, tuple(ids), tuple(deltas))
 
 
 @functools.cache

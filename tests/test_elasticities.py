@@ -15,13 +15,15 @@ from tradegap import (
     FormKind,
     FunctionalForm,
     Horizon,
+    HorizonKind,
     feyrer_elasticity,
     implied_point_elasticity,
     load_registry,
     seed_registry,
     steady_state_semi_elasticity,
 )
-from tradegap.elasticities import _model_from_json, _registry_from_json
+from tradegap.elasticities import _registry_from_json
+from tradegap.errors import number, string
 
 
 # ---------------------------------------------------------------- conversions
@@ -243,6 +245,14 @@ def write_registry(path, models):
         ({**STEADY, "form": "quadratic"}, "models[1].form: unknown functional form 'quadratic'"),
         ({**GROWTH, "coefficient": {"alpha1": 0.5, "alpha2": 1}},
          "models[1]: no stable steady state"),
+        ({**STEADY, "notes": "x"}, "models[1]: unknown field 'notes'"),
+        ({**STEADY, "horizon": {"kind": "steady_state", "yeras": 12}},
+         "models[1].horizon: unknown field 'yeras'"),
+        ({**GROWTH, "coefficient": {"alpha1": -0.5, "alpha2": 1, "alpha3": 0}},
+         "models[1].coefficient: unknown field 'alpha3'"),
+        # a model's own checks come before its unknown fields
+        ({**STEADY, "notes": "x", "coefficient": "1"},
+         "models[1].coefficient must be a number, got '1'"),
     ],
 )
 def test_registry_reads_each_field_as_written(tmp_path, model, message):
@@ -254,12 +264,27 @@ def test_registry_reads_each_field_as_written(tmp_path, model, message):
 
 def test_registry_structure_errors(tmp_path):
     reg = tmp_path / "r.json"
-    reg.write_text('{"schema_version": 1, "models": {}}', encoding="utf-8")
+    for models in ("{}", "null", '"abc"'):
+        reg.write_text(f'{{"schema_version": 1, "models": {models}}}', encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="'models' must be an array"):
+            load_registry(reg)
+    # the top level's unknown fields come after its own, before any model's
+    reg.write_text('{"schema_version": 1, "model": [], "models": {}}', encoding="utf-8")
     with pytest.raises(ConfigurationError, match="'models' must be an array"):
+        load_registry(reg)
+    reg.write_text('{"schema_version": 1, "models": [{}], "model": []}', encoding="utf-8")
+    with pytest.raises(ConfigurationError, match=r"r\.json: unknown field 'model'"):
         load_registry(reg)
     missing = {key: value for key, value in STEADY.items() if key != "horizon"}
     with pytest.raises(ConfigurationError, match=re.escape("models[0] missing field 'horizon'")):
         load_registry(write_registry(reg, [missing]))
+
+
+def test_row_errors_come_before_duplicate_names(tmp_path):
+    models = [{**STEADY, "name": "a"}, {**STEADY, "name": "a"}, {**STEADY, "coefficient": "x"}]
+    message = "models[2].coefficient must be a number, got 'x'"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        load_registry(write_registry(tmp_path / "r.json", models))
 
 
 def test_registry_is_never_empty(tmp_path):
@@ -296,7 +321,7 @@ def test_registry_columns_round_trip_its_models(registry):
     assert registry.get("feyrer") == registry.entries[-1]
 
 
-# ---------------------------------------- the bulk read against the scalar read
+# ------------------------------------------- the read against a reference read
 
 numbers = st.one_of(st.floats(-3, 3), st.integers(-3, 3))
 
@@ -347,21 +372,27 @@ CHANGES = [
     ("short_run_epsilon", "0.02"), ("short_run_epsilon", True), ("short_run_epsilon", None),
     ("short_run_epsilon", 10**400), ("short_run_epsilon", MISSING),
     ("source_note", 5), ("source_note", None), ("source_note", ["a"]),
+    ("notes", "x"), ("horizon", {"kind": "steady_state", "yeras": 12}),
+    ("horizon", {"kind": "finite", "years": 12, "yeras": 12}),
+    ("coefficient", {"alpha1": -0.04, "alpha2": 0.01, "alpha3": 0}),
     ("row", None), ("row", "x"), ("row", [1]),
 ]
 
 
 @st.composite
 def registry_json(draw):
-    """1-5 valid models, mostly with one field of one model changed by ``CHANGES``."""
+    """1-5 valid models, mostly with one or two fields of one model changed
+    by ``CHANGES``."""
     models = draw(st.lists(valid_models(), min_size=1, max_size=5))
     for i, model in enumerate(models):
         model["name"] = f"m{i}"
-    if draw(st.integers(0, 4)):
-        i = draw(st.integers(0, len(models) - 1))
+    i = draw(st.integers(0, len(models) - 1))
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
         field, value = draw(st.sampled_from(CHANGES))
         if field == "row":
             models[i] = value
+        elif not isinstance(models[i], dict):  # an earlier change replaced it
+            continue
         elif value is MISSING:
             models[i].pop(field, None)
         else:
@@ -377,8 +408,76 @@ def read(parse, models):
         return str(exc)
 
 
-def scalar_read(models):
-    return ElasticityRegistry([_model_from_json(i, row) for i, row in enumerate(models)])
+# The reference: the registry read one model object at a time through the
+# constructors, as it was before the one-pass reader, extended to reject
+# unknown fields after each model's other checks.
+
+def reference_form(kind, coefficient):
+    try:
+        k = FormKind(kind)
+    except ValueError:
+        raise ConfigurationError(f"form: unknown functional form {kind!r}") from None
+    if k is FormKind.GROWTH_WITH_CONVERGENCE:
+        if not isinstance(coefficient, dict):
+            raise ConfigurationError("coefficient of a growth form must be {alpha1, alpha2}")
+        return FunctionalForm.growth_with_convergence(
+            number(coefficient["alpha1"], "coefficient.alpha1"),
+            number(coefficient["alpha2"], "coefficient.alpha2"),
+        )
+    coefficient = number(coefficient, "coefficient")
+    if k is FormKind.LOG_LINEAR_LEVEL:
+        return FunctionalForm.log_linear(coefficient)
+    return FunctionalForm.log_log(coefficient)
+
+
+def reference_horizon(obj):
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise ConfigurationError(f"horizon must be an object with a 'kind': {obj!r}")
+    try:
+        kind = HorizonKind(obj["kind"])
+    except ValueError:
+        raise ConfigurationError(f"horizon.kind: unknown horizon kind {obj['kind']!r}") from None
+    years = obj.get("years")
+    if years is not None and (type(years) not in (int, float) or int(years) != years):
+        raise ConfigurationError(f"horizon.years must be a whole number, got {years!r}")
+    return Horizon(kind, None if years is None else int(years))
+
+
+def reference_model(i, row):
+    try:
+        model = ElasticityModel(
+            name=string(row["name"], "name"),
+            form=reference_form(row["form"], row.get("coefficient")),
+            horizon=reference_horizon(row["horizon"]),
+            short_run_epsilon=(
+                None if row.get("short_run_epsilon") is None
+                else number(row["short_run_epsilon"], "short_run_epsilon")
+            ),
+            source_note=string(row.get("source_note", ""), "source_note"),
+        )
+    except KeyError as exc:
+        raise ConfigurationError(f"models[{i}] missing field {exc}") from None
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"models[{i}].{exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"models[{i}]: {exc}") from None
+    objects = [
+        (f"models[{i}].horizon", row["horizon"], {"kind", "years"}),
+        (f"models[{i}]", row, {
+            "name", "form", "coefficient", "horizon", "short_run_epsilon", "source_note",
+        }),
+    ]
+    if model.form.kind is FormKind.GROWTH_WITH_CONVERGENCE:
+        objects.insert(0, (f"models[{i}].coefficient", row["coefficient"], {"alpha1", "alpha2"}))
+    for path, obj, fields in objects:
+        unknown = [key for key in obj if key not in fields]
+        if unknown:
+            raise ConfigurationError(f"{path}: unknown field {unknown[0]!r}")
+    return model
+
+
+def reference_read(models):
+    return ElasticityRegistry([reference_model(i, row) for i, row in enumerate(models)])
 
 
 @settings(max_examples=300, deadline=None)
@@ -388,12 +487,15 @@ def scalar_read(models):
 @example([{**STEADY, "horizon": {"kind": "steady_state", "years": 12}}])
 @example([{**FINITE, "short_run_epsilon": None}])
 @example([horizon("finite", years=12.5)])
-def test_bulk_read_is_the_scalar_read(models):
-    """The column read loads the registry the scalar read loads, field for
+@example([{**STEADY, "name": "a"}, {**STEADY, "name": "a"}, {**STEADY, "coefficient": "x"}])
+@example([{**FINITE, "horizon": {"kind": "decadal"}, "short_run_epsilon": "0.02"}])
+def test_read_is_the_reference_read(models):
+    """The one-pass read loads the registry the reference loads, field for
     field, or raises the same message."""
     models = json.loads(json.dumps(models))
-    bulk = read(lambda rows: _registry_from_json({"schema_version": 1, "models": rows}), models)
-    scalar = read(scalar_read, models)
-    assert bulk == scalar
-    if not isinstance(bulk, str):
-        assert bulk.entries == scalar.entries
+    loaded = read(lambda rows: _registry_from_json({"schema_version": 1, "models": rows}), models)
+    reference = read(reference_read, models)
+    assert loaded == reference
+    if not isinstance(loaded, str):  # each value of the same type, too
+        assert repr(loaded) == repr(reference)
+        assert loaded.entries == reference.entries

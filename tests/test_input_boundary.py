@@ -290,6 +290,35 @@ def test_config_string_where_a_number_belongs(tmp_path, capsys):
         ({"custom_scenarios": [{"id": "a", "delta_lambda": 0.1},
                                {"id": "a", "delta_lambda": 0.2}]},
          "custom_scenarios[1].id 'a' is taken (C1-C3 are built in)"),
+        # each row's checks come before the ids', which run after the last row
+        ({"custom_scenarios": [{"id": "a", "delta_lambda": 0.1},
+                               {"id": "a", "delta_lambda": 0.1},
+                               {"id": "b", "delta_lambda": "0.2"}]},
+         "custom_scenarios[2].delta_lambda must be a number, got '0.2'"),
+        ({"custom_scenarios": None}, "'custom_scenarios' must be an array"),
+        ({"custom_scenarios": {"id": "x", "delta_lambda": 0.1}},
+         "'custom_scenarios' must be an array"),
+        ({"custom_scenarios": "ab"}, "'custom_scenarios' must be an array"),
+        ({"inputs": [1, 2, 3, 4]}, "'inputs' must be an object"),
+        ({"inputs": None}, "'inputs' must be an object"),
+        ({"lambda_basline": 0.60, "custom_scenario": [{"id": "x", "delta_lambda": 0.1}]},
+         "unknown field 'lambda_basline'"),
+        ({"custom_scenario": [{"id": "x", "delta_lambda": 0.1}]},
+         "unknown field 'custom_scenario'"),
+        ({"inputs": {**INPUTS, "gdp": 3105}}, "inputs: unknown field 'gdp'"),
+        ({"custom_scenarios": [{"id": "x", "delta_lambda": 0.1, "desc": "y"}]},
+         "custom_scenarios[0]: unknown field 'desc'"),
+        ({"custom_scenarios": [{"id": "x", "delta_lambda": 0.1, "desc": "y"},
+                               {"id": "x", "delta_lambda": 0.1}]},
+         "custom_scenarios[0]: unknown field 'desc'"),
+        # an object's own checks come before its unknown fields
+        ({"inputs": {**INPUTS, "gdp": 3105, "gdp_1958": "3105"}},
+         "gdp_1958 must be a number, got '3105'"),
+        ({"custom_scenarios": [{"id": "x", "desc": "y", "delta_lambda": 0.6}]},
+         "custom_scenarios[0]: x: counterfactual openness non-positive"),
+        ({"lambda_baseline": "0.6", "lambda_basline": 0.6}, "lambda_baseline must be a number"),
+        ({"custom_scenario": [], "custom_scenarios": [{"id": "x", "delta_lambda": "0.1"}]},
+         "unknown field 'custom_scenario'"),
     ],
 )
 def test_config_reads_each_field_as_written(tmp_path, change, message):

@@ -1,13 +1,15 @@
 import json
 import math
+from dataclasses import fields
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tradegap import (
     ConfigurationError,
     DataValidationError,
+    ScenarioConfig,
     ShockInputs,
     TradeShockScenario,
     build_scenarios,
@@ -15,6 +17,8 @@ from tradegap import (
     default_scenario_config,
     load_scenario_config,
 )
+from tradegap.errors import number, string
+from tradegap.scenarios import _config_from_json
 
 INPUTS = ShockInputs(530.0, 1122.0, 244.0, 3105.0)
 
@@ -164,3 +168,157 @@ def test_default_config_is_reloadable():
     a = default_scenario_config()
     b = default_scenario_config()
     assert a == b
+
+
+# ------------------------------------------ the read against a reference read
+
+# The reference: each custom scenario read as an object, as it was before the
+# one-pass reader, then the config's checks; extended to reject a field of the
+# wrong shape or an unknown one, each object's unknown fields after its other
+# fields and the top level's before the custom scenarios.
+
+def unknown_fields(path, obj, known):
+    unknown = [key for key in obj if key not in known]
+    if unknown:
+        raise ConfigurationError(f"{path}unknown field {unknown[0]!r}")
+
+
+def reference_row(i, row, lam0):
+    try:
+        scenario = custom_scenario(
+            string(row["id"], "id"), number(row["delta_lambda"], "delta_lambda"), lam0,
+            string(row.get("description", ""), "description"),
+        )
+    except KeyError as exc:
+        raise ConfigurationError(f"custom_scenarios[{i}] missing field {exc}") from None
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"custom_scenarios[{i}].{exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"custom_scenarios[{i}]: {exc}") from None
+    unknown_fields(f"custom_scenarios[{i}]: ", row, {"id", "delta_lambda", "description"})
+    return scenario
+
+
+def reference_config(raw):
+    if not isinstance(raw, dict):
+        raise ConfigurationError("expected a JSON object")
+    if not isinstance(raw["inputs"], dict):
+        raise ConfigurationError("'inputs' must be an object")
+    names = [f.name for f in fields(ShockInputs)]
+    inputs = ShockInputs(*(number(raw["inputs"][name], name) for name in names))
+    unknown_fields("inputs: ", raw["inputs"], names)
+    lam0 = number(raw.get("lambda_baseline", 0.554), "lambda_baseline")
+    rows = raw.get("custom_scenarios", [])
+    if not isinstance(rows, list):
+        raise ConfigurationError("'custom_scenarios' must be an array")
+    unknown_fields("", raw, {"inputs", "lambda_baseline", "custom_scenarios"})
+    scenarios = tuple(reference_row(i, row, lam0) for i, row in enumerate(rows))
+    seen = {"C1", "C2", "C3"}
+    for i, s in enumerate(scenarios):
+        if s.id in seen:
+            raise ConfigurationError(
+                f"custom_scenarios[{i}].id {s.id!r} is taken (C1-C3 are built in)"
+            )
+        seen.add(s.id)
+    return ScenarioConfig(inputs, lam0, scenarios)
+
+
+def read(parse, raw):
+    """``parse``'s config of ``raw``, or the message ``read_json`` gives for
+    what it raises."""
+    try:
+        return parse(raw)
+    except KeyError as exc:
+        return f"missing field {exc}"
+    except (ConfigurationError, TypeError, ValueError, OverflowError) as exc:
+        return str(exc)
+
+
+RAW_INPUTS = {
+    "trade_gap_vs_synthetic_1972": 530, "trade_with_us_1958": 1122.0,
+    "synthetic_export_excess_1972": 244, "gdp_1958": 3105.0,
+}
+MISSING = object()
+#: (object, field, value): a field of the top level, of ``inputs`` or of one
+#: custom scenario replaced by a value, or left out if MISSING; "row" replaces
+#: the custom scenario itself.  Most are invalid.
+CHANGES = [
+    ("scenario", "delta_lambda", "0.2"), ("scenario", "delta_lambda", True),
+    ("scenario", "delta_lambda", None), ("scenario", "delta_lambda", -0.1),
+    ("scenario", "delta_lambda", 0), ("scenario", "delta_lambda", 0.554),
+    ("scenario", "delta_lambda", 0.6), ("scenario", "delta_lambda", 10**400),
+    ("scenario", "delta_lambda", MISSING),
+    ("scenario", "id", 5), ("scenario", "id", None), ("scenario", "id", "C2"),
+    ("scenario", "id", "s0"), ("scenario", "id", "s1"), ("scenario", "id", ""),
+    ("scenario", "id", MISSING),
+    ("scenario", "description", 1), ("scenario", "description", None),
+    ("scenario", "description", "x"), ("scenario", "desc", "x"),
+    ("row", None, None), ("row", None, "x"), ("row", None, ["x", 0.1]), ("row", None, 5),
+    ("inputs", "gdp_1958", 0), ("inputs", "gdp_1958", "3105"), ("inputs", "gdp_1958", MISSING),
+    ("inputs", "trade_with_us_1958", -1), ("inputs", "trade_with_us_1958", 10**400),
+    ("inputs", "gdp", 1),
+    ("top", "lambda_baseline", "0.554"), ("top", "lambda_baseline", True),
+    ("top", "lambda_baseline", 0.05), ("top", "lambda_baseline", 1), ("top", "lambda_baseline", 0),
+    ("top", "lambda_baseline", 10**400), ("top", "lambda_baseline", MISSING),
+    ("top", "custom_scenarios", None), ("top", "custom_scenarios", {"id": "x"}),
+    ("top", "custom_scenarios", "ab"), ("top", "custom_scenarios", MISSING),
+    ("top", "lambda_basline", 0.6), ("top", "custom_scenario", []),
+    ("top", "inputs", [1, 2, 3, 4]), ("top", "inputs", None), ("top", "inputs", MISSING),
+]
+
+
+@st.composite
+def config_json(draw):
+    """A valid config with one or two fields changed by ``CHANGES``."""
+    scenarios = [
+        {"id": f"s{i}", "delta_lambda": draw(st.floats(0, 0.5) | st.integers(0, 0))}
+        for i in range(draw(st.integers(0, 4)))
+    ]
+    for scenario in scenarios:
+        if draw(st.booleans()):
+            scenario["description"] = draw(st.text(max_size=3))
+    raw = {"inputs": dict(RAW_INPUTS), "custom_scenarios": scenarios}
+    if draw(st.booleans()):
+        raw["lambda_baseline"] = draw(st.floats(0.5, 0.7))
+    for _ in range(draw(st.integers(1, 2))):
+        where, field, value = draw(st.sampled_from(CHANGES))
+        rows = raw.get("custom_scenarios")
+        if where in ("scenario", "row") and isinstance(rows, list):
+            if not rows:
+                rows.append({"id": "s9", "delta_lambda": 0.1})
+            i = draw(st.integers(0, len(rows) - 1))
+            if where == "row":
+                rows[i] = value
+                continue
+            target = rows[i]
+        else:
+            target = raw if where == "top" else raw.get(where)
+        if not isinstance(target, dict):  # an earlier change replaced it
+            continue
+        if value is MISSING:
+            target.pop(field, None)
+        else:
+            target[field] = value
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(config_json())
+@example({"inputs": RAW_INPUTS, "custom_scenarios": [
+    {"id": "a", "delta_lambda": 0.1}, {"id": "a", "delta_lambda": 0.1},
+    {"id": "b", "delta_lambda": "0.2"},
+]})
+@example({"inputs": RAW_INPUTS, "lambda_basline": 0.6,
+          "custom_scenarios": [{"id": "x", "delta_lambda": 0.1, "desc": ""}]})
+@example({"inputs": RAW_INPUTS, "custom_scenarios": [{"id": "x", "delta_lambda": 0.1, "desc": ""},
+                                                      {"id": "y", "delta_lambda": 0.6}]})
+def test_config_read_is_the_reference_read(raw):
+    """The one-pass read loads the config the reference loads, column for
+    column, or raises the same message."""
+    raw = json.loads(json.dumps(raw))
+    loaded = read(_config_from_json, raw)
+    reference = read(reference_config, raw)
+    assert loaded == reference
+    if not isinstance(loaded, str):  # each value of the same type, too
+        assert repr(loaded) == repr(reference)
+        assert loaded.custom_scenarios == reference.custom_scenarios
