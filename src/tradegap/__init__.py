@@ -8,7 +8,6 @@ underperformance the embargo explains.
 
 from .decomposition import (
     DecompositionResult,
-    DecompositionScheme,
     GapDenominator,
     GapKind,
     additive_log_share,
@@ -68,7 +67,6 @@ __all__ = [
     "ConfigurationError",
     "DataValidationError",
     "DecompositionResult",
-    "DecompositionScheme",
     "ElasticityModel",
     "ElasticityRegistry",
     "FormKind",

@@ -14,7 +14,9 @@ the embargo explain?  Three schemes answer differently:
   ratio ``(y_NE,S - y_E,S) / (y_NE,NS - y_E,S)``.
 * linear-levels — treat absolute income contributions as separable and
   take the simple ratio.  Kept for comparison; income is not linear in
-  trade shares and policies, so results carry a warning note.
+  trade shares and policies, so :func:`linear_levels_share` is unsound.
+
+Every scheme's result holds the embargo share ``theta`` alone.
 
 For positive components the geometric share is strictly below the
 additive-log share: the interaction term is charged entirely against the
@@ -98,37 +100,11 @@ class GapDenominator:
         return f"explicit log gap {self.log_points:g}"
 
 
-class DecompositionScheme(enum.Enum):
-    ADDITIVE_LOG = "additive_log"
-    GEOMETRIC = "geometric"
-    LINEAR_LEVELS = "linear_levels"
-
-
-_LINEAR_LEVELS_NOTE = (
-    "levels-linear scheme: income assumed linear in trade shares and "
-    "policies; no sound microfoundation"
-)
-
-
 @dataclass(frozen=True)
 class DecompositionResult:
-    """Embargo share of the total gap under one scheme.
+    """Embargo share of the total gap under one scheme."""
 
-    ``c_ne``/``c_ns`` hold the additive components (log points for the
-    additive-log scheme, absolute income units for linear-levels);
-    ``g_ne``/``g_ns`` hold the relative-level components of the geometric
-    scheme, with their product recorded as ``interaction``.  Fields not
-    used by a scheme stay ``None``.
-    """
-
-    scheme: DecompositionScheme
     theta: float
-    c_ne: float | None = None
-    c_ns: float | None = None
-    g_ne: float | None = None
-    g_ns: float | None = None
-    interaction: float | None = None
-    note: str | None = None
 
     @property
     def policy_share(self) -> float:
@@ -185,12 +161,9 @@ def additive_log_share(effect: GrowthEffect, total: GapDenominator) -> Decomposi
     denominator by construction.  Shares above one are reported untruncated
     (the counterfactual then overshoots the synthetic comparator).
     """
-    c_ne, gap = effect.log_points, total.checked_log_points()
+    gap = total.checked_log_points()
     return DecompositionResult(
-        scheme=DecompositionScheme.ADDITIVE_LOG,
-        theta=additive_log_thetas([c_ne], [effect.relative_level], gap)[0],
-        c_ne=c_ne,
-        c_ns=gap - c_ne,
+        additive_log_thetas([effect.log_points], [effect.relative_level], gap)[0]
     )
 
 
@@ -198,16 +171,10 @@ def geometric_share(g_ne: float, g_ns: float) -> DecompositionResult:
     """Embargo share under the multiplicative scheme.
 
     ``theta = g_NE / (g_NS + g_NE + g_NS*g_NE)``; the denominator is the
-    total relative gap ``(1+g_NE)(1+g_NS) - 1`` and the cross term
-    ``g_NE*g_NS`` is recorded as the interaction.
+    total relative gap ``(1+g_NE)(1+g_NS) - 1``, whose cross term
+    ``g_NE*g_NS``, the interaction, counts wholly against the embargo share.
     """
-    return DecompositionResult(
-        scheme=DecompositionScheme.GEOMETRIC,
-        theta=_geometric_thetas([g_ne], [g_ns])[0],
-        g_ne=g_ne,
-        g_ns=g_ns,
-        interaction=g_ne * g_ns,
-    )
+    return DecompositionResult(_geometric_thetas([g_ne], [g_ns])[0])
 
 
 def geometric_share_from_levels(
@@ -231,19 +198,14 @@ def geometric_share_from_levels(
 
 
 def linear_levels_share(c_ne_linear: float, c_ns_linear: float) -> DecompositionResult:
-    """Simple ratio of absolute income contributions (flagged as unsound)."""
+    """Simple ratio of absolute income contributions, flagged as unsound:
+    income is not linear in trade shares and policies."""
     total = c_ne_linear + c_ns_linear
     if not math.isfinite(total):  # a non-finite component, or a sum beyond float range
         raise DataValidationError(f"c_NE {c_ne_linear!r} + c_NS {c_ns_linear!r} sums to {total!r}")
     if total == 0:
         raise DataValidationError("degenerate decomposition: contributions sum to zero")
-    return DecompositionResult(
-        scheme=DecompositionScheme.LINEAR_LEVELS,
-        theta=c_ne_linear / total,
-        c_ne=c_ne_linear,
-        c_ns=c_ns_linear,
-        note=_LINEAR_LEVELS_NOTE,
-    )
+    return DecompositionResult(c_ne_linear / total)
 
 
 def policy_growth_residual(effect: GrowthEffect, total: GapDenominator) -> float:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Callable, Sequence
 
-from .elasticities import ElasticityModel, FormKind, FunctionalForm, Horizon
+from .elasticities import ElasticityModel, FormKind, FunctionalForm, Horizon, _check_years
 from .errors import DataValidationError
 from .scenarios import TradeShockScenario
 
@@ -126,9 +126,7 @@ class GrowthEffect:
 
     log_points: float
     relative_level: float
-    model_name: str
     scenario_id: str
-    horizon_used: Horizon
 
     def __post_init__(self) -> None:
         _cell(self.scenario_id, _screened, [self.log_points], [self.relative_level])
@@ -138,7 +136,6 @@ def finite_horizon_effect(
     epsilon: float,
     delta_lambda_pp: float,
     years: int,
-    model_name: str = "custom",
     scenario_id: str = "custom",
 ) -> GrowthEffect:
     """Compound an ``epsilon * delta_lambda_pp`` growth boost for ``years``.
@@ -155,29 +152,23 @@ def finite_horizon_effect(
     With ``years=1`` the relative level change equals
     ``epsilon * delta_lambda_pp / 100`` exactly (no compounding noise).
     """
-    horizon = Horizon.finite(years)  # first: it rejects years < 1 or beyond float range
+    _check_years(True, years)  # first: it rejects years < 1 or beyond float range
     cell = _cell(scenario_id, _compounded, [epsilon], [years], [delta_lambda_pp])
-    return GrowthEffect(*cell, model_name, scenario_id, horizon)
+    return GrowthEffect(*cell, scenario_id)
 
 
 def steady_state_effect_loglinear(
-    semi_elasticity: float,
-    scenario: TradeShockScenario,
-    model_name: str = "custom",
+    semi_elasticity: float, scenario: TradeShockScenario
 ) -> GrowthEffect:
     """Steady-state effect of a log-linear level form: ``s * delta_lambda``."""
     form = FunctionalForm.log_linear(semi_elasticity)
-    return evaluate(ElasticityModel(model_name, form, Horizon.steady_state()), scenario)
+    return evaluate(ElasticityModel("custom", form, Horizon.steady_state()), scenario)
 
 
-def steady_state_effect_loglog(
-    elasticity: float,
-    scenario: TradeShockScenario,
-    model_name: str = "custom",
-) -> GrowthEffect:
+def steady_state_effect_loglog(elasticity: float, scenario: TradeShockScenario) -> GrowthEffect:
     """Steady-state effect of a log-log form: ``e * ln(lambda0/lambda_cf)``."""
     form = FunctionalForm.log_log(elasticity)
-    return evaluate(ElasticityModel(model_name, form, Horizon.steady_state()), scenario)
+    return evaluate(ElasticityModel("custom", form, Horizon.steady_state()), scenario)
 
 
 #: A model row's effect parameters: its years (None at the steady state), its
@@ -229,4 +220,4 @@ def evaluate(model: ElasticityModel, scenario: TradeShockScenario) -> GrowthEffe
     """Evaluate a model at a scenario, over the model's own horizon."""
     shocks = shock_columns((scenario.delta_lambda,), scenario.lambda_baseline)
     cell = _cell(scenario.id, effect_columns, model, shocks)
-    return GrowthEffect(*cell, model.name, scenario.id, model.horizon)
+    return GrowthEffect(*cell, scenario.id)

@@ -338,7 +338,7 @@ _HORIZONS = {kind.value: kind for kind in HorizonKind}
 def _registry_from_json(raw: object) -> ElasticityRegistry:
     if not isinstance(raw, dict) or "schema_version" not in raw:
         raise ConfigurationError("missing mandatory schema_version")
-    if raw["schema_version"] != REGISTRY_SCHEMA_VERSION:
+    if type(raw["schema_version"]) is not int or raw["schema_version"] != REGISTRY_SCHEMA_VERSION:
         raise ConfigurationError(f"unsupported schema_version {raw['schema_version']!r}")
     models = raw.get("models")
     if not isinstance(models, list):

@@ -260,9 +260,7 @@ def build_replication_table(
     rows = []
     for scenario in build_scenarios(config.inputs, lam0):
         ratio_pp = round(scenario.delta_lambda_pp, 1)
-        effect = finite_horizon_effect(
-            model.short_run_epsilon, ratio_pp, years, model.name, scenario.id
-        )
+        effect = finite_horizon_effect(model.short_run_epsilon, ratio_pp, years, scenario.id)
         rows.append((scenario.id, ratio_pp, 100.0 * effect.relative_level))
     return ResultTable(
         caption=f"Replication: trade-ratio changes and {years}-year growth effects",

@@ -159,6 +159,7 @@ class ScenarioConfig:
         lambda_baseline: float,
         custom_scenarios: tuple[TradeShockScenario, ...] = (),
     ) -> None:
+        _check_baseline(lambda_baseline)
         for i, s in enumerate(custom_scenarios):
             if s.lambda_baseline != lambda_baseline:
                 raise ConfigurationError(
@@ -189,6 +190,13 @@ class ScenarioConfig:
         return tuple(map(TradeShockScenario, self.custom_ids, self.custom_delta_lambdas, baselines))
 
 
+def _check_baseline(lambda_baseline: float) -> float:
+    """The config rule for the baseline openness: a share on (0, 1]."""
+    if not 0 < lambda_baseline <= 1:  # negated so that NaN is rejected too
+        raise ConfigurationError(f"lambda_baseline must be in (0, 1], got {lambda_baseline}")
+    return lambda_baseline
+
+
 def load_scenario_config(path: str | Path) -> ScenarioConfig:
     """Read a JSON scenario config.
 
@@ -196,8 +204,8 @@ def load_scenario_config(path: str | Path) -> ScenarioConfig:
     ``inputs`` is ``{trade_gap_vs_synthetic_1972, trade_with_us_1958,
     synthetic_export_excess_1972, gdp_1958}`` and each custom scenario is
     ``{id, delta_lambda, description?}``; a field marked ``?`` may be left
-    out.  All numbers plain decimals, shares on [0, 1].  Any other field is
-    rejected, named by its path.
+    out.  All numbers plain decimals, shares on [0, 1], the baseline above
+    0.  Any other field is rejected, named by its path.
     """
     return read_json(Path(path), "scenario config", _config_from_json)
 
@@ -213,7 +221,9 @@ def _config_from_json(raw: object) -> ScenarioConfig:
     names = tuple(f.name for f in fields(ShockInputs))
     inputs = ShockInputs(*(number(given[name], name) for name in names))
     known(given, names, "inputs: ")
-    lam0 = number(raw.get("lambda_baseline", DEFAULT_LAMBDA_BASELINE), "lambda_baseline")
+    lam0 = _check_baseline(
+        number(raw.get("lambda_baseline", DEFAULT_LAMBDA_BASELINE), "lambda_baseline")
+    )
     rows = raw.get("custom_scenarios", [])
     if not isinstance(rows, list):
         raise ConfigurationError("'custom_scenarios' must be an array")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from tradegap import (
     DataValidationError,
     GrowthEffect,
-    Horizon,
     custom_scenario,
     evaluate,
     finite_horizon_effect,
@@ -57,7 +56,7 @@ def test_effect_errors_name_the_scenario_once():
     assert str(info.value).startswith("halved: effect of ")
     assert str(info.value).count("halved") == 1
     with pytest.raises(DataValidationError, match=r"^S: effect of 800.0 log points is out of"):
-        GrowthEffect(800.0, math.inf, "m", "S", Horizon.steady_state())
+        GrowthEffect(800.0, math.inf, "S")
     with pytest.raises(DataValidationError, match="years beyond float range"):
         finite_horizon_effect(0.018, 17.1, 10**400)
 
@@ -85,13 +84,13 @@ def test_minus_infinite_effect_is_out_of_float_range():
     with pytest.raises(DataValidationError, match="^deep: effect of -inf log points is out of"):
         steady_state_effect_loglog(-1e308, custom_scenario("deep", 0.55, 0.554))
     with pytest.raises(DataValidationError, match="^S: effect of -inf log points is out of"):
-        GrowthEffect(-math.inf, -1.0, "m", "S", Horizon.steady_state())
+        GrowthEffect(-math.inf, -1.0, "S")
 
 
 def test_finite_level_of_an_effect_beyond_float_range_is_a_data_error():
     # expm1(800) overflows: no finite relative level can encode the effect
     with pytest.raises(DataValidationError, match=r"^S: effect of 800.0 log points is out of"):
-        GrowthEffect(800.0, 1.0, "m", "S", Horizon.steady_state())
+        GrowthEffect(800.0, 1.0, "S")
     with pytest.raises(DataValidationError, match="^effect of 800.0 log points is out of"):
         _screened([0.1, 800.0, 0.2], [math.expm1(0.1), 1.0, 5.0])
 
@@ -131,9 +130,8 @@ def test_loglog_published_cells(c123):
 def test_evaluate_dispatch_finite(registry, c123):
     _, c2, _ = c123
     e = evaluate(registry.get("yanikkaya"), c2)
-    assert e.horizon_used == Horizon.finite(12)
     assert round(pct(e), 1) == 8.1
-    assert e.model_name == "yanikkaya" and e.scenario_id == "C2"
+    assert e.scenario_id == "C2"
 
 
 def test_evaluate_dispatch_loglinear(registry, c123):
@@ -152,12 +150,12 @@ def test_evaluate_dispatch_loglog(registry):
 
 def test_growth_effect_encodings_must_agree():
     with pytest.raises(DataValidationError, match="inconsistent"):
-        GrowthEffect(0.5, 0.5, "m", "s", Horizon.steady_state())
+        GrowthEffect(0.5, 0.5, "s")
 
 
 @given(st.floats(-0.9, 3.0))
 def test_encodings_agree_and_share_sign(lp):
-    e = GrowthEffect(lp, math.expm1(lp), "m", "s", Horizon.steady_state())
+    e = GrowthEffect(lp, math.expm1(lp), "s")
     assert e.relative_level == pytest.approx(math.expm1(lp), rel=1e-12)
     assert (e.log_points >= 0) == (e.relative_level >= 0)
 

@@ -179,9 +179,11 @@ def test_registry_schema_version_mandatory(tmp_path):
     p.write_text('{"models": []}', encoding="utf-8")
     with pytest.raises(ConfigurationError, match="schema_version"):
         load_registry(p)
-    p.write_text('{"schema_version": 99, "models": []}', encoding="utf-8")
-    with pytest.raises(ConfigurationError, match="unsupported"):
-        load_registry(p)
+    # True == 1 == 1.0, but neither is version 1
+    for version, shown in (("99", "99"), ("true", "True"), ("1.0", "1.0")):
+        p.write_text(f'{{"schema_version": {version}, "models": []}}', encoding="utf-8")
+        with pytest.raises(ConfigurationError, match=f"unsupported schema_version {shown}$"):
+            load_registry(p)
 
 
 def test_registry_bad_json_and_unknown_form(tmp_path):

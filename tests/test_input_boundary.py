@@ -218,7 +218,7 @@ def test_nan_baseline_is_named_as_the_bad_input(command):
 
 def test_effect_beyond_float_range_is_a_data_error():
     with pytest.raises(DataValidationError, match="out of float range"):
-        GrowthEffect(800.0, math.inf, "m", "s", Horizon.steady_state())
+        GrowthEffect(800.0, math.inf, "s")
 
 
 @pytest.mark.parametrize("build", [build_grid, build_table_a3])
@@ -273,6 +273,11 @@ def test_config_string_where_a_number_belongs(tmp_path, capsys):
         ({"inputs": {**INPUTS, "trade_with_us_1958": True}},
          "trade_with_us_1958 must be a number, got True"),
         ({"lambda_baseline": "0.554"}, "lambda_baseline must be a number, got '0.554'"),
+        ({"lambda_baseline": 5}, "lambda_baseline must be in (0, 1], got 5.0"),
+        ({"lambda_baseline": 0}, "lambda_baseline must be in (0, 1], got 0.0"),
+        # the baseline is checked before any custom scenario is read against it
+        ({"lambda_baseline": -0.5, "custom_scenarios": [{"id": "x", "delta_lambda": 0.1}]},
+         "lambda_baseline must be in (0, 1], got -0.5"),
         ({"custom_scenarios": [{"id": 5, "delta_lambda": 0.1}]},
          "custom_scenarios[0].id must be a string, got 5"),
         ({"custom_scenarios": [{"id": "a", "delta_lambda": 0.1},
@@ -329,6 +334,13 @@ def test_config_reads_each_field_as_written(tmp_path, change, message):
     code, out, err = run_cli(["grid", "--config", str(cfg)])
     assert (code, out) == (2, "")
     assert message in err
+
+
+def test_config_constructor_applies_the_baseline_rule():
+    for lam0 in (5, 0, -0.5, math.nan):
+        message = f"lambda_baseline must be in (0, 1], got {lam0}"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            ScenarioConfig(ShockInputs(530, 1122, 244, 3105), lam0)
 
 
 def test_registry_string_where_years_belong(tmp_path):

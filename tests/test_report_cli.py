@@ -266,6 +266,22 @@ def test_package_init_holds_only_a_docstring_imports_and_assignments():
     assert body and all(isinstance(node, (ast.Import, ast.ImportFrom, ast.Assign)) for node in body)
 
 
+def test_package_all_is_what_init_imports():
+    """``__all__`` names each name ``__init__.py`` imports, and ``__version__``,
+    once; ``from tradegap import *`` binds every one of them."""
+    path = Path(__file__).resolve().parents[1] / "src" / "tradegap" / "__init__.py"
+    imported = [
+        alias.asname or alias.name
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(tradegap.__all__) == sorted(imported + ["__version__"])
+    namespace = {}
+    exec("from tradegap import *", namespace)
+    assert set(tradegap.__all__) <= namespace.keys()
+
+
 # ----------------------------------------------------------------- rendering
 
 NUM = re.compile(r"-?\d+\.\d+")

@@ -208,6 +208,8 @@ def reference_config(raw):
     inputs = ShockInputs(*(number(raw["inputs"][name], name) for name in names))
     unknown_fields("inputs: ", raw["inputs"], names)
     lam0 = number(raw.get("lambda_baseline", 0.554), "lambda_baseline")
+    if not 0 < lam0 <= 1:
+        raise ConfigurationError(f"lambda_baseline must be in (0, 1], got {lam0}")
     rows = raw.get("custom_scenarios", [])
     if not isinstance(rows, list):
         raise ConfigurationError("'custom_scenarios' must be an array")
@@ -259,6 +261,7 @@ CHANGES = [
     ("inputs", "gdp", 1),
     ("top", "lambda_baseline", "0.554"), ("top", "lambda_baseline", True),
     ("top", "lambda_baseline", 0.05), ("top", "lambda_baseline", 1), ("top", "lambda_baseline", 0),
+    ("top", "lambda_baseline", 5), ("top", "lambda_baseline", -0.5),
     ("top", "lambda_baseline", 10**400), ("top", "lambda_baseline", MISSING),
     ("top", "custom_scenarios", None), ("top", "custom_scenarios", {"id": "x"}),
     ("top", "custom_scenarios", "ab"), ("top", "custom_scenarios", MISSING),
