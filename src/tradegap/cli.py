@@ -23,7 +23,7 @@ from typing import Callable
 from . import report
 from .decomposition import GapDenominator
 from .errors import ConfigurationError, DataValidationError
-from .scenarios import default_scenario_config, load_scenario_config
+from .scenarios import _check_baseline, default_scenario_config, load_scenario_config
 from .series import load_series, log_gap
 
 
@@ -38,10 +38,18 @@ def _years(text: str) -> int:
     return years
 
 
+def _baseline(text: str) -> float:
+    """The type of ``--lambda-baseline``: a share on (0, 1], as in a config file."""
+    try:
+        return _check_baseline(float(text))
+    except (ValueError, ConfigurationError):
+        raise argparse.ArgumentTypeError(f"expected a share in (0, 1], got {text!r}") from None
+
+
 #: Builder keyword -> the flags that feed it, as (flag, type, metavar, help).
 _FLAGS: dict[str, tuple[tuple[str, Callable[[str], object], str, str], ...]] = {
     "years": (("--years", _years, "N", "override the finite compounding horizon, N >= 1"),),
-    "lambda_baseline": (("--lambda-baseline", float, "X", "override baseline openness share"),),
+    "lambda_baseline": (("--lambda-baseline", _baseline, "X", "override baseline openness share"),),
     "gap": (
         ("--gap", float, "LOG_POINTS", "explicit total-gap denominator in log points"),
         ("--gap-synthetic", str, "CSV",

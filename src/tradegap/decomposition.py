@@ -28,10 +28,9 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
 
 from .effects import GrowthEffect
-from .errors import ConfigurationError, DataValidationError
+from .errors import ConfigurationError, DataValidationError, _Value
 
 #: Calibrated 2024 log gap ln(y_synthetic / y_historical).  Not printed in
 #: the source tables; recovered by the back-out oracle (see
@@ -57,12 +56,10 @@ class GapKind(enum.Enum):
     EXPLICIT = "explicit"
 
 
-@dataclass(frozen=True)
-class GapDenominator:
+class GapDenominator(_Value):
     """Total underperformance ln(y_synthetic / y_historical), in log points."""
 
-    kind: GapKind
-    log_points: float
+    __slots__ = ("kind", "log_points")
 
     @classmethod
     def calibrated_2024(cls) -> "GapDenominator":
@@ -100,11 +97,10 @@ class GapDenominator:
         return f"explicit log gap {self.log_points:g}"
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
-    """Embargo share of the total gap under one scheme."""
+class DecompositionResult(_Value):
+    """Embargo share ``theta`` of the total gap under one scheme."""
 
-    theta: float
+    __slots__ = ("theta",)
 
     @property
     def policy_share(self) -> float:

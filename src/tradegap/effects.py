@@ -26,12 +26,11 @@ same kernels on one row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Callable, Sequence
 
 from .elasticities import ElasticityModel, FormKind, FunctionalForm, Horizon, _check_years
-from .errors import DataValidationError
+from .errors import DataValidationError, _Value
 from .scenarios import TradeShockScenario
 
 #: Columns of effects, one entry per scenario: (log points, relative levels).
@@ -120,13 +119,10 @@ def _cell(scenario_id: str, kernel: Callable[..., Effects], *args: object) -> tu
     return log_points, relative_level
 
 
-@dataclass(frozen=True)
-class GrowthEffect:
+class GrowthEffect(_Value):
     """A shock's income effect in log points and as a relative level change."""
 
-    log_points: float
-    relative_level: float
-    scenario_id: str
+    __slots__ = ("log_points", "relative_level", "scenario_id")
 
     def __post_init__(self) -> None:
         _cell(self.scenario_id, _screened, [self.log_points], [self.relative_level])

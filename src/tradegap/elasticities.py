@@ -28,11 +28,11 @@ from __future__ import annotations
 import enum
 import functools
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import ConfigurationError, DataValidationError, known, number, read_json, string
+from .errors import (ConfigurationError, DataValidationError, _Value, known, number,
+                     read_json, string)
 
 REGISTRY_SCHEMA_VERSION = 1
 
@@ -47,11 +47,10 @@ class FormKind(enum.Enum):
     LOG_LOG_LEVEL = "log_log_level"
 
 
-@dataclass(frozen=True)
-class FunctionalForm:
+class FunctionalForm(_Value):
     """A functional form plus its coefficient payload.
 
-    Exactly the fields demanded by ``kind`` are set:
+    Exactly the coefficients demanded by ``kind`` are set, the others None:
 
     * ``GROWTH_WITH_CONVERGENCE`` — ``alpha1`` (per-period convergence,
       strictly negative) and ``alpha2`` (growth points per unit share);
@@ -59,11 +58,8 @@ class FunctionalForm:
     * ``LOG_LOG_LEVEL`` — ``e`` (log-points per log-point of openness).
     """
 
-    kind: FormKind
-    alpha1: float | None = None
-    alpha2: float | None = None
-    s: float | None = None
-    e: float | None = None
+    __slots__ = ("kind", "alpha1", "alpha2", "s", "e")
+    _defaults = (None, None, None, None)
 
     def __post_init__(self) -> None:
         if self.kind is FormKind.GROWTH_WITH_CONVERGENCE:
@@ -83,15 +79,15 @@ class FunctionalForm:
 
     @classmethod
     def growth_with_convergence(cls, alpha1: float, alpha2: float) -> "FunctionalForm":
-        return cls(FormKind.GROWTH_WITH_CONVERGENCE, alpha1=alpha1, alpha2=alpha2)
+        return cls(FormKind.GROWTH_WITH_CONVERGENCE, alpha1, alpha2)
 
     @classmethod
     def log_linear(cls, s: float) -> "FunctionalForm":
-        return cls(FormKind.LOG_LINEAR_LEVEL, s=s)
+        return cls(FormKind.LOG_LINEAR_LEVEL, None, None, s)
 
     @classmethod
     def log_log(cls, e: float) -> "FunctionalForm":
-        return cls(FormKind.LOG_LOG_LEVEL, e=e)
+        return cls(FormKind.LOG_LOG_LEVEL, None, None, None, e)
 
     def level_coefficient(self) -> float:
         """Reduce the form to a steady-state level coefficient.
@@ -111,19 +107,18 @@ class HorizonKind(enum.Enum):
     STEADY_STATE = "steady_state"
 
 
-@dataclass(frozen=True)
-class Horizon:
-    """Evaluation horizon: compound for ``years`` periods, or the long run."""
+class Horizon(_Value):
+    """Evaluation horizon: compound for ``years`` periods, or the long run (None)."""
 
-    kind: HorizonKind
-    years: int | None = None
+    __slots__ = ("kind", "years")
+    _defaults = (None,)
 
     def __post_init__(self) -> None:
         _check_years(self.kind is HorizonKind.FINITE, self.years)
 
     @classmethod
     def finite(cls, years: int) -> "Horizon":
-        return cls(HorizonKind.FINITE, years=years)
+        return cls(HorizonKind.FINITE, years)
 
     @classmethod
     def steady_state(cls) -> "Horizon":
@@ -146,8 +141,7 @@ def _check_years(finite: bool, years: int | None) -> None:
         raise DataValidationError("steady-state horizon takes no years")
 
 
-@dataclass(frozen=True)
-class ElasticityModel:
+class ElasticityModel(_Value):
     """A named elasticity estimate from the literature.
 
     Parameters
@@ -165,11 +159,8 @@ class ElasticityModel:
         Free-text provenance of the estimate.
     """
 
-    name: str
-    form: FunctionalForm
-    horizon: Horizon
-    short_run_epsilon: float | None = None
-    source_note: str = ""
+    __slots__ = ("name", "form", "horizon", "short_run_epsilon", "source_note")
+    _defaults = (None, "")
 
     def __post_init__(self) -> None:
         _check_model(self.name, self.horizon.kind is HorizonKind.FINITE, self.short_run_epsilon)
@@ -183,8 +174,7 @@ def _check_model(name: str, finite: bool, short_run_epsilon: float | None) -> No
         raise DataValidationError(f"model {name!r}: finite horizon requires short_run_epsilon")
 
 
-@dataclass(frozen=True, init=False)
-class ElasticityRegistry:
+class ElasticityRegistry(_Value):
     """Ordered, name-unique, non-empty collection of elasticity models.
 
     The models are held as one column per field: ``levels`` holds each
@@ -194,13 +184,7 @@ class ElasticityRegistry:
     and :meth:`get` build :class:`ElasticityModel` objects on each access.
     """
 
-    names: tuple[str, ...]
-    forms: tuple[FormKind, ...]
-    levels: tuple[float, ...]
-    alphas: tuple[tuple[float, float] | None, ...]
-    years: tuple[int | None, ...]
-    epsilons: tuple[float | None, ...]
-    notes: tuple[str, ...]
+    __slots__ = ("names", "forms", "levels", "alphas", "years", "epsilons", "notes")
 
     def __init__(self, entries: Iterable[ElasticityModel]) -> None:
         self._fill([
@@ -213,8 +197,8 @@ class ElasticityRegistry:
 
     def _fill(self, rows: list[tuple]) -> ElasticityRegistry:
         """Check that there is a model and no name twice, and set the columns
-        of ``rows``, one value per field each, past the frozen ``__setattr__``.
-        A loaded registry's rows come here without model objects."""
+        of ``rows``, one value per field each.  A loaded registry's rows come
+        here without model objects."""
         if not rows:
             raise ConfigurationError("empty selection: no models in registry")
         seen: set[str] = set()
@@ -222,7 +206,7 @@ class ElasticityRegistry:
             if name in seen:
                 raise ConfigurationError(f"duplicate model name {name!r} in registry")
             seen.add(name)
-        self.__dict__.update(zip(self.__dataclass_fields__, zip(*rows)))
+        self.__setstate__(zip(*rows))
         return self
 
     def _model(self, i: int) -> ElasticityModel:
@@ -230,9 +214,9 @@ class ElasticityRegistry:
         if alphas is not None:
             form = FunctionalForm(kind, *alphas)
         elif kind is FormKind.LOG_LINEAR_LEVEL:
-            form = FunctionalForm(kind, s=level)
+            form = FunctionalForm(kind, None, None, level)
         else:
-            form = FunctionalForm(kind, e=level)
+            form = FunctionalForm(kind, None, None, None, level)
         horizon = Horizon.steady_state() if years is None else Horizon.finite(years)
         return ElasticityModel(self.names[i], form, horizon, self.epsilons[i], self.notes[i])
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
 from itertools import product, repeat
 from typing import Callable, NamedTuple, Sequence
 
@@ -25,7 +24,7 @@ from .effects import (
     shock_columns,
 )
 from .elasticities import ElasticityRegistry, Horizon, seed_registry
-from .errors import ConfigurationError, DataValidationError
+from .errors import ConfigurationError, DataValidationError, _Value
 from .scenarios import (
     ScenarioConfig,
     TradeShockScenario,
@@ -79,15 +78,11 @@ def _length(block: Block) -> int:
     return len(next((col for col in block if not isinstance(col, str)), ()))
 
 
-@dataclass(frozen=True, init=False)
-class ResultTable:
+class ResultTable(_Value):
     """A table held as column blocks, its rows running block by block.
     ``rows``, given in place of ``blocks``, makes one block of those rows."""
 
-    caption: str
-    columns: tuple[str, ...]
-    blocks: tuple[Block, ...]
-    footnotes: tuple[str, ...]
+    __slots__ = ("caption", "columns", "blocks", "footnotes")
 
     def __init__(
         self,
@@ -99,7 +94,7 @@ class ResultTable:
         rows: Sequence[Sequence[object]] | None = None,
     ) -> None:
         blocks = blocks if rows is None else (tuple(zip(*rows)),)
-        self.__dict__.update(caption=caption, columns=columns, blocks=blocks, footnotes=footnotes)
+        self.__setstate__((caption, columns, blocks, footnotes))
 
     @property
     def rows(self) -> tuple[tuple[object, ...], ...]:
@@ -407,7 +402,7 @@ def build_gap_audit(
     names = dict.fromkeys(name for name, _ in PUBLISHED_LOG_LINEAR_SHARES)
     # log-linear steady-state effects regardless of each model's default horizon
     steady = Horizon.steady_state()
-    models = [replace(registry.get(n), horizon=steady) for n in names]
+    models = [registry.get(n)._replace(horizon=steady) for n in names]
     scenarios = _table_scenarios(config, lambda_baseline)
     rows = []
     for model in models:

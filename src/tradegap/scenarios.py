@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigurationError, DataValidationError, known, number, read_json, string
+from .errors import (ConfigurationError, DataValidationError, _Value, known, number,
+                     read_json, string)
 
 #: Baseline openness share. 0.554 rather than the quoted 0.55: the published
 #: log-log cells (back-solved via the acceptance oracle) are only consistent
@@ -25,14 +25,11 @@ DEFAULT_LAMBDA_BASELINE = 0.554
 _CONFIG_RESOURCE = Path(__file__).parent / "data" / "scenario_config.json"
 
 
-@dataclass(frozen=True)
-class ShockInputs:
+class ShockInputs(_Value):
     """Dollar magnitudes the scenarios are constructed from (1957 USD millions)."""
 
-    trade_gap_vs_synthetic_1972: float
-    trade_with_us_1958: float
-    synthetic_export_excess_1972: float
-    gdp_1958: float
+    __slots__ = ("trade_gap_vs_synthetic_1972", "trade_with_us_1958",
+                 "synthetic_export_excess_1972", "gdp_1958")
 
     def __post_init__(self) -> None:
         # negated comparisons so that NaN is rejected too
@@ -47,14 +44,11 @@ class ShockInputs:
                 raise DataValidationError(f"{name} must be non-negative and finite")
 
 
-@dataclass(frozen=True)
-class TradeShockScenario:
+class TradeShockScenario(_Value):
     """A named openness decline: positive delta_lambda = openness foregone."""
 
-    id: str
-    delta_lambda: float
-    lambda_baseline: float
-    description: str = ""
+    __slots__ = ("id", "delta_lambda", "lambda_baseline", "description")
+    _defaults = ("",)
 
     def __post_init__(self) -> None:
         _check_shock(self.id, self.delta_lambda, self.lambda_baseline)
@@ -140,18 +134,15 @@ def custom_scenario(
 _BUILT_IN = frozenset({"C1", "C2", "C3"})
 
 
-@dataclass(frozen=True, init=False)
-class ScenarioConfig:
+class ScenarioConfig(_Value):
     """Parsed scenario config: inputs, baseline openness, extra scenarios.
 
-    The extra scenarios are held as two columns, all at ``lambda_baseline``;
-    ``custom_scenarios`` builds them as scenario objects on each access.
+    The extra scenarios are held as two columns, ``custom_ids`` and
+    ``custom_delta_lambdas``, all at ``lambda_baseline``; ``custom_scenarios``
+    builds them as scenario objects on each access.
     """
 
-    inputs: ShockInputs
-    lambda_baseline: float
-    custom_ids: tuple[str, ...]
-    custom_delta_lambdas: tuple[float, ...]
+    __slots__ = ("inputs", "lambda_baseline", "custom_ids", "custom_delta_lambdas")
 
     def __init__(
         self,
@@ -171,17 +162,16 @@ class ScenarioConfig:
 
     def _fill(self, *values: object) -> ScenarioConfig:
         """Check that no custom scenario takes the id of a built-in or an
-        earlier one, and set the fields past the frozen ``__setattr__``.  A
-        loaded config's columns come here without scenario objects."""
-        named = dict(zip(self.__dataclass_fields__, values))
+        earlier one, and set the fields.  A loaded config's columns come here
+        without scenario objects."""
         seen = set(_BUILT_IN)
-        for i, sid in enumerate(named["custom_ids"]):
+        for i, sid in enumerate(values[2]):  # the custom ids
             if sid in seen:
                 raise ConfigurationError(
                     f"custom_scenarios[{i}].id {sid!r} is taken (C1-C3 are built in)"
                 )
             seen.add(sid)
-        self.__dict__.update(named)
+        self.__setstate__(values)
         return self
 
     @property
@@ -218,7 +208,7 @@ def _config_from_json(raw: object) -> ScenarioConfig:
     given = raw["inputs"]
     if not isinstance(given, dict):
         raise ConfigurationError("'inputs' must be an object")
-    names = tuple(f.name for f in fields(ShockInputs))
+    names = ShockInputs.__slots__
     inputs = ShockInputs(*(number(given[name], name) for name in names))
     known(given, names, "inputs: ")
     lam0 = _check_baseline(

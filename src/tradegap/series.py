@@ -9,28 +9,24 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from pathlib import Path
 
 import math
 
 from .decomposition import GapDenominator
-from .errors import DataValidationError
+from .errors import DataValidationError, _Value
 
 
-@dataclass(frozen=True)
-class Observation:
-    year: int
-    value: float
-    source_tag: str = ""
+class Observation(_Value):
+    __slots__ = ("year", "value", "source_tag")
+    _defaults = ("",)
 
 
-@dataclass(frozen=True)
-class GdpSeries:
+class GdpSeries(_Value):
     """Ordered annual observations; years strictly increasing, values > 0."""
 
-    observations: tuple[Observation, ...]
-    label: str = ""
+    __slots__ = ("observations", "label")
+    _defaults = ("",)
 
     def __post_init__(self) -> None:
         if not self.observations:
@@ -104,7 +100,7 @@ def load_series(path: str | Path, label: str | None = None) -> GdpSeries:
         raise DataValidationError(f"{path}: empty series")
     # re-raise invariant violations with the file in the message
     try:
-        return GdpSeries(tuple(rows), label=label or path.stem)
+        return GdpSeries(tuple(rows), label or path.stem)
     except DataValidationError as exc:
         raise DataValidationError(f"{path}: {exc}") from None
 

@@ -176,9 +176,9 @@ def test_effect_out_of_float_range_names_the_scenario_once():
 
 
 def test_table_c1_is_only_the_calibrated_change(tmp_path):
-    code, out, err = run_cli(["table2", "--lambda-baseline", "0"])
+    code, out, err = run_cli(["table2", "--lambda-baseline", "0.17"])
     assert (code, out) == (3, "")
-    assert "C1: counterfactual openness non-positive (delta 0.174 >= baseline 0.0)" in err
+    assert "C1: counterfactual openness non-positive (delta 0.174 >= baseline 0.17)" in err
     # a dollar-based C1 beyond the baseline does not reach the tables
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
@@ -212,8 +212,19 @@ def test_value_constructors_reject_non_finite_numbers():
 @pytest.mark.parametrize("command", ["replicate", "table2", "table-a3", "gap"])
 def test_nan_baseline_is_named_as_the_bad_input(command):
     code, out, err = run_cli([command, "--lambda-baseline", "nan"])
-    assert (code, out) == (3, "")
-    assert "baseline openness must be finite, got nan" in err
+    assert (code, out) == (2, "")
+    assert "argument --lambda-baseline: expected a share in (0, 1], got 'nan'" in err
+
+
+@pytest.mark.parametrize("command", ["replicate", "table2", "table-a3", "gap"])
+def test_baseline_flag_keeps_the_config_range(command):
+    """``--lambda-baseline`` takes the values a config's ``lambda_baseline``
+    takes: a share on (0, 1]."""
+    for value in ("5", "1e308", "0", "-0.5", "inf", "x"):
+        code, out, err = run_cli([command, "--lambda-baseline", value])
+        assert (code, out) == (2, "")
+        assert f"argument --lambda-baseline: expected a share in (0, 1], got {value!r}" in err
+    assert run_cli([command, "--lambda-baseline", "1"])[0] == 0
 
 
 def test_effect_beyond_float_range_is_a_data_error():
@@ -252,6 +263,16 @@ def test_json_rejects_non_finite_numbers(tmp_path, token):
     )
     with pytest.raises(ConfigurationError, match="invalid JSON"):
         load_registry(reg)
+
+
+def test_unreadable_input_file_is_named(tmp_path):
+    code, out, err = run_cli(["grid", "--config", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"configuration error: scenario config not readable: {tmp_path} (Is a directory)\n"
+    )
+    with pytest.raises(ConfigurationError, match=r"^registry not readable: .* \(Is a directory\)$"):
+        load_registry(tmp_path)
 
 
 # ------------------------------------------------------ values float/int cannot read

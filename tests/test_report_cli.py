@@ -257,6 +257,24 @@ def test_import_leaves_statistics_out():
     assert (run.returncode, run.stdout) == (0, "[]\n")
 
 
+def test_cli_runs_without_dataclasses_or_inspect(tmp_path):
+    """The value classes build their ``dataclasses`` field tables on first
+    use, so neither importing the CLI nor running each table subcommand
+    loads ``dataclasses``, ``inspect`` or what they import."""
+    unwanted = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    code = (
+        "import sys; from tradegap import cli; loaded = [set(sys.modules)]\n"
+        "for command in ('table2', 'table-a3', 'grid', 'replicate', 'gap'):\n"
+        f"    assert cli.main([command, '--out', {str(tmp_path)!r} + '/' + command]) == 0\n"
+        "loaded.append(set(sys.modules))\n"
+        f"print([sorted({unwanted!r} & names) for names in loaded])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(tradegap.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[[], []]\n", "")
+    assert len(list(tmp_path.iterdir())) == 5
+
+
 def test_package_init_holds_only_a_docstring_imports_and_assignments():
     """CI's line trace cannot see ``__init__.py`` (stdlib ``trace`` ignores
     files by basename), so no statement that might not run may live there."""
