@@ -11,7 +11,10 @@ the embargo explain?  Three schemes answer differently:
   ``theta = g_NE / (g_NS + g_NE + g_NS*g_NE)``, where the ``g``s are
   relative level changes and the cross term is the interaction between
   lifting the embargo and removing the policies.  Equivalent to the levels
-  ratio ``(y_NE,S - y_E,S) / (y_NE,NS - y_E,S)``.
+  ratio ``(y_NE,S - y_E,S) / (y_NE,NS - y_E,S)``.  With policy the residual
+  of a gap of ``G`` log points, ``(1 + g_NE)(1 + g_NS) = exp(G)``, so
+  ``theta = g_NE / expm1(G)``: the interaction ``g_NE*g_NS`` is part of
+  ``expm1(G) - g_NE``, the policy part.
 * linear-levels — treat absolute income contributions as separable and
   take the simple ratio.  Kept for comparison; income is not linear in
   trade shares and policies, so :func:`linear_levels_share` is unsound.
@@ -113,40 +116,17 @@ def additive_log_thetas(log_points: list[float], _levels: list[float], gap: floa
     return [lp / gap for lp in log_points]
 
 
-def _geometric_thetas(effects: list[float], residuals: list[float]) -> list[float]:
-    # min() can pass over a nan, depending on where it stands; a sum cannot
-    if not (min(effects) > -1 and min(residuals) > -1) or math.isnan(sum(effects) + sum(residuals)):
-        for g_ne, g_ns in zip(effects, residuals):
-            if not (g_ne > -1 and g_ns > -1):
-                name, g = ("policy residual g_NS", g_ns) if g_ne > -1 else ("effect g_NE", g_ne)
-                raise DataValidationError(f"relative level changes must exceed -1: {name} is {g!r}")
-    totals = [g_ns + g_ne + g_ns * g_ne for g_ne, g_ns in zip(effects, residuals)]
-    if not all(map(math.isfinite, totals)):  # a +inf component, or a product beyond float range
-        i = next(i for i, total in enumerate(totals) if not math.isfinite(total))
-        raise DataValidationError(
-            f"total relative gap of g_NE {effects[i]!r} and g_NS {residuals[i]!r} is not finite"
-        )
-    try:
-        return [g_ne / total for g_ne, total in zip(effects, totals)]
-    except ZeroDivisionError:
-        raise DataValidationError("degenerate decomposition: total relative gap is zero") from None
-
-
-def _policy_residuals(log_points: list[float], gap: float) -> list[float]:
-    try:
-        return [math.expm1(gap - lp) for lp in log_points]
-    except OverflowError:  # expm1 is increasing: the smallest effect's residual overflowed
-        raise DataValidationError(
-            f"policy residual of a {min(log_points)!r} log-point effect against a {gap!r} "
-            "log-point gap is out of float range"
-        ) from None
-
-
 def geometric_thetas_of_gap(
-    log_points: list[float], relative_levels: list[float], gap: float
+    _log_points: list[float], relative_levels: list[float], gap: float
 ) -> list[float]:
-    """The geometric shares of a column of effects, with the gap in log points."""
-    return _geometric_thetas(relative_levels, _policy_residuals(log_points, gap))
+    """The geometric shares of a column of effects, with the gap in log points:
+    with policy the residual, each is its effect over the total ``expm1(gap)``."""
+    # min() can pass over a nan, depending on where it stands; a sum cannot
+    if not min(relative_levels) > -1 or math.isnan(sum(relative_levels)):
+        g_ne = next(g for g in relative_levels if not g > -1)
+        raise DataValidationError(f"relative level changes must exceed -1: effect g_NE is {g_ne!r}")
+    total = math.expm1(gap)
+    return [rel / total for rel in relative_levels]
 
 
 def additive_log_share(effect: GrowthEffect, total: GapDenominator) -> DecompositionResult:
@@ -157,10 +137,8 @@ def additive_log_share(effect: GrowthEffect, total: GapDenominator) -> Decomposi
     denominator by construction.  Shares above one are reported untruncated
     (the counterfactual then overshoots the synthetic comparator).
     """
-    gap = total.checked_log_points()
-    return DecompositionResult(
-        additive_log_thetas([effect.log_points], [effect.relative_level], gap)[0]
-    )
+    cell = [effect.log_points], [effect.relative_level], total.checked_log_points()
+    return DecompositionResult(additive_log_thetas(*cell)[0])
 
 
 def geometric_share(g_ne: float, g_ns: float) -> DecompositionResult:
@@ -170,7 +148,17 @@ def geometric_share(g_ne: float, g_ns: float) -> DecompositionResult:
     total relative gap ``(1+g_NE)(1+g_NS) - 1``, whose cross term
     ``g_NE*g_NS``, the interaction, counts wholly against the embargo share.
     """
-    return DecompositionResult(_geometric_thetas([g_ne], [g_ns])[0])
+    if not (g_ne > -1 and g_ns > -1):
+        name, g = ("policy residual g_NS", g_ns) if g_ne > -1 else ("effect g_NE", g_ne)
+        raise DataValidationError(f"relative level changes must exceed -1: {name} is {g!r}")
+    total = g_ns + g_ne + g_ns * g_ne
+    if not math.isfinite(total):  # a +inf component, or a product beyond float range
+        raise DataValidationError(
+            f"total relative gap of g_NE {g_ne!r} and g_NS {g_ns!r} is not finite"
+        )
+    if total == 0:
+        raise DataValidationError("degenerate decomposition: total relative gap is zero")
+    return DecompositionResult(g_ne / total)
 
 
 def geometric_share_from_levels(
@@ -211,12 +199,28 @@ def policy_growth_residual(effect: GrowthEffect, total: GapDenominator) -> float
     component is always the residual claimant of whatever part of the total
     gap the embargo effect leaves unexplained.
     """
-    return _policy_residuals([effect.log_points], total.checked_log_points())[0]
+    gap = total.checked_log_points()
+    try:
+        return math.expm1(gap - effect.log_points)
+    except OverflowError:
+        raise DataValidationError(
+            f"policy residual of a {effect.log_points!r} log-point effect against a {gap!r} "
+            "log-point gap is out of float range"
+        ) from None
 
 
 def geometric_share_of_gap(effect: GrowthEffect, total: GapDenominator) -> DecompositionResult:
-    """Geometric share of an effect against a gap, policy as residual."""
-    return geometric_share(effect.relative_level, policy_growth_residual(effect, total))
+    """Geometric share of an effect against a gap, policy as residual:
+    ``theta = g_NE / expm1(gap)``, by the kernel of Table A3 and the grid.
+    Their Yanikkaya long-run C1 cell, in percent:
+
+    >>> from tradegap import TradeShockScenario, steady_state_effect_loglinear
+    >>> effect = steady_state_effect_loglinear(0.41, TradeShockScenario("C1", 0.174, 0.554))
+    >>> round(100 * geometric_share_of_gap(effect, GapDenominator.calibrated_2024()).theta, 1)
+    3.8
+    """
+    cell = [effect.log_points], [effect.relative_level], total.checked_log_points()
+    return DecompositionResult(geometric_thetas_of_gap(*cell)[0])
 
 
 def backout_gap(effect: GrowthEffect, reported_share: float) -> float:

@@ -129,10 +129,6 @@ class _Value:
         if "__init__" not in vars(cls):  # a class with its own sets its fields by __setstate__
             cls.__init__ = _compiled_init(cls)
 
-    def _replace(self, **changes: object) -> _Value:
-        """A new object with ``changes`` to the fields, checked as any new one is."""
-        return type(self)(**dict(zip(self.__slots__, self._values(self)), **changes))
-
     def __setattr__(self, name: str, value: object) -> None:
         from dataclasses import FrozenInstanceError  # loaded on this error path only
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

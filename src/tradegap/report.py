@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from typing import Callable, NamedTuple, Sequence
 
 from .decomposition import GapDenominator, additive_log_thetas, backout_gap, geometric_thetas_of_gap
@@ -19,9 +19,9 @@ from .effects import (
     Shocks,
     effect_cells,
     effect_row,
-    evaluate,
     finite_horizon_effect,
     shock_columns,
+    steady_state_effect_loglinear,
 )
 from .elasticities import ElasticityRegistry, Horizon, seed_registry
 from .errors import ConfigurationError, DataValidationError, _Value
@@ -188,9 +188,10 @@ def _cells(
 
     The cells of all steady-state rows go through the kernels in one pass,
     and those of all finite-horizon rows in another; a pass of more than
-    ``_PASS_CELLS`` cells is split by rows.  If a pass fails, the cells run
-    again one at a time in row-major order, so the error names the first
-    bad cell and its row.  Given ``finite_gap`` (Tables 2 and A3),
+    ``_PASS_CELLS`` cells is split by rows.  If a pass fails, on a bad input
+    or on a percent cell beyond float range, the cells run again one at a
+    time in row-major order, so the error names the first bad cell and its
+    row.  Given ``finite_gap`` (Tables 2 and A3),
     finite-horizon rows, which end at the original comparison window, are
     measured geometrically against that 1972 gap whatever the share kernel:
     the convention of the study being replicated.
@@ -199,10 +200,22 @@ def _cells(
     rows = expand_rows(registry, years)
     finite_fns = (geometric_thetas_of_gap,) * len(share_fns)
 
-    def shares_of(effect: EffectRow) -> tuple[tuple[_ShareKernel, ...], float]:
-        if finite_gap is not None and effect[0] is not None:
-            return finite_fns, finite_gap.log_points
-        return share_fns, share_gap
+    def columns_of(effects: list[EffectRow], shocks: Shocks) -> list[list[float]]:
+        """The percent columns of the cells of ``effects``; a non-finite cell raises."""
+        at_1972 = finite_gap is not None and effects[0][0] is not None
+        fns, total = (finite_fns, finite_gap.log_points) if at_1972 else (share_fns, share_gap)
+        log_points, relative_levels = effect_cells(effects, shocks)
+        columns = [[100.0 * rel for rel in relative_levels]] + [
+            [100.0 * theta for theta in share(log_points, relative_levels, total)]
+            for share in fns
+        ]
+        if not all(map(math.isfinite, chain.from_iterable(columns))):
+            j = next(j for column in columns for j, x in enumerate(column) if not math.isfinite(x))
+            raise DataValidationError(
+                f"percent cell of a {log_points[j]!r} log-point effect against a {total!r} "
+                "log-point gap is out of float range"
+            )
+        return columns
 
     n = len(ids)
     step = max(1, _PASS_CELLS // n)  # rows per pass
@@ -212,21 +225,13 @@ def _cells(
             group = [i for i, (n_years, _c, _col) in enumerate(rows.effects)
                      if (n_years is not None) is finite]
             for chunk in (group[k:k + step] for k in range(0, len(group), step)):
-                effects = [rows.effects[i] for i in chunk]
-                fns, total = shares_of(effects[0])
-                log_points, relative_levels = effect_cells(effects, shocks)
-                columns = [[100.0 * rel for rel in relative_levels]] + [
-                    [100.0 * theta for theta in share(log_points, relative_levels, total)]
-                    for share in fns
-                ]
+                columns = columns_of([rows.effects[i] for i in chunk], shocks)
                 for k, i in enumerate(chunk):
                     places[i] = (columns, k * n)
     except DataValidationError as error:
         for i, j in product(range(len(rows.effects)), range(n)):  # the first bad cell, row-major
-            fns, total = shares_of(rows.effects[i])
             try:
-                cell = effect_cells([rows.effects[i]], tuple([column[j]] for column in shocks))
-                [share(*cell, total) for share in fns]
+                columns_of([rows.effects[i]], tuple([column[j]] for column in shocks))
             except DataValidationError as exc:
                 error = DataValidationError(f"{rows.labels[i]}, scenario {ids[j]}: {exc}")
                 break
@@ -399,20 +404,16 @@ def build_gap_audit(
     registry = seed_registry()
     config = config or default_scenario_config()
     adopted = GapDenominator.calibrated_2024()
-    names = dict.fromkeys(name for name, _ in PUBLISHED_LOG_LINEAR_SHARES)
-    # log-linear steady-state effects regardless of each model's default horizon
-    steady = Horizon.steady_state()
-    models = [registry.get(n)._replace(horizon=steady) for n in names]
-    scenarios = _table_scenarios(config, lambda_baseline)
+    levels = dict(zip(registry.names, registry.levels))
+    scenarios = {s.id: s for s in _table_scenarios(config, lambda_baseline)}
     rows = []
-    for model in models:
-        for scenario in scenarios:
-            effect = evaluate(model, scenario)
-            share = PUBLISHED_LOG_LINEAR_SHARES[model.name, scenario.id]
-            rows.append(
-                (_DISPLAY_NAMES[model.name], scenario.id, effect.log_points, 100.0 * share,
-                 backout_gap(effect, share))
-            )
+    for (name, sid), share in PUBLISHED_LOG_LINEAR_SHARES.items():
+        # log-linear steady-state effects regardless of each model's default horizon
+        effect = steady_state_effect_loglinear(levels[name], scenarios[sid])
+        rows.append(
+            (_DISPLAY_NAMES[name], sid, effect.log_points, 100.0 * share,
+             backout_gap(effect, share))
+        )
     implied = [row[-1] for row in rows]
     return ResultTable(
         caption="Gap back-out audit: denominator implied by each published share cell",

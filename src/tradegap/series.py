@@ -118,17 +118,16 @@ def splice(base: GdpSeries, extension: GdpSeries, splice_year: int) -> GdpSeries
             raise DataValidationError(
                 f"splice year {splice_year} not present in {name} series {s.label!r}"
             )
-    kept = [o for o in base.observations if o.year <= splice_year]
-    ext_years = [y for y in extension.years if y > splice_year]
-    out = list(kept)
-    prev_year, prev_value = splice_year, kept[-1].value
-    for year in ext_years:
+    out = [o for o in base.observations if o.year <= splice_year]
+    values = {o.year: o.value for o in extension.observations}
+    prev_year, prev_value = splice_year, out[-1].value
+    for year in [y for y in values if y > splice_year]:
         if year != prev_year + 1:
             raise DataValidationError(
                 f"missing growth link: extension {extension.label!r} jumps "
                 f"{prev_year} -> {year}"
             )
-        prev_value = prev_value * (extension.value(year) / extension.value(prev_year))
+        prev_value = prev_value * (values[year] / values[prev_year])
         out.append(Observation(year, prev_value, f"spliced:{extension.label}"))
         prev_year = year
     return GdpSeries(tuple(out), label=base.label)

@@ -12,6 +12,7 @@ scenario.
 
 import math
 import sys
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -24,6 +25,7 @@ from tradegap import (
     ElasticityRegistry,
     FunctionalForm,
     GapDenominator,
+    GrowthEffect,
     Horizon,
     ScenarioConfig,
     TradeShockScenario,
@@ -32,6 +34,7 @@ from tradegap import (
     build_table2,
     build_table_a3,
     default_scenario_config,
+    geometric_share_of_gap,
 )
 from tradegap import report
 
@@ -84,18 +87,12 @@ def ref_additive_log(log_points, _relative_level, gap):
     return log_points / gap
 
 
-def ref_geometric(log_points, relative_level, gap):
-    try:
-        g_ns = math.expm1(gap - log_points)
-    except OverflowError:  # an effect hundreds of log points below zero
-        raise DataValidationError("policy residual out of float range") from None
-    g_ne = relative_level
-    if g_ne <= -1 or g_ns <= -1:
+def ref_geometric(_log_points, relative_level, gap):
+    """Policy is the residual, (1 + g_NE)(1 + g_NS) = exp(gap): the total
+    relative gap is expm1(gap) whatever the effect."""
+    if relative_level <= -1:
         raise DataValidationError("must exceed -1")
-    denominator = g_ns + g_ne + g_ns * g_ne
-    if denominator == 0:
-        raise DataValidationError("degenerate")
-    return g_ne / denominator
+    return relative_level / math.expm1(gap)
 
 
 def ref_rows(name, form, horizon, epsilon, years):
@@ -134,9 +131,12 @@ def ref_cells(rows, shocks, lambda_baseline, gap, schemes, finite_gap=None):
                     ]
                 else:
                     shares = [share(log_points, relative_level, gap) for share in schemes]
+                percents = (100.0 * relative_level, [100.0 * theta for theta in shares])
+                if not all(map(math.isfinite, [percents[0], *percents[1]])):
+                    raise DataValidationError("percent cell out of float range")
             except DataValidationError as exc:
                 raise DataValidationError(f"{label}, scenario {sid}: {exc}") from exc
-            cells.append((100.0 * relative_level, [100.0 * theta for theta in shares]))
+            cells.append(percents)
     return cells
 
 
@@ -330,3 +330,45 @@ def test_first_bad_cell_in_row_major_order_is_named(build, pass_cells):
     assert [label for label, _row in rows][3:] == ["m3, 12-year", "m3, long-run", "m4"]
     with pytest.raises(DataValidationError, match="^m3, 12-year, scenario C2: degenerate"):
         in_passes_of(pass_cells, lambda: build(registry=registry))()
+
+
+# ------------------------------------------------ geometric shares, 60 digits
+
+def exact_geometric(log_points, gap):
+    """(e^c - 1) / (e^G - 1) to 60 digits, at the floats ``log_points`` and ``gap``."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (Decimal(log_points).exp() - 1) / (Decimal(gap).exp() - 1)
+
+
+@pytest.mark.parametrize("gap", [1.085, 2.0, 5.0, 8.0, 12.0, 20.0, 40.0])
+def test_geometric_shares_match_a_60_digit_reference(gap):
+    """The scalar share and the Table A3 and grid cells of effects of
+    c = k * gap log points are within 1e-15 relative of the exact share."""
+    ks = (0.1, 0.5, 0.9, 1.5, 3.0)
+    total = GapDenominator.explicit(gap)
+    cells = [
+        (k * gap, 100.0 * geometric_share_of_gap(
+            GrowthEffect(k * gap, math.expm1(k * gap), "X"), total).theta)
+        for k in ks
+    ]
+    # Table A3's C1 effect of a log-linear model of coefficient s is s * 0.174
+    coefficients = [k * gap / C1_DELTA_LAMBDA for k in ks]
+    registry = ElasticityRegistry([
+        model_of(f"m{i}", ("loglinear", s), None, 0.0) for i, s in enumerate(coefficients)
+    ])
+    table = build_table_a3(registry=registry, gap=total)
+    cells += [(s * C1_DELTA_LAMBDA, row[2]) for s, row in zip(coefficients, table.rows)]
+    # the grid's effect of coefficient 2c at a custom 0.5 openness change is c exactly
+    registry = ElasticityRegistry([
+        model_of(f"m{i}", ("loglinear", 2 * k * gap), None, 0.0) for i, k in enumerate(ks)
+    ])
+    base = default_scenario_config()
+    lam0 = base.lambda_baseline
+    config = ScenarioConfig(base.inputs, lam0, (TradeShockScenario("X", 0.5, lam0),))
+    grid = build_grid(registry=registry, config=config, gap=total)
+    cells += [(k * gap, row[6]) for k, row in zip(ks, (r for r in grid.rows if r[2] == "X"))]
+    assert len(cells) == 3 * len(ks)
+    for c, percent in cells:
+        want = 100 * exact_geometric(c, gap)
+        assert abs(Decimal(percent) - want) <= want * Decimal("1e-15"), (c, percent, want)

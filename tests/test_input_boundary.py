@@ -103,10 +103,22 @@ def test_non_finite_gap_exits_2(command, gap):
     assert "gap denominator must be positive and finite" in err
 
 
-def test_gap_too_small_for_a_finite_share_exits_3():
-    code, out, err = run_cli(["table2", "--gap", "1e-320"])
+@pytest.mark.parametrize(
+    "command,gap,cell",
+    [
+        ("table2", "1e-320", "Yanikkaya (2003), long-run, scenario C1"),
+        ("table-a3", "1e-320", "Yanikkaya (2003), long-run, scenario C1"),
+        ("grid", "1e-320", "Yanikkaya (2003), 12-year, scenario C1"),
+        # a finite share, 2.4e306, beyond float range as a percent
+        ("table2", "3e-307", "Frankel and Romer (1999), scenario C2"),
+    ],
+)
+def test_gap_too_small_for_a_finite_share_exits_3(command, gap, cell):
+    code, out, err = run_cli([command, "--gap", gap])
     assert (code, out) == (3, "")
-    assert "out of float range" in err
+    assert err.startswith(f"data error: {cell}: percent cell of a ")
+    assert err.endswith(f" log-point effect against a {gap} log-point gap is out of float range\n")
+    assert run_cli([command, "--gap", "1e-300"])[0] == 0  # 300-digit shares, but finite
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
@@ -192,8 +204,8 @@ def test_cell_error_names_the_row_and_the_scenario():
     code, out, err = run_cli(["grid", "--years", "100000"])
     assert (code, out) == (3, "")
     assert err == (
-        "data error: Yanikkaya (2003), 100000-year, scenario C1: "
-        "relative level changes must exceed -1: policy residual g_NS is -1.0\n"
+        "data error: Yanikkaya (2003), 100000-year, scenario C3: "
+        "effect of 788.7651109739677 log points is out of float range\n"
     )
 
 
@@ -237,8 +249,11 @@ def test_effect_beyond_float_range_is_a_data_error():
     "s,message",
     [
         (1e4, "out of float range"),  # the effect overflows expm1
-        (-1e4, "out of float range"),  # the geometric policy residual overflows expm1
-        (-1e3, "must exceed -1"),  # the effect's relative level rounds to -1
+        (-1e4, "must exceed -1"),  # the effect's relative level rounds to -1
+        (-1e3, "must exceed -1"),
+        # the effect's relative level is a float and 100 times it is not
+        (4060.0, r"^huge, scenario C1: percent cell of a 706\.4\d* log-point effect "
+                 r"against a 1\.085 log-point gap is out of float range$"),
     ],
 )
 def test_semi_elasticity_beyond_float_range_is_a_data_error(build, s, message):
@@ -410,11 +425,11 @@ def test_library_years_zero_raises():
         build_table2(years=0)
 
 
-@pytest.mark.parametrize("years", ["0", "-1"])
+@pytest.mark.parametrize("years", ["0", "-1", "1.5"])
 def test_cli_years_must_be_at_least_one(years):
     code, out, err = run_cli(["grid", "--years", years])
     assert (code, out) == (2, "")
-    assert "argument --years" in err
+    assert f"argument --years: expected a whole number of years >= 1, got {years!r}" in err
 
 
 # ---------------------------------------------------------------------- fuzzing

@@ -140,9 +140,10 @@ def test_splice_growth_transfer():
 
 def test_splice_constant_extension_stays_flat():
     base = series("hist", (2000, 100.0))
-    ext = series("wdi", (2000, 7.0), (2001, 7.0), (2002, 7.0))
-    out = splice(base, ext, 2000)
-    assert [o.value for o in out.observations] == [100.0, 100.0, 100.0]
+    for years in (3, 4000):
+        ext = series("wdi", *((2000 + i, 7.0) for i in range(years)))
+        out = splice(base, ext, 2000)
+        assert [o.value for o in out.observations] == [100.0] * years
 
 
 def test_splice_chained_ratio_oracle():
