@@ -29,9 +29,6 @@ from .elasticities import (
     ElasticityModel,
     ElasticityRegistry,
     FormKind,
-    FunctionalForm,
-    Horizon,
-    HorizonKind,
     feyrer_elasticity,
     implied_point_elasticity,
     load_registry,
@@ -70,13 +67,10 @@ __all__ = [
     "ElasticityModel",
     "ElasticityRegistry",
     "FormKind",
-    "FunctionalForm",
     "GapDenominator",
     "GapKind",
     "GdpSeries",
     "GrowthEffect",
-    "Horizon",
-    "HorizonKind",
     "Observation",
     "ResultTable",
     "ScenarioConfig",

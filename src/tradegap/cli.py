@@ -22,6 +22,7 @@ from typing import Callable
 
 from . import report
 from .decomposition import GapDenominator
+from .elasticities import _check_years
 from .errors import ConfigurationError, DataValidationError
 from .scenarios import _check_baseline, default_scenario_config, load_scenario_config
 from .series import load_series, log_gap
@@ -96,26 +97,39 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_gap(args: argparse.Namespace) -> GapDenominator | None:
-    """Turn the gap flags into a denominator; None means package default."""
+    """Turn the gap flags into a checked denominator; None means package
+    default.  An error in the gap names the flags it came from."""
     series_flags = (args.gap_synthetic, args.gap_historical, args.gap_year)
     if args.gap is not None:
         if any(f is not None for f in series_flags):
             raise ConfigurationError("--gap conflicts with --gap-synthetic/--gap-historical")
-        return GapDenominator.explicit(args.gap)
-    if all(f is None for f in series_flags):
+        flags, read = "--gap", lambda: GapDenominator.explicit(args.gap)
+    elif all(f is None for f in series_flags):
         return None
-    if any(f is None for f in series_flags):
+    elif any(f is None for f in series_flags):
         raise ConfigurationError(
             "--gap-synthetic, --gap-historical and --gap-year must be given together"
         )
-    synthetic = load_series(args.gap_synthetic)
-    historical = load_series(args.gap_historical)
-    return log_gap(synthetic, historical, args.gap_year)
+    else:
+        synthetic, historical = load_series(args.gap_synthetic), load_series(args.gap_historical)
+        flags = "--gap-synthetic/--gap-historical/--gap-year"
+        read = lambda: log_gap(synthetic, historical, args.gap_year)
+    try:
+        gap = read()
+        gap.checked_log_points()
+    except (ConfigurationError, DataValidationError) as exc:
+        raise type(exc)(f"{flags}: {exc}") from None
+    return gap
 
 
 def _run(args: argparse.Namespace) -> str:
     _help, builder, keywords, decimals = _COMMANDS[args.command]
     config = load_scenario_config(args.config) if args.config else default_scenario_config()
+    if "years" in keywords and args.years is not None:
+        try:  # >= 1 by its type, but maybe beyond float range
+            _check_years(args.years)
+        except DataValidationError as exc:
+            raise DataValidationError(f"--years: {exc}") from None
     flags = {k: _resolve_gap(args) if k == "gap" else getattr(args, k) for k in keywords}
     given = {k: v for k, v in flags.items() if v is not None}
     table = getattr(report, builder)(config=config, **given)

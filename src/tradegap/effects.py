@@ -29,7 +29,7 @@ import math
 from itertools import chain, repeat
 from typing import Callable, Sequence
 
-from .elasticities import ElasticityModel, FormKind, FunctionalForm, Horizon, _check_years
+from .elasticities import ElasticityModel, FormKind, _check_years
 from .errors import DataValidationError, _Value
 from .scenarios import TradeShockScenario
 
@@ -52,8 +52,9 @@ def _out_of_range(log_points: float) -> DataValidationError:
     return DataValidationError(f"effect of {log_points!r} log points is out of float range")
 
 
-def _checked(log_points: float, relative_level: float) -> None:
-    """The invariants of every effect: finite, and the encodings within 1e-12."""
+def _checked(log_points: float, relative_level: float) -> Effects:
+    """The effect as one-cell columns, if it keeps the invariants of every
+    effect: finite, and the encodings within 1e-12."""
     if not (math.isfinite(log_points) and math.isfinite(relative_level)):
         raise _out_of_range(log_points)
     try:
@@ -65,20 +66,7 @@ def _checked(log_points: float, relative_level: float) -> None:
             f"inconsistent effect encodings: log_points={log_points!r} "
             f"but relative_level={relative_level!r}"
         )
-
-
-def _screened(log_points: list[float], relative_levels: list[float]) -> Effects:
-    """Check every cell in bulk: finite, and encodings equal to the last bit.
-    Otherwise rescan with ``_checked``, which raises for the first bad cell and
-    lets encodings that differ within 1e-12 pass."""
-    try:
-        expected = list(map(math.expm1, log_points))
-    except OverflowError:  # an effect beyond float range, which the rescan names
-        expected = []
-    if not (all(map(math.isfinite, log_points + relative_levels)) and relative_levels == expected):
-        for lp, rel in zip(log_points, relative_levels):
-            _checked(lp, rel)
-    return log_points, relative_levels
+    return [log_points], [relative_level]
 
 
 def _from_log_points(log_points: list[float]) -> Effects:
@@ -106,7 +94,6 @@ def _compounded(epsilons: list[float], years: list[int], delta_lambda_pp: list[f
         relative_levels = [
             annual if n == 1 else rel for n, annual, rel in zip(years, annuals, relative_levels)
         ]
-        return _screened(log_points, relative_levels)
     return log_points, relative_levels
 
 
@@ -125,7 +112,7 @@ class GrowthEffect(_Value):
     __slots__ = ("log_points", "relative_level", "scenario_id")
 
     def __post_init__(self) -> None:
-        _cell(self.scenario_id, _screened, [self.log_points], [self.relative_level])
+        _cell(self.scenario_id, _checked, self.log_points, self.relative_level)
 
 
 def finite_horizon_effect(
@@ -148,7 +135,7 @@ def finite_horizon_effect(
     With ``years=1`` the relative level change equals
     ``epsilon * delta_lambda_pp / 100`` exactly (no compounding noise).
     """
-    _check_years(True, years)  # first: it rejects years < 1 or beyond float range
+    _check_years(years)  # first: it rejects years < 1 or beyond float range
     cell = _cell(scenario_id, _compounded, [epsilon], [years], [delta_lambda_pp])
     return GrowthEffect(*cell, scenario_id)
 
@@ -157,14 +144,12 @@ def steady_state_effect_loglinear(
     semi_elasticity: float, scenario: TradeShockScenario
 ) -> GrowthEffect:
     """Steady-state effect of a log-linear level form: ``s * delta_lambda``."""
-    form = FunctionalForm.log_linear(semi_elasticity)
-    return evaluate(ElasticityModel("custom", form, Horizon.steady_state()), scenario)
+    return evaluate(ElasticityModel("custom", FormKind.LOG_LINEAR_LEVEL, semi_elasticity), scenario)
 
 
 def steady_state_effect_loglog(elasticity: float, scenario: TradeShockScenario) -> GrowthEffect:
     """Steady-state effect of a log-log form: ``e * ln(lambda0/lambda_cf)``."""
-    form = FunctionalForm.log_log(elasticity)
-    return evaluate(ElasticityModel("custom", form, Horizon.steady_state()), scenario)
+    return evaluate(ElasticityModel("custom", FormKind.LOG_LOG_LEVEL, elasticity), scenario)
 
 
 #: A model row's effect parameters: its years (None at the steady state), its
@@ -205,15 +190,9 @@ def effect_cells(rows: Sequence[EffectRow], shocks: Shocks) -> Effects:
     )
 
 
-def effect_columns(model: ElasticityModel, shocks: Shocks) -> Effects:
-    """The effects of one model row over the scenario columns ``shocks``."""
-    form, years = model.form, model.horizon.years
-    row = effect_row(form.kind, form.level_coefficient(), model.short_run_epsilon, years)
-    return effect_cells([row], shocks)
-
-
 def evaluate(model: ElasticityModel, scenario: TradeShockScenario) -> GrowthEffect:
     """Evaluate a model at a scenario, over the model's own horizon."""
     shocks = shock_columns((scenario.delta_lambda,), scenario.lambda_baseline)
-    cell = _cell(scenario.id, effect_columns, model, shocks)
+    row = effect_row(model.form, model.level_coefficient(), model.short_run_epsilon, model.years)
+    cell = _cell(scenario.id, effect_cells, [row], shocks)
     return GrowthEffect(*cell, scenario.id)

@@ -9,10 +9,12 @@ incompatible shapes:
   ``s`` in log-points per unit openness share), and
 * log-log level equations, ``ln(y) = ... + e*ln(lambda)`` (elasticity ``e``).
 
-This module houses those forms, a registry of named estimates seeded from
-six well-known studies, and the small conversions that move between the
-forms (steady-state limit of the growth form, Feyrer's first-difference
-conversion, point elasticity of a semi-elasticity).
+This module houses a registry of named estimates seeded from six
+well-known studies, each model one row of ``data/registry.json`` (name,
+form, coefficient, horizon years, short-run epsilon, note), and the small
+conversions that move between the forms (steady-state limit of the growth
+form, Feyrer's first-difference conversion, point elasticity of a
+semi-elasticity).
 
 Unit convention
 ---------------
@@ -47,130 +49,63 @@ class FormKind(enum.Enum):
     LOG_LOG_LEVEL = "log_log_level"
 
 
-class FunctionalForm(_Value):
-    """A functional form plus its coefficient payload.
+class ElasticityModel(_Value):
+    """A named elasticity estimate from the literature: one registry row.
 
-    Exactly the coefficients demanded by ``kind`` are set, the others None:
+    ``name`` is unique within a registry.  ``coefficient`` is the pair
+    ``(alpha1, alpha2)`` of a growth form (convergence, strictly negative,
+    and growth points per unit share), or a level form's ``s`` or ``e``.
+    ``years`` is the default horizon, None for the long run; a finite one
+    requires ``short_run_epsilon``, in growth points per percentage point
+    of openness.  ``source_note`` is the estimate's provenance.
 
-    * ``GROWTH_WITH_CONVERGENCE`` — ``alpha1`` (per-period convergence,
-      strictly negative) and ``alpha2`` (growth points per unit share);
-    * ``LOG_LINEAR_LEVEL`` — ``s`` (log-points per unit share);
-    * ``LOG_LOG_LEVEL`` — ``e`` (log-points per log-point of openness).
+    >>> m = seed_registry().get("yanikkaya")
+    >>> m.form.value, m.coefficient, m.years, m.short_run_epsilon
+    ('log_linear_level', 0.41, 12, 0.018)
     """
 
-    __slots__ = ("kind", "alpha1", "alpha2", "s", "e")
-    _defaults = (None, None, None, None)
+    __slots__ = ("name", "form", "coefficient", "years", "short_run_epsilon", "source_note")
+    _defaults = (None, None, "")
 
     def __post_init__(self) -> None:
-        if self.kind is FormKind.GROWTH_WITH_CONVERGENCE:
-            if self.alpha1 is None or self.alpha2 is None:
-                raise DataValidationError(
-                    "growth form requires alpha1 and alpha2 coefficients"
-                )
-            steady_state_semi_elasticity(self.alpha1, self.alpha2)
-            if self.s is not None or self.e is not None:
-                raise DataValidationError("growth form takes no level coefficient")
-        elif self.kind is FormKind.LOG_LINEAR_LEVEL:
-            if self.s is None or (self.alpha1, self.alpha2, self.e) != (None, None, None):
-                raise DataValidationError("log-linear form carries exactly one coefficient s")
-        elif self.kind is FormKind.LOG_LOG_LEVEL:
-            if self.e is None or (self.alpha1, self.alpha2, self.s) != (None, None, None):
-                raise DataValidationError("log-log form carries exactly one coefficient e")
-
-    @classmethod
-    def growth_with_convergence(cls, alpha1: float, alpha2: float) -> "FunctionalForm":
-        return cls(FormKind.GROWTH_WITH_CONVERGENCE, alpha1, alpha2)
-
-    @classmethod
-    def log_linear(cls, s: float) -> "FunctionalForm":
-        return cls(FormKind.LOG_LINEAR_LEVEL, None, None, s)
-
-    @classmethod
-    def log_log(cls, e: float) -> "FunctionalForm":
-        return cls(FormKind.LOG_LOG_LEVEL, None, None, None, e)
+        if type(self.form) is not FormKind:
+            raise DataValidationError(f"model {self.name!r}: unknown functional form {self.form!r}")
+        growth = self.form is FormKind.GROWTH_WITH_CONVERGENCE
+        if growth != (type(self.coefficient) is tuple) or growth and len(self.coefficient) != 2:
+            shape = "the pair (alpha1, alpha2)" if growth else "one number"
+            raise DataValidationError(
+                f"model {self.name!r}: coefficient of a {self.form.value} form must be {shape}, "
+                f"got {self.coefficient!r}"
+            )
+        self.level_coefficient()  # a growth form's alpha1 < 0
+        if self.years is not None:
+            _check_years(self.years)
+        _check_model(self.name, self.years, self.short_run_epsilon)
 
     def level_coefficient(self) -> float:
-        """Reduce the form to a steady-state level coefficient.
+        """Reduce the model to a steady-state level coefficient.
 
         Returns ``s`` for log-linear, ``e`` for log-log, and the implied
         steady-state semi-elasticity ``-alpha2/alpha1`` for the growth form.
         """
-        if self.kind is FormKind.LOG_LINEAR_LEVEL:
-            return float(self.s)  # type: ignore[arg-type]
-        if self.kind is FormKind.LOG_LOG_LEVEL:
-            return float(self.e)  # type: ignore[arg-type]
-        return steady_state_semi_elasticity(self.alpha1, self.alpha2)  # type: ignore[arg-type]
+        if self.form is FormKind.GROWTH_WITH_CONVERGENCE:
+            return steady_state_semi_elasticity(*self.coefficient)
+        return float(self.coefficient)
 
 
-class HorizonKind(enum.Enum):
-    FINITE = "finite"
-    STEADY_STATE = "steady_state"
+def _check_years(years: int | None) -> None:
+    """The rule of a finite horizon: 1 or more years, within float range."""
+    if years is None or years < 1:
+        raise DataValidationError("finite horizon requires years >= 1")
+    if years > sys.float_info.max:  # compounding runs on floats
+        raise DataValidationError("years beyond float range")
 
 
-class Horizon(_Value):
-    """Evaluation horizon: compound for ``years`` periods, or the long run (None)."""
-
-    __slots__ = ("kind", "years")
-    _defaults = (None,)
-
-    def __post_init__(self) -> None:
-        _check_years(self.kind is HorizonKind.FINITE, self.years)
-
-    @classmethod
-    def finite(cls, years: int) -> "Horizon":
-        return cls(HorizonKind.FINITE, years)
-
-    @classmethod
-    def steady_state(cls) -> "Horizon":
-        return cls(HorizonKind.STEADY_STATE)
-
-    def describe(self) -> str:
-        if self.kind is HorizonKind.FINITE:
-            return f"{self.years}-year"
-        return "long-run"
-
-
-def _check_years(finite: bool, years: int | None) -> None:
-    """The horizon rules: a finite horizon has 1 or more years, the steady state none."""
-    if finite:
-        if years is None or years < 1:
-            raise DataValidationError("finite horizon requires years >= 1")
-        if years > sys.float_info.max:  # compounding runs on floats
-            raise DataValidationError("years beyond float range")
-    elif years is not None:
-        raise DataValidationError("steady-state horizon takes no years")
-
-
-class ElasticityModel(_Value):
-    """A named elasticity estimate from the literature.
-
-    Parameters
-    ----------
-    name:
-        Unique key within a registry (snake_case study name).
-    form:
-        Functional form and coefficient(s).
-    horizon:
-        Default evaluation horizon.  FINITE requires ``short_run_epsilon``.
-    short_run_epsilon:
-        Growth points per percentage point of openness, used only by
-        finite-horizon compounding.
-    source_note:
-        Free-text provenance of the estimate.
-    """
-
-    __slots__ = ("name", "form", "horizon", "short_run_epsilon", "source_note")
-    _defaults = (None, "")
-
-    def __post_init__(self) -> None:
-        _check_model(self.name, self.horizon.kind is HorizonKind.FINITE, self.short_run_epsilon)
-
-
-def _check_model(name: str, finite: bool, short_run_epsilon: float | None) -> None:
+def _check_model(name: str, years: int | None, short_run_epsilon: float | None) -> None:
     """The model rules: a name, and a short-run epsilon for a finite horizon."""
     if not name:
         raise DataValidationError("model name must be non-empty")
-    if finite and short_run_epsilon is None:
+    if years is not None and short_run_epsilon is None:
         raise DataValidationError(f"model {name!r}: finite horizon requires short_run_epsilon")
 
 
@@ -188,10 +123,9 @@ class ElasticityRegistry(_Value):
 
     def __init__(self, entries: Iterable[ElasticityModel]) -> None:
         self._fill([
-            (m.name, m.form.kind, m.form.level_coefficient(),
-             None if m.form.kind is not FormKind.GROWTH_WITH_CONVERGENCE
-             else (m.form.alpha1, m.form.alpha2),
-             m.horizon.years, m.short_run_epsilon, m.source_note)
+            (m.name, m.form, m.level_coefficient(),
+             m.coefficient if m.form is FormKind.GROWTH_WITH_CONVERGENCE else None,
+             m.years, m.short_run_epsilon, m.source_note)
             for m in entries
         ])
 
@@ -210,15 +144,11 @@ class ElasticityRegistry(_Value):
         return self
 
     def _model(self, i: int) -> ElasticityModel:
-        kind, level, alphas, years = self.forms[i], self.levels[i], self.alphas[i], self.years[i]
-        if alphas is not None:
-            form = FunctionalForm(kind, *alphas)
-        elif kind is FormKind.LOG_LINEAR_LEVEL:
-            form = FunctionalForm(kind, None, None, level)
-        else:
-            form = FunctionalForm(kind, None, None, None, level)
-        horizon = Horizon.steady_state() if years is None else Horizon.finite(years)
-        return ElasticityModel(self.names[i], form, horizon, self.epsilons[i], self.notes[i])
+        alphas = self.alphas[i]
+        return ElasticityModel(
+            self.names[i], self.forms[i], self.levels[i] if alphas is None else alphas,
+            self.years[i], self.epsilons[i], self.notes[i],
+        )
 
     @property
     def entries(self) -> tuple[ElasticityModel, ...]:
@@ -313,10 +243,11 @@ def load_registry(path: str | Path) -> ElasticityRegistry:
 
 
 _MODEL_FIELDS = ("name", "form", "coefficient", "horizon", "short_run_epsilon", "source_note")
-#: The kinds by their JSON values: a dict finds one in a fraction of the
-#: time an enum call takes, and a registry read looks up two per model.
+#: The forms, and whether a horizon is finite, by their JSON values: a dict
+#: finds one in a fraction of the time an enum call takes, and a registry
+#: read looks up two per model.
 _FORMS = {kind.value: kind for kind in FormKind}
-_HORIZONS = {kind.value: kind for kind in HorizonKind}
+_FINITE = {"finite": True, "steady_state": False}
 
 
 def _registry_from_json(raw: object) -> ElasticityRegistry:
@@ -356,19 +287,21 @@ def _model_row(i: int, row: dict) -> tuple:
         if not isinstance(horizon, dict) or "kind" not in horizon:
             raise ConfigurationError(f"horizon must be an object with a 'kind': {horizon!r}")
         kind, years = horizon["kind"], horizon.get("years")
-        if not isinstance(kind, str) or kind not in _HORIZONS:
+        if not isinstance(kind, str) or kind not in _FINITE:
             raise ConfigurationError(f"horizon.kind: unknown horizon kind {kind!r}")
         if years is not None:
             if type(years) not in (int, float) or int(years) != years:
                 raise ConfigurationError(f"horizon.years must be a whole number, got {years!r}")
             years = int(years)
-        finite = _HORIZONS[kind] is HorizonKind.FINITE
-        _check_years(finite, years)
+        if _FINITE[kind]:
+            _check_years(years)
+        elif years is not None:
+            raise DataValidationError("steady-state horizon takes no years")
         epsilon = row.get("short_run_epsilon")
         if epsilon is not None:
             epsilon = number(epsilon, "short_run_epsilon")
         note = string(row.get("source_note", ""), "source_note")
-        _check_model(name, finite, epsilon)
+        _check_model(name, years, epsilon)
     except KeyError as exc:
         raise ConfigurationError(f"models[{i}] missing field {exc}") from None
     except ConfigurationError as exc:  # its message starts with the field's path

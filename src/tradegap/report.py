@@ -23,7 +23,7 @@ from .effects import (
     shock_columns,
     steady_state_effect_loglinear,
 )
-from .elasticities import ElasticityRegistry, Horizon, seed_registry
+from .elasticities import ElasticityRegistry, _check_years, seed_registry
 from .errors import ConfigurationError, DataValidationError, _Value
 from .scenarios import (
     ScenarioConfig,
@@ -109,7 +109,9 @@ class ResultTable(_Value):
 # the evaluation core: rows, scenarios and cells
 # --------------------------------------------------------------------------
 
-_LONG_RUN = Horizon.steady_state().describe()
+def _horizon(years: int | None) -> str:
+    """A row's horizon as printed: ``N-year``, or ``long-run`` if None."""
+    return "long-run" if years is None else f"{years}-year"
 
 
 class _Rows(NamedTuple):
@@ -129,27 +131,24 @@ def expand_rows(registry: ElasticityRegistry, years: int | None = None) -> _Rows
     A model whose default horizon is finite gets two rows — the compounded
     finite-horizon effect and the steady-state effect of its level form —
     with the horizon folded into the row label.  Steady-state models get
-    one row labelled by the study alone.
+    one row labelled by the study alone.  ``years``, if given, replaces
+    every finite horizon's years.
     """
-    horizons = {
-        n: Horizon.finite(n if years is None else years) for n in set(registry.years) - {None}
-    }
+    if years is not None:
+        _check_years(years)
     rows = []
     for name, form, level, epsilon, own_years in zip(
         registry.names, registry.forms, registry.levels, registry.epsilons, registry.years
     ):
         display = _DISPLAY_NAMES.get(name, name)
-        steady = effect_row(form, level, None, None)
-        if own_years is None:
-            rows.append((display, display, _LONG_RUN, f"{level:.2f}", steady))
-            continue
-        horizon = horizons[own_years]
-        text = horizon.describe()
-        rows += (
-            (f"{display}, {text}", display, text, f"{epsilon:.3f}/pp",
-             effect_row(form, level, epsilon, horizon.years)),
-            (f"{display}, {_LONG_RUN}", display, _LONG_RUN, f"{level:.2f}", steady),
-        )
+        finite = () if own_years is None else (own_years if years is None else years,)
+        for n in (*finite, None):
+            text = _horizon(n)
+            rows.append((
+                display if own_years is None else f"{display}, {text}", display, text,
+                f"{level:.2f}" if n is None else f"{epsilon:.3f}/pp",
+                effect_row(form, level, epsilon, n),
+            ))
     return _Rows(*map(list, zip(*rows)))
 
 
@@ -261,7 +260,13 @@ def build_replication_table(
     for scenario in build_scenarios(config.inputs, lam0):
         ratio_pp = round(scenario.delta_lambda_pp, 1)
         effect = finite_horizon_effect(model.short_run_epsilon, ratio_pp, years, scenario.id)
-        rows.append((scenario.id, ratio_pp, 100.0 * effect.relative_level))
+        percent = 100.0 * effect.relative_level
+        if not math.isfinite(percent):
+            raise DataValidationError(
+                f"{_horizon(years)}, scenario {scenario.id}: percent cell of a "
+                f"{effect.log_points!r} log-point effect is out of float range"
+            )
+        rows.append((scenario.id, ratio_pp, percent))
     return ResultTable(
         caption=f"Replication: trade-ratio changes and {years}-year growth effects",
         columns=("scenario", "trade_ratio_change_pp", "growth_effect_pct"),

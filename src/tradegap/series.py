@@ -135,4 +135,6 @@ def splice(base: GdpSeries, extension: GdpSeries, splice_year: int) -> GdpSeries
 
 def log_gap(synthetic: GdpSeries, historical: GdpSeries, year: int) -> GapDenominator:
     """ln(synthetic[year] / historical[year]) as an explicit denominator."""
-    return GapDenominator.explicit(math.log(synthetic.value(year) / historical.value(year)))
+    syn, hist = synthetic.value(year), historical.value(year)
+    ratio = syn / hist  # zero if below float range, though its log is a float
+    return GapDenominator.explicit(math.log(ratio) if ratio else math.log(syn) - math.log(hist))

@@ -23,10 +23,9 @@ from tradegap import (
     DataValidationError,
     ElasticityModel,
     ElasticityRegistry,
-    FunctionalForm,
+    FormKind,
     GapDenominator,
     GrowthEffect,
-    Horizon,
     ScenarioConfig,
     TradeShockScenario,
     build_grid,
@@ -166,19 +165,19 @@ models = st.lists(
 )
 
 
+FORM_KINDS = {
+    "growth": FormKind.GROWTH_WITH_CONVERGENCE,
+    "loglinear": FormKind.LOG_LINEAR_LEVEL,
+    "loglog": FormKind.LOG_LOG_LEVEL,
+}
+
+
 def model_of(name, form, horizon, epsilon):
     kind, *coefficients = form
-    if kind == "growth":
-        functional_form = FunctionalForm.growth_with_convergence(*coefficients)
-    elif kind == "loglinear":
-        functional_form = FunctionalForm.log_linear(coefficients[0])
-    else:
-        functional_form = FunctionalForm.log_log(coefficients[0])
+    coefficient = tuple(coefficients) if kind == "growth" else coefficients[0]
     if horizon is None:
-        return ElasticityModel(name, functional_form, Horizon.steady_state())
-    return ElasticityModel(
-        name, functional_form, Horizon.finite(horizon), short_run_epsilon=epsilon
-    )
+        return ElasticityModel(name, FORM_KINDS[kind], coefficient)
+    return ElasticityModel(name, FORM_KINDS[kind], coefficient, horizon, short_run_epsilon=epsilon)
 
 
 def registry_and_rows(drawn, years):

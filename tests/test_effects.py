@@ -13,7 +13,7 @@ from tradegap import (
     steady_state_effect_loglinear,
     steady_state_effect_loglog,
 )
-from tradegap.effects import _compounded, _from_log_points, _screened
+from tradegap.effects import _compounded, _from_log_points
 
 
 def pct(effect):
@@ -62,13 +62,20 @@ def test_effect_errors_name_the_scenario_once():
 
 
 def test_effect_columns_name_the_first_bad_cell():
-    lps = [0.1, 0.2, 0.3]
-    # the second cell is the first bad one, though the third is not finite
-    with pytest.raises(DataValidationError, match="^inconsistent effect encodings: log_points=0.2"):
-        _screened(lps, [math.expm1(0.1), 5.0, math.inf])
-    assert _screened(lps, [math.expm1(lp) * (1 + 1e-14) for lp in lps])[0] == lps
+    # the second cell is the first bad one, though the third is worse
     with pytest.raises(DataValidationError, match=r"growth factor -1\.0 is non-positive"):
         _compounded([-10.0] * 3, [12] * 3, [1.0, 20.0, 30.0])
+    # a one-year cell is the annual rate itself, within 1e-12 of its log points
+    log_points, relative_levels = _compounded([0.018] * 3, [1, 12, 1], [17.1, 17.1, 30.0])
+    assert relative_levels[::2] == [0.018 * 17.1 / 100.0, 0.018 * 30.0 / 100.0]
+    for lp, rel in zip(log_points, relative_levels):
+        assert math.isclose(rel, math.expm1(lp), rel_tol=1e-12)
+
+
+def test_growth_effect_encodings_agree_within_1e_12():
+    assert GrowthEffect(0.1, math.expm1(0.1) * (1 + 1e-14), "s").log_points == 0.1
+    with pytest.raises(DataValidationError, match="^s: inconsistent effect encodings: log_points=0.2"):
+        GrowthEffect(0.2, 5.0, "s")
 
 
 def test_effect_that_expm1_keeps_non_finite_is_named():
@@ -92,7 +99,7 @@ def test_finite_level_of_an_effect_beyond_float_range_is_a_data_error():
     with pytest.raises(DataValidationError, match=r"^S: effect of 800.0 log points is out of"):
         GrowthEffect(800.0, 1.0, "S")
     with pytest.raises(DataValidationError, match="^effect of 800.0 log points is out of"):
-        _screened([0.1, 800.0, 0.2], [math.expm1(0.1), 1.0, 5.0])
+        _from_log_points([0.1, 800.0, 0.2])
 
 
 # ------------------------------------------------------------- level forms

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,9 +14,6 @@ from tradegap import (
     ElasticityModel,
     ElasticityRegistry,
     FormKind,
-    FunctionalForm,
-    Horizon,
-    HorizonKind,
     feyrer_elasticity,
     implied_point_elasticity,
     load_registry,
@@ -92,49 +90,69 @@ def test_implied_point_elasticity_linear(s, lam, k):
     )
 
 
-# ---------------------------------------------------------------- form types
+# ---------------------------------------------------------------- model rows
+
+GROWTH_FORM = FormKind.GROWTH_WITH_CONVERGENCE
+LOG_LINEAR = FormKind.LOG_LINEAR_LEVEL
+LOG_LOG = FormKind.LOG_LOG_LEVEL
+
 
 def test_growth_form_requires_negative_alpha1():
-    with pytest.raises(DataValidationError):
-        FunctionalForm.growth_with_convergence(0.1, 0.018)
+    for alpha1 in (0.1, 0.0):
+        with pytest.raises(DataValidationError, match="no stable steady state"):
+            ElasticityModel("m", GROWTH_FORM, (alpha1, 0.018))
 
 
 def test_level_coefficient_reduction():
-    assert FunctionalForm.log_linear(1.04).level_coefficient() == 1.04
-    assert FunctionalForm.log_log(1.23).level_coefficient() == 1.23
-    growth = FunctionalForm.growth_with_convergence(-0.5, 1.0)
-    assert growth.level_coefficient() == 2.0
+    assert ElasticityModel("m", LOG_LINEAR, 1.04).level_coefficient() == 1.04
+    assert ElasticityModel("m", LOG_LOG, 1.23).level_coefficient() == 1.23
+    assert ElasticityModel("m", GROWTH_FORM, (-0.5, 1.0)).level_coefficient() == 2.0
 
 
 def test_finite_horizon_needs_epsilon():
     with pytest.raises(DataValidationError, match="short_run_epsilon"):
-        ElasticityModel(
-            name="m", form=FunctionalForm.log_linear(0.5), horizon=Horizon.finite(12)
-        )
+        ElasticityModel(name="m", form=LOG_LINEAR, coefficient=0.5, years=12)
+
+
+def test_model_needs_a_name():
+    with pytest.raises(DataValidationError, match="^model name must be non-empty$"):
+        ElasticityModel("", LOG_LINEAR, 0.5)
 
 
 def test_horizon_validation():
-    with pytest.raises(DataValidationError):
-        Horizon.finite(0)
+    for years, message in ((0, "years >= 1"), (-1, "years >= 1"), (10**400, "beyond float range")):
+        with pytest.raises(DataValidationError, match=message):
+            ElasticityModel("m", LOG_LINEAR, 0.5, years, 0.018)
+
+
+PAIR = "coefficient of a growth_with_convergence form must be the pair (alpha1, alpha2)"
 
 
 @pytest.mark.parametrize(
-    "kind,coefficients,message",
+    "form,coefficient,message",
     [
-        (FormKind.GROWTH_WITH_CONVERGENCE, {"alpha1": -0.5}, "requires alpha1 and alpha2"),
-        (FormKind.GROWTH_WITH_CONVERGENCE, {"alpha2": 1.0}, "requires alpha1 and alpha2"),
-        (FormKind.GROWTH_WITH_CONVERGENCE, {"alpha1": -0.5, "alpha2": 1.0, "s": 1.0}, "no level"),
-        (FormKind.GROWTH_WITH_CONVERGENCE, {"alpha1": -0.5, "alpha2": 1.0, "e": 1.0}, "no level"),
-        (FormKind.LOG_LINEAR_LEVEL, {}, "exactly one coefficient s"),
-        (FormKind.LOG_LINEAR_LEVEL, {"s": 1.0, "e": 1.0}, "exactly one coefficient s"),
-        (FormKind.LOG_LINEAR_LEVEL, {"s": 1.0, "alpha1": -0.5}, "exactly one coefficient s"),
-        (FormKind.LOG_LOG_LEVEL, {"s": 1.0}, "exactly one coefficient e"),
-        (FormKind.LOG_LOG_LEVEL, {"e": 1.0, "alpha2": 1.0}, "exactly one coefficient e"),
+        # a growth coefficient that is not the pair (alpha1, alpha2)
+        (GROWTH_FORM, -0.5, f"model 'm': {PAIR}, got -0.5"),
+        (GROWTH_FORM, (-0.5,), f"model 'm': {PAIR}, got (-0.5,)"),
+        (GROWTH_FORM, (-0.5, 1.0, 0.0), f"model 'm': {PAIR}, got (-0.5, 1.0, 0.0)"),
+        (GROWTH_FORM, [-0.5, 1.0], f"model 'm': {PAIR}, got [-0.5, 1.0]"),
+        # a level form given a pair
+        (LOG_LINEAR, (-0.5, 1.0),
+         "model 'm': coefficient of a log_linear_level form must be one number, got (-0.5, 1.0)"),
+        (LOG_LOG, (1.0, 1.0),
+         "model 'm': coefficient of a log_log_level form must be one number, got (1.0, 1.0)"),
+        (LOG_LOG, (1.0, 1.0, 1.0),
+         "model 'm': coefficient of a log_log_level form must be one number, got (1.0, 1.0, 1.0)"),
+        # alpha1 >= 0
+        (GROWTH_FORM, (0.5, 1.0),
+         "no stable steady state: convergence coefficient must be negative, got 0.5"),
+        # a form that is not a FormKind, though it names one
+        ("log_linear_level", 0.5, "model 'm': unknown functional form 'log_linear_level'"),
     ],
 )
-def test_form_takes_exactly_its_coefficients(kind, coefficients, message):
-    with pytest.raises(DataValidationError, match=message):
-        FunctionalForm(kind, **coefficients)
+def test_model_coefficient_fits_its_form(form, coefficient, message):
+    with pytest.raises(DataValidationError, match=f"^{re.escape(message)}$"):
+        ElasticityModel("m", form, coefficient)
 
 
 # ------------------------------------------------------------------ registry
@@ -150,17 +168,17 @@ def test_seed_registry_contents(registry):
     ]
     y = registry.get("yanikkaya")
     assert y.short_run_epsilon == 0.018
-    assert y.form.s == 0.41
-    assert y.horizon == Horizon.finite(12)
+    assert (y.form, y.coefficient, y.years) == (LOG_LINEAR, 0.41, 12)
     # Raghutla's point estimate, not the two-decimal display value: the
     # display 0.19 overstates the C3 effect beyond the published grid
-    assert registry.get("raghutla").form.e == 0.186
-    assert registry.get("sala_i_martin").form.s == 1.04
-    assert registry.get("frankel_romer").form.s == 1.97
-    assert registry.get("alcala_ciccone").form.e == 1.23
+    assert registry.get("raghutla").coefficient == 0.186
+    assert registry.get("sala_i_martin").coefficient == 1.04
+    assert registry.get("frankel_romer").coefficient == 1.97
+    assert registry.get("alcala_ciccone").coefficient == 1.23
     # Feyrer stored at full conversion precision; displays as 1.26
-    assert registry.get("feyrer").form.e == 0.558 / (1 - 0.558)
-    assert all(m.form.kind is not FormKind.GROWTH_WITH_CONVERGENCE for m in registry)
+    assert registry.get("feyrer").coefficient == 0.558 / (1 - 0.558)
+    assert [m.form for m in registry] == [LOG_LINEAR, LOG_LOG, LOG_LINEAR, LOG_LINEAR, LOG_LOG, LOG_LOG]
+    assert [m.years for m in registry] == [12, None, None, None, None, None]
 
 
 def test_registry_rejects_duplicates(registry):
@@ -299,8 +317,7 @@ def test_registry_is_never_empty(tmp_path):
 
 def test_registry_reads_whole_float_years_as_int(tmp_path):
     registry = load_registry(write_registry(tmp_path / "r.json", [horizon("finite", years=12.0)]))
-    assert type(registry.get("x").horizon.years) is int
-    assert registry.get("x").horizon == Horizon.finite(12)
+    assert type(registry.get("x").years) is int and registry.get("x").years == 12
 
 
 def test_registry_missing_file():
@@ -318,9 +335,21 @@ def test_seed_registry_is_parsed_once_and_frozen():
 
 
 def test_registry_columns_round_trip_its_models(registry):
-    assert ElasticityRegistry(registry.entries) == registry
+    assert ElasticityRegistry(seed_registry().entries) == seed_registry()
     assert ElasticityRegistry(registry.entries).entries == registry.entries
     assert registry.get("feyrer") == registry.entries[-1]
+
+
+def test_registry_columns_round_trip_a_growth_row(tmp_path):
+    """A growth row's coefficient is its (alpha1, alpha2) column; its level,
+    the steady-state semi-elasticity, is the levels column."""
+    growth = {**FINITE, "form": "growth_with_convergence",
+              "coefficient": {"alpha1": -0.5, "alpha2": 1.0}}
+    loaded = load_registry(write_registry(tmp_path / "r.json", [growth]))
+    model = ElasticityModel("x", GROWTH_FORM, (-0.5, 1.0), 12, 0.02)
+    assert loaded.entries == (model,) and ElasticityRegistry([model]) == loaded
+    assert (loaded.levels, loaded.alphas) == ((2.0,), ((-0.5, 1.0),))
+    assert dataclasses.replace(model, years=6).years == 6
 
 
 # ------------------------------------------- the read against a reference read
@@ -422,35 +451,43 @@ def reference_form(kind, coefficient):
     if k is FormKind.GROWTH_WITH_CONVERGENCE:
         if not isinstance(coefficient, dict):
             raise ConfigurationError("coefficient of a growth form must be {alpha1, alpha2}")
-        return FunctionalForm.growth_with_convergence(
+        alphas = (
             number(coefficient["alpha1"], "coefficient.alpha1"),
             number(coefficient["alpha2"], "coefficient.alpha2"),
         )
-    coefficient = number(coefficient, "coefficient")
-    if k is FormKind.LOG_LINEAR_LEVEL:
-        return FunctionalForm.log_linear(coefficient)
-    return FunctionalForm.log_log(coefficient)
+        steady_state_semi_elasticity(*alphas)  # its steady state, checked before the horizon
+        return k, alphas
+    return k, number(coefficient, "coefficient")
 
 
-def reference_horizon(obj):
+def reference_years(obj):
+    """The horizon's years, checked before the fields after it."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigurationError(f"horizon must be an object with a 'kind': {obj!r}")
-    try:
-        kind = HorizonKind(obj["kind"])
-    except ValueError:
-        raise ConfigurationError(f"horizon.kind: unknown horizon kind {obj['kind']!r}") from None
+    if obj["kind"] not in ("finite", "steady_state"):
+        raise ConfigurationError(f"horizon.kind: unknown horizon kind {obj['kind']!r}")
     years = obj.get("years")
     if years is not None and (type(years) not in (int, float) or int(years) != years):
         raise ConfigurationError(f"horizon.years must be a whole number, got {years!r}")
-    return Horizon(kind, None if years is None else int(years))
+    if obj["kind"] == "finite":
+        if years is None or years < 1:
+            raise DataValidationError("finite horizon requires years >= 1")
+        if years > sys.float_info.max:
+            raise DataValidationError("years beyond float range")
+    elif years is not None:
+        raise DataValidationError("steady-state horizon takes no years")
+    return None if years is None else int(years)
 
 
 def reference_model(i, row):
     try:
+        name = string(row["name"], "name")
+        form, coefficient = reference_form(row["form"], row.get("coefficient"))
         model = ElasticityModel(
-            name=string(row["name"], "name"),
-            form=reference_form(row["form"], row.get("coefficient")),
-            horizon=reference_horizon(row["horizon"]),
+            name=name,
+            form=form,
+            coefficient=coefficient,
+            years=reference_years(row["horizon"]),
             short_run_epsilon=(
                 None if row.get("short_run_epsilon") is None
                 else number(row["short_run_epsilon"], "short_run_epsilon")
@@ -469,7 +506,7 @@ def reference_model(i, row):
             "name", "form", "coefficient", "horizon", "short_run_epsilon", "source_note",
         }),
     ]
-    if model.form.kind is FormKind.GROWTH_WITH_CONVERGENCE:
+    if model.form is FormKind.GROWTH_WITH_CONVERGENCE:
         objects.insert(0, (f"models[{i}].coefficient", row["coefficient"], {"alpha1", "alpha2"}))
     for path, obj, fields in objects:
         unknown = [key for key in obj if key not in fields]

@@ -18,10 +18,9 @@ from tradegap import (
     DataValidationError,
     ElasticityModel,
     ElasticityRegistry,
-    FunctionalForm,
+    FormKind,
     GdpSeries,
     GrowthEffect,
-    Horizon,
     Observation,
     ScenarioConfig,
     ShockInputs,
@@ -96,11 +95,38 @@ def test_each_subcommand_registers_only_the_flags_it_reads():
 # ------------------------------------------------------------ non-finite numbers
 
 @pytest.mark.parametrize("command", ["table2", "table-a3", "grid"])
-@pytest.mark.parametrize("gap", ["nan", "inf", "800"])
+@pytest.mark.parametrize("gap", ["nan", "inf", "800", "-1", "0"])
 def test_non_finite_gap_exits_2(command, gap):
     code, out, err = run_cli([command, "--gap", gap])
     assert (code, out) == (2, "")
-    assert "gap denominator must be positive and finite" in err
+    assert err.startswith("configuration error: --gap: gap denominator must be positive and finite")
+    assert err.endswith(f"got {float(gap)}\n")
+
+
+SERIES_FLAGS = "--gap-synthetic/--gap-historical/--gap-year"
+
+
+@pytest.mark.parametrize(
+    "synthetic,historical,year,code,message",
+    [
+        # the synthetic economy below the historical one: a negative gap
+        ("90", "100", 2024, 2,
+         f"configuration error: {SERIES_FLAGS}: gap denominator must be positive and finite "
+         "(below 709.78 log points), got -0.10536051565782628"),
+        # a ratio below float range still has a (negative) log
+        ("1e-308", "1e308", 2024, 2,
+         f"configuration error: {SERIES_FLAGS}: gap denominator must be positive and finite "
+         "(below 709.78 log points), got -1418.3924172843322"),
+        ("110", "100", 2030, 3, f"data error: {SERIES_FLAGS}: series 'syn': no observation for 2030"),
+    ],
+)
+@pytest.mark.parametrize("command", ["table2", "grid"])
+def test_series_gap_error_names_its_flags(tmp_path, command, synthetic, historical, year, code,
+                                          message):
+    syn = write_series(tmp_path / "syn.csv", (2023, 100), (2024, synthetic))
+    hist = write_series(tmp_path / "hist.csv", (2023, 100), (2024, historical))
+    argv = [command, "--gap-synthetic", syn, "--gap-historical", hist, "--gap-year", str(year)]
+    assert run_cli(argv) == (code, "", message + "\n")
 
 
 @pytest.mark.parametrize(
@@ -171,11 +197,11 @@ def test_series_path_that_is_a_directory_exits_3(tmp_path):
     assert "Errno" not in err
 
 
-@pytest.mark.parametrize("command", ["table2", "grid"])
+@pytest.mark.parametrize("command", ["replicate", "table2", "grid"])
 def test_horizon_too_long_for_a_float_exits_3(command):
     code, out, err = run_cli([command, "--years", "1" + "0" * 400])
     assert (code, out) == (3, "")
-    assert "years beyond float range" in err
+    assert err == "data error: --years: years beyond float range\n"
     assert err.count("\n") == 1 and len(err) < 200
 
 
@@ -257,7 +283,7 @@ def test_effect_beyond_float_range_is_a_data_error():
     ],
 )
 def test_semi_elasticity_beyond_float_range_is_a_data_error(build, s, message):
-    model = ElasticityModel("huge", FunctionalForm.log_linear(s), Horizon.steady_state())
+    model = ElasticityModel("huge", FormKind.LOG_LINEAR_LEVEL, s)
     with pytest.raises(DataValidationError, match=message):
         build(registry=ElasticityRegistry([model]))
 
@@ -420,9 +446,30 @@ def test_custom_scenario_ids_are_unique(tmp_path, ids):
         ScenarioConfig(ShockInputs(530, 1122, 244, 3105), 0.554, scenarios)
 
 
-def test_library_years_zero_raises():
-    with pytest.raises(DataValidationError, match="years >= 1"):
-        build_table2(years=0)
+@pytest.mark.parametrize("build", [build_table2, build_table_a3, build_grid])
+@pytest.mark.parametrize("finite", [True, False])
+def test_library_years_zero_raises(build, finite):
+    """The years override is checked up front, even on a registry whose rows
+    are all at the steady state, which it would not change."""
+    model = ElasticityModel("m", FormKind.LOG_LINEAR_LEVEL, 0.5, 12 if finite else None, 0.02)
+    with pytest.raises(DataValidationError, match="^finite horizon requires years >= 1$"):
+        build(registry=ElasticityRegistry([model]), years=0)
+    assert build(registry=ElasticityRegistry([model]), years=6).rows
+
+
+def test_replication_percent_beyond_float_range_names_its_scenario(tmp_path):
+    """A growth effect of ~706-709.8 log points has a finite relative level,
+    but not 100 times it."""
+    cfg = tmp_path / "cfg.json"
+    inputs = {**INPUTS, "trade_gap_vs_synthetic_1972": 1500, "trade_with_us_1958": 100,
+              "synthetic_export_excess_1972": 10}
+    cfg.write_text(json.dumps({"inputs": inputs}), encoding="utf-8")
+    code, out, err = run_cli(["replicate", "--config", str(cfg), "--years", "81700"])
+    assert (code, out) == (3, "")
+    assert err == (
+        "data error: 81700-year, scenario C1: percent cell of a 707.2299070373506 log-point "
+        "effect is out of float range\n"
+    )
 
 
 @pytest.mark.parametrize("years", ["0", "-1", "1.5"])
@@ -488,6 +535,19 @@ def _float_cells(text, fmt):
                 pass
 
 
+def names_an_input(message, argv):
+    """Whether an error line names an input: a flag it passed, a file path, or
+    a scenario id, alone or in a ``<row>, scenario <id>:`` prefix.  A config
+    file's error gives the file's path before the field's JSON path."""
+    flags = [arg for arg in argv if arg.startswith("--")]
+    paths = [arg for arg in argv if "/" in arg]
+    return (
+        any(re.search(re.escape(flag) + r"(?![\w-])", message) for flag in flags)
+        or any(path in message for path in paths)
+        or re.search(r"(?:^|: |scenario )(?:C1|C2|C3|mild|halved|x): ", message) is not None
+    )
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_cli_fuzz_exits_cleanly(tmp_path_factory, data):
@@ -525,6 +585,7 @@ def test_cli_fuzz_exits_cleanly(tmp_path_factory, data):
         assert code == 2, argv
     if code != 0:
         assert out == "" and err.count("\n") >= 1
+        assert names_an_input(err.splitlines()[-1], argv), (argv, err)
         return
     text = out_file.read_text(encoding="utf-8") if out_file else out
     assert all(math.isfinite(v) for v in _float_cells(text, fmt)), (argv, text)

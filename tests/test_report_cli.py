@@ -17,7 +17,6 @@ from tradegap import (
     ConfigurationError,
     ElasticityRegistry,
     GapDenominator,
-    Horizon,
     ShockInputs,
     TradeShockScenario,
     additive_log_share,
@@ -196,14 +195,14 @@ def test_grid_rows_are_the_cells_one_at_a_time(registry, config, tmp_path):
     expected = []
     for entry in registry:  # a finite-horizon model gives a 6-year row, then a long-run one
         models = [entry]
-        if entry.horizon.years is not None:
-            models = [replace(entry, horizon=horizon)
-                      for horizon in (Horizon.finite(6), Horizon.steady_state())]
+        if entry.years is not None:
+            models = [replace(entry, years=6), replace(entry, years=None)]
         for model, scenario in itertools.product(models, scenarios):
             display = report._DISPLAY_NAMES[model.name]
             effect = evaluate(model, scenario)
+            horizon = "long-run" if model.years is None else f"{model.years}-year"
             expected.append((
-                display, model.horizon.describe(), scenario.id, f"{scenario.delta_lambda:.6f}",
+                display, horizon, scenario.id, f"{scenario.delta_lambda:.6f}",
                 100.0 * effect.relative_level, 100.0 * additive_log_share(effect, gap).theta,
                 100.0 * geometric_share_of_gap(effect, gap).theta,
             ))

@@ -15,11 +15,10 @@ from tradegap import (
     DecompositionResult,
     ElasticityModel,
     ElasticityRegistry,
-    FunctionalForm,
+    FormKind,
     GapDenominator,
     GdpSeries,
     GrowthEffect,
-    Horizon,
     Observation,
     ResultTable,
     ScenarioConfig,
@@ -27,10 +26,8 @@ from tradegap import (
     TradeShockScenario,
 )
 from tradegap.decomposition import GapKind
-from tradegap.elasticities import HorizonKind
 
-FORM = FunctionalForm.log_linear(0.5)
-MODEL = ElasticityModel("m", FORM, Horizon.steady_state(), None, "note")
+MODEL = ElasticityModel("m", FormKind.LOG_LINEAR_LEVEL, 0.5, None, None, "note")
 INPUTS = ShockInputs(530.0, 1122.0, 244.0, 3105.0)
 SERIES = (Observation(2023, 1.0), Observation(2024, 2.0, "wdi"))
 
@@ -45,19 +42,11 @@ CASES = [
     (GrowthEffect, (0.0, 0.0, "C1"), ("log_points", "relative_level", "scenario_id"),
      "GrowthEffect(log_points=0.0, relative_level=0.0, scenario_id='C1')", None,
      ({"relative_level": math.inf}, "C1: effect of 0.0 log points is out of float range")),
-    (FunctionalForm, (FORM.kind, None, None, 0.5, None), ("kind", "alpha1", "alpha2", "s", "e"),
-     "FunctionalForm(kind=<FormKind.LOG_LINEAR_LEVEL: 'log_linear_level'>, "
-     "alpha1=None, alpha2=None, s=0.5, e=None)", None,
-     ({"e": 1.0}, "log-linear form carries exactly one coefficient s")),
-    (Horizon, (HorizonKind.FINITE, 12), ("kind", "years"),
-     "Horizon(kind=<HorizonKind.FINITE: 'finite'>, years=12)", None,
+    (ElasticityModel, (MODEL.name, MODEL.form, 0.5, None, None, "note"),
+     ("name", "form", "coefficient", "years", "short_run_epsilon", "source_note"),
+     "ElasticityModel(name='m', form=<FormKind.LOG_LINEAR_LEVEL: 'log_linear_level'>, "
+     "coefficient=0.5, years=None, short_run_epsilon=None, source_note='note')", None,
      ({"years": 0}, "finite horizon requires years >= 1")),
-    (ElasticityModel, (MODEL.name, FORM, MODEL.horizon, None, "note"),
-     ("name", "form", "horizon", "short_run_epsilon", "source_note"),
-     f"ElasticityModel(name='m', form={FORM!r}, horizon="
-     "Horizon(kind=<HorizonKind.STEADY_STATE: 'steady_state'>, years=None), "
-     "short_run_epsilon=None, source_note='note')", None,
-     ({"name": ""}, "model name must be non-empty")),
     (ElasticityRegistry, ([MODEL],),
      ("names", "forms", "levels", "alphas", "years", "epsilons", "notes"),
      "ElasticityRegistry(names=('m',), forms=(<FormKind.LOG_LINEAR_LEVEL: 'log_linear_level'>,), "
@@ -165,10 +154,7 @@ def test_value_class_takes_fields_by_name(cls, args, names, text, params, bad):
 def test_value_class_trailing_defaults(cls, args, names, text, params, bad):
     parameters = inspect.signature(cls).parameters.values()
     required = sum(p.default is p.empty for p in parameters)
-    if cls is Horizon:  # a finite horizon needs its years
-        args = (HorizonKind.STEADY_STATE,)
-    given = {"s": 0.5} if cls is FunctionalForm else {}  # a form needs its coefficient
-    obj = cls(*args[:required], **given)
+    obj = cls(*args[:required])
     for p in parameters:
-        if p.default is not p.empty and p.name in names and p.name not in given:
+        if p.default is not p.empty and p.name in names:
             assert getattr(obj, p.name) == p.default
