@@ -16,9 +16,10 @@ flag is a usage error.  Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
-from pathlib import Path
-from typing import Callable
+from itertools import chain
+from typing import Callable, Iterator
 
 from . import report
 from .decomposition import GapDenominator
@@ -77,6 +78,7 @@ _COMMANDS: dict[str, tuple[str, str, tuple[str, ...], int]] = {
 }
 
 
+@functools.cache  # parse_args keeps no state on the parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tradegap",
@@ -122,7 +124,8 @@ def _resolve_gap(args: argparse.Namespace) -> GapDenominator | None:
     return gap
 
 
-def _run(args: argparse.Namespace) -> str:
+def _run(args: argparse.Namespace) -> Iterator[str]:
+    """The chunks of the table ``args`` ask for, the first taken: every check has run."""
     _help, builder, keywords, decimals = _COMMANDS[args.command]
     config = load_scenario_config(args.config) if args.config else default_scenario_config()
     if "years" in keywords and args.years is not None:
@@ -133,15 +136,17 @@ def _run(args: argparse.Namespace) -> str:
     flags = {k: _resolve_gap(args) if k == "gap" else getattr(args, k) for k in keywords}
     given = {k: v for k, v in flags.items() if v is not None}
     table = getattr(report, builder)(config=config, **given)
-    return report.render(table, args.format, decimals=decimals)
+    chunks = report.render_chunks(table, args.format, decimals=decimals)
+    return chain((next(chunks),), chunks)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text = _run(args)
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
+        chunks = _run(args)
+        if args.out:  # opened only now: a failing run creates no file
+            with open(args.out, "w", encoding="utf-8") as out:
+                out.writelines(chunks)
     except (ConfigurationError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -149,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     if not args.out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     return 0
 
 

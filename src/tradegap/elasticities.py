@@ -71,11 +71,12 @@ class ElasticityModel(_Value):
         if type(self.form) is not FormKind:
             raise DataValidationError(f"model {self.name!r}: unknown functional form {self.form!r}")
         growth = self.form is FormKind.GROWTH_WITH_CONVERGENCE
-        if growth != (type(self.coefficient) is tuple) or growth and len(self.coefficient) != 2:
+        c = self.coefficient
+        if not (type(c) is tuple and len(c) == 2 if growth else type(c) in (int, float)):
             shape = "the pair (alpha1, alpha2)" if growth else "one number"
             raise DataValidationError(
                 f"model {self.name!r}: coefficient of a {self.form.value} form must be {shape}, "
-                f"got {self.coefficient!r}"
+                f"got {c!r}"
             )
         self.level_coefficient()  # a growth form's alpha1 < 0
         if self.years is not None:
@@ -94,7 +95,9 @@ class ElasticityModel(_Value):
 
 
 def _check_years(years: int | None) -> None:
-    """The rule of a finite horizon: 1 or more years, within float range."""
+    """The rule of a finite horizon: a whole number of years >= 1, within float range."""
+    if years is not None and type(years) is not int:  # not a bool, not a float
+        raise DataValidationError(f"finite horizon requires a whole number of years, got {years!r}")
     if years is None or years < 1:
         raise DataValidationError("finite horizon requires years >= 1")
     if years > sys.float_info.max:  # compounding runs on floats

@@ -10,8 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from itertools import chain, product, repeat
-from typing import Callable, NamedTuple, Sequence
+from itertools import chain, islice, product, repeat
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .decomposition import GapDenominator, additive_log_thetas, backout_gap, geometric_thetas_of_gap
 from .effects import (
@@ -166,7 +166,8 @@ _ShareKernel = Callable[[list[float], list[float], float], list[float]]
 
 #: The most cells one pass of the kernels takes: enough to spread their
 #: set-up over many short rows, few enough that a long row's columns (the
-#: grid's thousands of scenarios) stay in the processor's cache.
+#: grid's thousands of scenarios) stay in the processor's cache.  The
+#: renderers format at most this many rows in one %-call.
 _PASS_CELLS = 2048
 
 
@@ -384,8 +385,8 @@ def build_grid(
         columns=("model", "horizon", "scenario", "delta_lambda", "effect_pct",
                  "theta_additive_log_pct", "theta_geometric_pct"),
         blocks=tuple(
-            (display, horizon, ids, shocks, *(column[start:start + n] for column in columns))
-            for display, horizon, (columns, start) in zip(rows.displays, rows.horizons, places)
+            (display, horizon, ids, shocks, *(c if len(c) == n else c[at:at + n] for c in cols))
+            for display, horizon, (cols, at) in zip(rows.displays, rows.horizons, places)
         ),
         footnotes=(
             f"all shares measured against the {gap.describe()}",
@@ -457,16 +458,17 @@ def _format_cell(cell: object, decimals: int) -> str:
     return str(cell)
 
 
-#: A %-conversion and the cells of one column of a block.  A column of finite
-#: floats stays raw under ``%.{decimals}f``; any other is strings under ``%s``,
-#: an all-str column as it is and others formatted per cell.  A shared cell's
-#: conversion is its own text, escaped, and its cells that text.
+#: A %-conversion and the cells of one column of a block.  Floats with a finite
+#: sum (so each is finite) stay raw under ``%.{decimals}f``; any other column is
+#: strings under ``%s``, an all-str column as it is and others formatted per
+#: cell.  A shared cell's conversion is its own text, escaped, and its cells that text.
 _Part = tuple[str, Sequence[object]]
 
 
 def _parts(table: ResultTable, decimals: int) -> list[list[_Part]]:
-    """The parts of each block that has rows, in order."""
+    """The parts of each block that has rows, in order; a column in many blocks is checked once."""
     spec = f"%.{decimals}f"
+    seen: dict[int, _Part] = {}  # id of a column -> its part; the table keeps each alive
     blocks = []
     try:
         for block in table.blocks:
@@ -477,12 +479,16 @@ def _parts(table: ResultTable, decimals: int) -> list[list[_Part]]:
                 if isinstance(col, str):
                     parts.append((col.replace("%", "%%"), col))
                     continue
-                kinds = set(map(type, col))
-                if kinds == {float} and all(map(math.isfinite, col)):
-                    parts.append((spec, col))
-                else:
-                    cells = col if kinds == {str} else [_format_cell(c, decimals) for c in col]
-                    parts.append(("%s", cells))
+                if id(col) not in seen:
+                    kinds = set(map(type, col))
+                    # a sum is finite only if every cell is; one that overflows sends
+                    # the cells, finite or not, through _format_cell
+                    if kinds == {float} and math.isfinite(sum(col)):
+                        seen[id(col)] = (spec, col)
+                    else:
+                        cells = col if kinds == {str} else [_format_cell(c, decimals) for c in col]
+                        seen[id(col)] = ("%s", cells)
+                parts.append(seen[id(col)])
             blocks.append(parts)
     except DataValidationError as error:  # name the first bad cell in row-major order
         try:
@@ -493,28 +499,41 @@ def _parts(table: ResultTable, decimals: int) -> list[list[_Part]]:
     return blocks
 
 
-def render_csv(table: ResultTable, decimals: int = 1) -> str:
-    blocks = _parts(table, decimals)
+def _formatted(template: str, parts: list[_Part]) -> Iterator[str]:
+    """A block's rows through its ``template``, one %-call per ``_PASS_CELLS`` rows."""
+    cols = [cells for _s, cells in parts if not isinstance(cells, str)]
+    rows = zip(*cols)
+    for _ in range(0, len(cols[0]), _PASS_CELLS):
+        cells = tuple(chain.from_iterable(islice(rows, _PASS_CELLS)))
+        yield (template * (len(cells) // len(cols))) % cells
+
+
+def _csv_rows(rows: Iterable[Sequence[object]]) -> str:
     buf = io.StringIO()
-    buf.write(f"# {table.caption}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(table.columns)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _csv_chunks(table: ResultTable, decimals: int) -> Iterator[str]:
+    blocks = _parts(table, decimals)
+    yield f"# {table.caption}\n" + _csv_rows([table.columns])
     spec = f"%.{decimals}f"
     for parts in blocks:
         strs = [[cells] if isinstance(cells, str) else cells for s, cells in parts if s != spec]
         text = "".join(map("".join, strs))
         if all(map(all, strs)) and not ("," in text or '"' in text or "\r" in text or "\n" in text):
             template = ",".join(s for s, _cells in parts) + "\n"  # shared cells baked in
-            cols = (cells for _s, cells in parts if not isinstance(cells, str))
-            buf.writelines(map(template.__mod__, zip(*cols)))
+            yield from _formatted(template, parts)
         else:  # csv.writer quotes these cells, by rules that differ between Python versions
-            writer.writerows(zip(*(
+            yield _csv_rows(zip(*(
                 repeat(cells) if isinstance(cells, str) else map(s.__mod__, cells)
                 for s, cells in parts
             )))
-    for note in table.footnotes:
-        buf.write(f"# {note}\n")
-    return buf.getvalue()
+    yield "".join(f"# {note}\n" for note in table.footnotes)
+
+
+def render_csv(table: ResultTable, decimals: int = 1) -> str:
+    return "".join(_csv_chunks(table, decimals))
 
 
 def _width(spec: str, cells: Sequence[object]) -> int:
@@ -529,22 +548,32 @@ def _width(spec: str, cells: Sequence[object]) -> int:
     return max(len(spec % lo), len(spec % hi))
 
 
-def render_markdown(table: ResultTable, decimals: int = 1) -> str:
+def _markdown_chunks(table: ResultTable, decimals: int) -> Iterator[str]:
     blocks = _parts(table, decimals)
     widths = [len(name) for name in table.columns]
+    distinct = {id(part): part for parts in blocks for part in parts}  # a shared column once
+    width = {key: _width(*part) for key, part in distinct.items()}
     for parts in blocks:  # the widest cell of any block
-        widths = [max(w, _width(*part)) for w, part in zip(widths, parts)]
+        widths = [max(w, width[id(part)]) for w, part in zip(widths, parts)]
     header = "| " + " | ".join(map(str.ljust, table.columns, widths)) + " |"
     rule = "|" + "|".join("-" * (w + 2) for w in widths) + "|"
-    lines = [f"**{table.caption}**", "", header, rule]
+    yield f"**{table.caption}**\n\n{header}\n{rule}\n"
     for parts in blocks:
         template = "| " + " | ".join(
             cells.ljust(w).replace("%", "%%") if isinstance(cells, str) else f"%-{w}{s[1:]}"
             for (s, cells), w in zip(parts, widths)
-        ) + " |"
-        lines += map(template.__mod__, zip(*(c for _s, c in parts if not isinstance(c, str))))
-    lines += ["", *(f"- {note}" for note in table.footnotes)]
-    return "\n".join(lines) + "\n"
+        ) + " |\n"
+        yield from _formatted(template, parts)
+    yield "".join(f"\n- {note}" for note in table.footnotes) + "\n"
+
+
+def render_markdown(table: ResultTable, decimals: int = 1) -> str:
+    return "".join(_markdown_chunks(table, decimals))
+
+
+def render_chunks(table: ResultTable, fmt: str, decimals: int = 1) -> Iterator[str]:
+    """``render``'s text in chunks; every check runs before the first."""
+    return {"csv": _csv_chunks, "md": _markdown_chunks}[fmt](table, decimals)
 
 
 def render(table: ResultTable, fmt: str, decimals: int = 1) -> str:

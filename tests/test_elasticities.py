@@ -148,6 +148,13 @@ PAIR = "coefficient of a growth_with_convergence form must be the pair (alpha1, 
          "no stable steady state: convergence coefficient must be negative, got 0.5"),
         # a form that is not a FormKind, though it names one
         ("log_linear_level", 0.5, "model 'm': unknown functional form 'log_linear_level'"),
+        # a level coefficient that is not a number
+        (LOG_LINEAR, "0.5",
+         "model 'm': coefficient of a log_linear_level form must be one number, got '0.5'"),
+        (LOG_LINEAR, "abc",
+         "model 'm': coefficient of a log_linear_level form must be one number, got 'abc'"),
+        (LOG_LOG, True,
+         "model 'm': coefficient of a log_log_level form must be one number, got True"),
     ],
 )
 def test_model_coefficient_fits_its_form(form, coefficient, message):

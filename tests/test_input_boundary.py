@@ -8,6 +8,7 @@ import io
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,6 +27,7 @@ from tradegap import (
     ShockInputs,
     TradeShockScenario,
     build_grid,
+    build_replication_table,
     build_table2,
     build_table_a3,
     load_registry,
@@ -457,6 +459,18 @@ def test_library_years_zero_raises(build, finite):
     assert build(registry=ElasticityRegistry([model]), years=6).rows
 
 
+@pytest.mark.parametrize("years", [True, 6.0, 12.5, "6"])
+def test_library_years_must_be_a_whole_number(years):
+    """A bool or a float is not a number of years, though it compares as one
+    and would print as "True-year" or "6.0-year"."""
+    message = f"^finite horizon requires a whole number of years, got {re.escape(repr(years))}$"
+    for build in (build_table2, build_table_a3, build_grid, build_replication_table):
+        with pytest.raises(DataValidationError, match=message):
+            build(years=years)
+    with pytest.raises(DataValidationError, match=message):
+        ElasticityModel("m", FormKind.LOG_LINEAR_LEVEL, 0.5, years, 0.02)
+
+
 def test_replication_percent_beyond_float_range_names_its_scenario(tmp_path):
     """A growth effect of ~706-709.8 log points has a finite relative level,
     but not 100 times it."""
@@ -477,6 +491,29 @@ def test_cli_years_must_be_at_least_one(years):
     code, out, err = run_cli(["grid", "--years", years])
     assert (code, out) == (2, "")
     assert f"argument --years: expected a whole number of years >= 1, got {years!r}" in err
+
+
+def test_cached_parser_keeps_no_state_between_runs(tmp_path, capsys):
+    """One parser serves every run in a process: a flag one run gives is
+    not there in the next, whether the table goes to stdout or to --out."""
+    golden = Path(__file__).resolve().parent / "golden"
+    assert _build_parser() is _build_parser()
+    for argv, case in ((["grid", "--years", "6"], "grid-years6.md"), (["grid"], "grid.md")):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode("utf-8") == (golden / case).read_bytes()
+    assert main(["grid", "--format", "csv", "--out", str(tmp_path / "grid.csv")]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "grid.csv").read_bytes() == (golden / "grid.csv").read_bytes()
+
+
+def test_failing_run_writes_no_byte_and_no_file(tmp_path):
+    """Every check runs before the first chunk of output: a table that fails
+    leaves no --out file behind and prints nothing."""
+    target = tmp_path / "grid.md"
+    code, out, err = run_cli(["grid", "--gap", "1e-320", "--out", str(target)])
+    assert (code, out) == (3, "")
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert not target.exists()
 
 
 # ---------------------------------------------------------------------- fuzzing
@@ -585,6 +622,7 @@ def test_cli_fuzz_exits_cleanly(tmp_path_factory, data):
         assert code == 2, argv
     if code != 0:
         assert out == "" and err.count("\n") >= 1
+        assert out_file is None or not out_file.exists(), argv
         assert names_an_input(err.splitlines()[-1], argv), (argv, err)
         return
     text = out_file.read_text(encoding="utf-8") if out_file else out

@@ -9,7 +9,9 @@ column's width.  It is written out here rather than imported, so that the
 renderers are compared with an independent transcription and not with
 themselves.  Output must be equal with ``==``; a table that cannot be
 rendered must raise the same exception class and message as the reference,
-which names the first bad cell in row-major order.
+which names the first bad cell in row-major order.  The renderers format a
+block's rows in %-calls of at most ``report._PASS_CELLS`` rows each; the
+tests also run them with calls of two rows, so that a block spans several.
 """
 
 import csv
@@ -19,7 +21,7 @@ import math
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tradegap import DataValidationError
+from tradegap import DataValidationError, report
 from tradegap.report import ResultTable, render_csv, render_markdown
 
 
@@ -75,18 +77,25 @@ def ref_markdown(table, decimals):
     return "\n".join(lines) + "\n"
 
 
-def outcome(render_fn, table, decimals):
-    """The rendered text, or the (class, message) of what rendering raised."""
+def outcome(render_fn, table, decimals, rows_per_call=None):
+    """The rendered text, or the (class, message) of what rendering raised,
+    with %-calls of at most ``rows_per_call`` rows if given."""
+    default = report._PASS_CELLS
+    report._PASS_CELLS = rows_per_call or default
     try:
         return render_fn(table, decimals)
     except Exception as exc:  # compared, never swallowed
         return type(exc), str(exc)
+    finally:
+        report._PASS_CELLS = default
 
 
 # ----------------------------------------------------------------- the draws
 
 TEXT = st.text(st.sampled_from('ab Z,"\n\r{}:|-é'), max_size=8)
-FLOATS = st.one_of(st.floats(-1e6, 1e6), st.floats(), st.sampled_from([-0.0, 0.05, 0.25, 1e300]))
+FLOATS = st.one_of(
+    st.floats(-1e6, 1e6), st.floats(), st.sampled_from([-0.0, 0.05, 0.25, 1e300, 1e308])
+)
 CELLS = {
     "str": TEXT,
     "float": FLOATS,
@@ -99,20 +108,20 @@ CELLS = {
 def tables(draw):
     """Up to four blocks over one set of columns.  In each block a column
     holds cells of its kind, or one text shared by the block's rows, or the
-    same cells object as the block before, as the grid shares its scenario
-    columns."""
+    same cells object as an earlier block of as many rows, as the grid
+    shares its scenario columns."""
     kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=5))
     blocks = []
     for _ in range(draw(st.integers(0, 4))):
         n_rows = draw(st.integers(0, 4))
         block = []
         for j, kind in enumerate(kinds):
-            how = draw(st.sampled_from(["cells", "cells", "shared", "previous"]))
-            before = blocks[-1][j] if blocks else ""
+            how = draw(st.sampled_from(["cells", "cells", "shared", "earlier"]))
+            earlier = [b[j] for b in blocks if not isinstance(b[j], str) and len(b[j]) == n_rows]
             if how == "shared":
                 block.append(draw(TEXT))
-            elif how == "previous" and not isinstance(before, str) and len(before) == n_rows:
-                block.append(before)
+            elif how == "earlier" and earlier:
+                block.append(draw(st.sampled_from(earlier)))
             else:
                 block.append(draw(st.lists(CELLS[kind], min_size=n_rows, max_size=n_rows)))
         blocks.append(tuple(block))
@@ -134,6 +143,7 @@ def _blocks(columns, *blocks):
 
 SCENARIOS = ["C1", "C2", "C3"]
 SHOCKS = ["0.174000", "0.361353", "0.439936"]
+SHARED = [1.0, math.inf]
 
 
 @settings(max_examples=300, deadline=None)
@@ -180,8 +190,30 @@ SHOCKS = ["0.174000", "0.361353", "0.439936"]
     ),
     decimals=1,
 )
+# every cell finite, but their sum is not
+@example(table=_table(("x", "y"), (1e308, "a"), (1e308, "b")), decimals=1)
+# one column object in blocks 1 and 3, checked once: its inf is still named,
+# as the first bad cell in row-major order, before block 2's nan
+@example(
+    table=_blocks(
+        ("model", "x", "y"),
+        ("a", SHARED, [1.0, 2.0]), ("b", [math.nan, 1.0], SHOCKS[:2]), ("c", SHARED, [5.0, 6.0]),
+    ),
+    decimals=1,
+)
+# ... and named after a bad cell of an earlier block that it is not in
+@example(
+    table=_blocks(("model", "x"), ("a", [1.0, -math.inf]), ("b", SHARED), ("c", SHARED)),
+    decimals=1,
+)
+# a block of five rows: %-calls of two, two and one row
+@example(
+    table=_blocks(("s", "x"), (SCENARIOS + SHOCKS[:2], [0.5, -0.0, 2.0, 3.0, 4.25])), decimals=6
+)
 def test_renderers_match_the_per_cell_reference(table, decimals):
     assert table.rows == tuple(ref_rows(table))
-    assert outcome(render_csv, table, decimals) == outcome(ref_csv, table, decimals)
-    assert outcome(render_markdown, table, decimals) == outcome(ref_markdown, table, decimals)
+    for render_fn, ref_fn in ((render_csv, ref_csv), (render_markdown, ref_markdown)):
+        expected = outcome(ref_fn, table, decimals)
+        assert outcome(render_fn, table, decimals) == expected
+        assert outcome(render_fn, table, decimals, rows_per_call=2) == expected
 

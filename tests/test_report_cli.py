@@ -316,6 +316,17 @@ def test_render_unknown_format(registry):
         render(build_replication_table(), "yaml")
 
 
+@pytest.mark.parametrize("fmt,render_fmt", [("csv", render_csv), ("md", render_markdown)])
+def test_render_and_the_chunks_the_cli_writes_are_one_text(fmt, render_fmt):
+    """The grid's chunks: its caption and header, one per block (each under
+    ``_PASS_CELLS`` rows), then its footnotes."""
+    table = build_grid()
+    chunks = list(report.render_chunks(table, fmt))
+    assert render(table, fmt) == render_fmt(table) == "".join(chunks)
+    assert len(chunks) == len(table.blocks) + 2
+    assert chunks[0].count("\n") == (2 if fmt == "csv" else 4)
+
+
 def test_csv_quotes_commas():
     table = build_table2()
     text = render_csv(table)
