@@ -9,13 +9,11 @@ underperformance the embargo explains.
 from .decomposition import (
     DecompositionResult,
     GapDenominator,
-    GapKind,
     additive_log_share,
     backout_gap,
     geometric_share,
     geometric_share_from_levels,
     geometric_share_of_gap,
-    linear_levels_share,
     policy_growth_residual,
 )
 from .effects import (
@@ -23,7 +21,6 @@ from .effects import (
     evaluate,
     finite_horizon_effect,
     steady_state_effect_loglinear,
-    steady_state_effect_loglog,
 )
 from .elasticities import (
     ElasticityModel,
@@ -68,7 +65,6 @@ __all__ = [
     "ElasticityRegistry",
     "FormKind",
     "GapDenominator",
-    "GapKind",
     "GdpSeries",
     "GrowthEffect",
     "Observation",
@@ -93,7 +89,6 @@ __all__ = [
     "geometric_share_from_levels",
     "geometric_share_of_gap",
     "implied_point_elasticity",
-    "linear_levels_share",
     "load_registry",
     "load_scenario_config",
     "load_series",
@@ -105,7 +100,6 @@ __all__ = [
     "seed_registry",
     "splice",
     "steady_state_effect_loglinear",
-    "steady_state_effect_loglog",
     "steady_state_semi_elasticity",
     "__version__",
 ]

@@ -2,7 +2,7 @@
 
 Write the factual economy's shortfall against its no-embargo, no-policy
 counterfactual as a total gap, and ask: what share theta of that gap does
-the embargo explain?  Three schemes answer differently:
+the embargo explain?  Two schemes answer differently:
 
 * additive-log — decompose the *log* gap: ``theta = c_NE / (c_NE + c_NS)``
   where ``c_NE`` is the embargo effect in log points and ``c_NS`` the
@@ -15,9 +15,6 @@ the embargo explain?  Three schemes answer differently:
   of a gap of ``G`` log points, ``(1 + g_NE)(1 + g_NS) = exp(G)``, so
   ``theta = g_NE / expm1(G)``: the interaction ``g_NE*g_NS`` is part of
   ``expm1(G) - g_NE``, the policy part.
-* linear-levels — treat absolute income contributions as separable and
-  take the simple ratio.  Kept for comparison; income is not linear in
-  trade shares and policies, so :func:`linear_levels_share` is unsound.
 
 Every scheme's result holds the embargo share ``theta`` alone.
 
@@ -179,17 +176,6 @@ def geometric_share_from_levels(
             "degenerate decomposition: counterfactual does not exceed the factual"
         )
     return geometric_share(y_ne_s / y_e_s - 1.0, y_ne_ns / y_ne_s - 1.0)
-
-
-def linear_levels_share(c_ne_linear: float, c_ns_linear: float) -> DecompositionResult:
-    """Simple ratio of absolute income contributions, flagged as unsound:
-    income is not linear in trade shares and policies."""
-    total = c_ne_linear + c_ns_linear
-    if not math.isfinite(total):  # a non-finite component, or a sum beyond float range
-        raise DataValidationError(f"c_NE {c_ne_linear!r} + c_NS {c_ns_linear!r} sums to {total!r}")
-    if total == 0:
-        raise DataValidationError("degenerate decomposition: contributions sum to zero")
-    return DecompositionResult(c_ne_linear / total)
 
 
 def policy_growth_residual(effect: GrowthEffect, total: GapDenominator) -> float:

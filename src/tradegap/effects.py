@@ -147,11 +147,6 @@ def steady_state_effect_loglinear(
     return evaluate(ElasticityModel("custom", FormKind.LOG_LINEAR_LEVEL, semi_elasticity), scenario)
 
 
-def steady_state_effect_loglog(elasticity: float, scenario: TradeShockScenario) -> GrowthEffect:
-    """Steady-state effect of a log-log form: ``e * ln(lambda0/lambda_cf)``."""
-    return evaluate(ElasticityModel("custom", FormKind.LOG_LOG_LEVEL, elasticity), scenario)
-
-
 #: A model row's effect parameters: its years (None at the steady state), its
 #: coefficient, and the index of the scenario column in ``Shocks`` it scales.
 EffectRow = tuple[int | None, float, int]

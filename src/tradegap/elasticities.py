@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 import sys
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -78,6 +79,8 @@ class ElasticityModel(_Value):
                 f"model {self.name!r}: coefficient of a {self.form.value} form must be {shape}, "
                 f"got {c!r}"
             )
+        for what, x in zip(("alpha1", "alpha2"), c) if growth else (("coefficient", c),):
+            _check_number(f"model {self.name!r}: {what}", x)
         self.level_coefficient()  # a growth form's alpha1 < 0
         if self.years is not None:
             _check_years(self.years)
@@ -104,12 +107,20 @@ def _check_years(years: int | None) -> None:
         raise DataValidationError("years beyond float range")
 
 
+def _check_number(what: str, x: object) -> None:
+    """The rule of :func:`~tradegap.errors.number` for ``what``, and finiteness."""
+    if type(x) not in (int, float) or not abs(x) <= sys.float_info.max:  # bool, nan, inf, huge int
+        raise DataValidationError(f"{what} must be a finite number, got {x!r}")
+
+
 def _check_model(name: str, years: int | None, short_run_epsilon: float | None) -> None:
-    """The model rules: a name, and a short-run epsilon for a finite horizon."""
+    """The model rules: a name, a short-run epsilon for a finite horizon, and a finite one."""
     if not name:
         raise DataValidationError("model name must be non-empty")
     if years is not None and short_run_epsilon is None:
         raise DataValidationError(f"model {name!r}: finite horizon requires short_run_epsilon")
+    if short_run_epsilon is not None:
+        _check_number(f"model {name!r}: short_run_epsilon", short_run_epsilon)
 
 
 class ElasticityRegistry(_Value):
@@ -118,8 +129,8 @@ class ElasticityRegistry(_Value):
     The models are held as one column per field: ``levels`` holds each
     form's steady-state level coefficient, ``alphas`` a growth form's
     ``(alpha1, alpha2)`` and None for a level form, and ``years`` a finite
-    horizon's years and None at the steady state.  ``entries``, iteration
-    and :meth:`get` build :class:`ElasticityModel` objects on each access.
+    horizon's years and None at the steady state.  Iteration and
+    :meth:`get` build :class:`ElasticityModel` objects on each access.
     """
 
     __slots__ = ("names", "forms", "levels", "alphas", "years", "epsilons", "notes")
@@ -152,10 +163,6 @@ class ElasticityRegistry(_Value):
             self.names[i], self.forms[i], self.levels[i] if alphas is None else alphas,
             self.years[i], self.epsilons[i], self.notes[i],
         )
-
-    @property
-    def entries(self) -> tuple[ElasticityModel, ...]:
-        return tuple(self)
 
     def get(self, name: str) -> ElasticityModel:
         if name not in self.names:
@@ -190,10 +197,11 @@ def steady_state_semi_elasticity(alpha1: float, alpha2: float) -> float:
     >>> round(steady_state_semi_elasticity(-0.0439, 0.018), 2)
     0.41
     """
-    if alpha1 >= 0:
+    if not alpha1 < 0:  # negated so that nan is rejected too
         raise DataValidationError(
             f"no stable steady state: convergence coefficient must be negative, got {alpha1}"
         )
+    _check_number("openness coefficient", alpha2)
     return -alpha2 / alpha1
 
 
@@ -208,8 +216,8 @@ def feyrer_elasticity(beta: float) -> float:
     >>> round(feyrer_elasticity(0.558), 4)
     1.2624
     """
-    if beta >= 1.0:
-        raise DataValidationError(f"elasticity undefined for beta >= 1, got {beta}")
+    if not -math.inf < beta < 1.0:  # negated so that nan is rejected too
+        raise DataValidationError(f"elasticity undefined for beta >= 1 or not finite, got {beta}")
     return beta / (1.0 - beta)
 
 
@@ -223,8 +231,9 @@ def implied_point_elasticity(semi_elasticity: float, lam: float) -> float:
     >>> implied_point_elasticity(0.41, 0.55)
     0.2255
     """
-    if lam <= 0 or lam > 2:
+    if not 0 < lam <= 2:  # negated so that nan is rejected too
         raise DataValidationError(f"openness share out of domain (0, 2]: {lam}")
+    _check_number("semi-elasticity", semi_elasticity)
     return semi_elasticity * lam
 
 

@@ -28,6 +28,7 @@ from .errors import ConfigurationError, DataValidationError, _Value
 from .scenarios import (
     ScenarioConfig,
     TradeShockScenario,
+    _check_baseline,
     build_scenarios,
     custom_scenario,
     default_scenario_config,
@@ -156,7 +157,7 @@ def _table_scenarios(
     config: ScenarioConfig, lambda_baseline: float | None = None
 ) -> tuple[TradeShockScenario, ...]:
     """C1-C3 at the config's or the given baseline, C1 at the calibrated table change."""
-    lam0 = config.lambda_baseline if lambda_baseline is None else lambda_baseline
+    lam0 = config.lambda_baseline if lambda_baseline is None else _check_baseline(lambda_baseline)
     c1 = custom_scenario("C1", TABLE_C1_DELTA_LAMBDA, lam0, "calibrated 1972 openness-share change")
     return (c1, *us_trade_scenarios(config.inputs, lam0))
 
@@ -255,7 +256,7 @@ def build_replication_table(
     original computation, which worked from the printed ratios.
     """
     config = config or default_scenario_config()
-    lam0 = config.lambda_baseline if lambda_baseline is None else lambda_baseline
+    lam0 = config.lambda_baseline if lambda_baseline is None else _check_baseline(lambda_baseline)
     model = seed_registry().get("yanikkaya")
     rows = []
     for scenario in build_scenarios(config.inputs, lam0):

@@ -137,9 +137,9 @@ _BUILT_IN = frozenset({"C1", "C2", "C3"})
 class ScenarioConfig(_Value):
     """Parsed scenario config: inputs, baseline openness, extra scenarios.
 
-    The extra scenarios are held as two columns, ``custom_ids`` and
-    ``custom_delta_lambdas``, all at ``lambda_baseline``; ``custom_scenarios``
-    builds them as scenario objects on each access.
+    The extra scenarios, given as ``custom_scenarios``, are held as two
+    columns, ``custom_ids`` and ``custom_delta_lambdas``, all at
+    ``lambda_baseline``.
     """
 
     __slots__ = ("inputs", "lambda_baseline", "custom_ids", "custom_delta_lambdas")
@@ -174,17 +174,13 @@ class ScenarioConfig(_Value):
         self.__setstate__(values)
         return self
 
-    @property
-    def custom_scenarios(self) -> tuple[TradeShockScenario, ...]:
-        baselines = [self.lambda_baseline] * len(self.custom_ids)
-        return tuple(map(TradeShockScenario, self.custom_ids, self.custom_delta_lambdas, baselines))
 
-
-def _check_baseline(lambda_baseline: float) -> float:
-    """The config rule for the baseline openness: a share on (0, 1]."""
-    if not 0 < lambda_baseline <= 1:  # negated so that NaN is rejected too
-        raise ConfigurationError(f"lambda_baseline must be in (0, 1], got {lambda_baseline}")
-    return lambda_baseline
+def _check_baseline(lambda_baseline: object) -> float:
+    """The config rule for the baseline openness: a number, and a share on (0, 1]."""
+    lam0 = number(lambda_baseline, "lambda_baseline")
+    if not 0 < lam0 <= 1:  # negated so that NaN is rejected too
+        raise ConfigurationError(f"lambda_baseline must be in (0, 1], got {lam0}")
+    return lam0
 
 
 def load_scenario_config(path: str | Path) -> ScenarioConfig:
@@ -211,9 +207,7 @@ def _config_from_json(raw: object) -> ScenarioConfig:
     names = ShockInputs.__slots__
     inputs = ShockInputs(*(number(given[name], name) for name in names))
     known(given, names, "inputs: ")
-    lam0 = _check_baseline(
-        number(raw.get("lambda_baseline", DEFAULT_LAMBDA_BASELINE), "lambda_baseline")
-    )
+    lam0 = _check_baseline(raw.get("lambda_baseline", DEFAULT_LAMBDA_BASELINE))
     rows = raw.get("custom_scenarios", [])
     if not isinstance(rows, list):
         raise ConfigurationError("'custom_scenarios' must be an array")

@@ -44,10 +44,6 @@ class GdpSeries(_Value):
                 )
             prev = obs.year
 
-    @property
-    def years(self) -> tuple[int, ...]:
-        return tuple(o.year for o in self.observations)
-
     def has_year(self, year: int) -> bool:
         return any(o.year == year for o in self.observations)
 

@@ -8,17 +8,15 @@ from tradegap import (
     ConfigurationError,
     DataValidationError,
     GapDenominator,
-    GapKind,
     GrowthEffect,
     additive_log_share,
     backout_gap,
     geometric_share,
     geometric_share_from_levels,
     geometric_share_of_gap,
-    linear_levels_share,
     policy_growth_residual,
 )
-from tradegap.decomposition import geometric_thetas_of_gap
+from tradegap.decomposition import GapKind, geometric_thetas_of_gap
 
 
 def effect_from_log_points(lp):
@@ -136,10 +134,6 @@ def test_shares_reject_non_finite_components_and_totals():
         geometric_share(1e200, 1e200)
     with pytest.raises(DataValidationError, match="g_NE 0.5 and g_NS inf is not finite$"):
         geometric_share(0.5, math.inf)
-    with pytest.raises(DataValidationError, match=r"^c_NE nan \+ c_NS 1.0 sums to nan$"):
-        linear_levels_share(math.nan, 1.0)
-    with pytest.raises(DataValidationError, match=r"^c_NE 1e\+308 \+ c_NS 1e\+308 sums to inf$"):
-        linear_levels_share(1e308, 1e308)
     for levels in ((1, math.inf, math.inf), (1, 2, math.inf), (1, math.nan, 2)):
         with pytest.raises(DataValidationError, match="positive and finite"):
             geometric_share_from_levels(*levels)
@@ -219,19 +213,6 @@ def test_geometric_share_of_gap_convenience():
     direct = geometric_share_of_gap(e, GAP)
     manual = geometric_share(e.relative_level, policy_growth_residual(e, GAP))
     assert direct.theta == manual.theta
-
-
-# ------------------------------------------------------------- linear levels
-
-def test_linear_levels_examples():
-    assert linear_levels_share(3000, 7000).theta == 0.3
-    assert linear_levels_share(5.0, 0.0).theta == 1.0
-    assert linear_levels_share(1500, 4500).theta == 0.25
-
-
-def test_linear_levels_degenerate():
-    with pytest.raises(DataValidationError, match="degenerate"):
-        linear_levels_share(1.0, -1.0)
 
 
 # ------------------------------------------------------------------ back-out

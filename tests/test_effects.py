@@ -6,18 +6,24 @@ from hypothesis import strategies as st
 
 from tradegap import (
     DataValidationError,
+    ElasticityModel,
+    FormKind,
     GrowthEffect,
     custom_scenario,
     evaluate,
     finite_horizon_effect,
     steady_state_effect_loglinear,
-    steady_state_effect_loglog,
 )
 from tradegap.effects import _compounded, _from_log_points
 
 
 def pct(effect):
     return 100 * effect.relative_level
+
+
+def loglog_effect(elasticity, scenario):
+    """The steady-state effect of a log-log form: ``e * ln(lambda0/lambda_cf)``."""
+    return evaluate(ElasticityModel("custom", FormKind.LOG_LOG_LEVEL, elasticity), scenario)
 
 
 # ------------------------------------------------------- finite compounding
@@ -81,7 +87,7 @@ def test_growth_effect_encodings_agree_within_1e_12():
 def test_effect_that_expm1_keeps_non_finite_is_named():
     # 1e308 * ln(0.554 / 0.004) is inf, which expm1 returns without an OverflowError
     with pytest.raises(DataValidationError, match="^deep: effect of inf log points is out of"):
-        steady_state_effect_loglog(1e308, custom_scenario("deep", 0.55, 0.554))
+        loglog_effect(1e308, custom_scenario("deep", 0.55, 0.554))
     with pytest.raises(DataValidationError, match="^effect of nan log points is out of"):
         _from_log_points([0.1, math.nan, math.inf])
 
@@ -89,7 +95,7 @@ def test_effect_that_expm1_keeps_non_finite_is_named():
 def test_minus_infinite_effect_is_out_of_float_range():
     # expm1(-inf) is a finite -1.0, so the log points themselves are checked
     with pytest.raises(DataValidationError, match="^deep: effect of -inf log points is out of"):
-        steady_state_effect_loglog(-1e308, custom_scenario("deep", 0.55, 0.554))
+        loglog_effect(-1e308, custom_scenario("deep", 0.55, 0.554))
     with pytest.raises(DataValidationError, match="^S: effect of -inf log points is out of"):
         GrowthEffect(-math.inf, -1.0, "S")
 
@@ -119,15 +125,15 @@ def test_loglog_no_shock_is_exactly_zero():
     from tradegap import ShockInputs, build_scenarios
 
     c1, _, _ = build_scenarios(ShockInputs(0, 100, 0, 1000), 0.554)
-    e = steady_state_effect_loglog(1.26, c1)
+    e = loglog_effect(1.26, c1)
     assert e.log_points == 0.0 and e.relative_level == 0.0
 
 
 def test_loglog_published_cells(c123):
     _, c2, c3 = c123
     # the two log-log spot checks from the published grid
-    assert pct(steady_state_effect_loglog(0.186, c2)) == pytest.approx(21.9, rel=0.02)
-    assert pct(steady_state_effect_loglog(1.2624434389140273, c3)) == pytest.approx(
+    assert pct(loglog_effect(0.186, c2)) == pytest.approx(21.9, rel=0.02)
+    assert pct(loglog_effect(1.2624434389140273, c3)) == pytest.approx(
         636.5, rel=0.02
     )
 
@@ -181,8 +187,8 @@ def test_monotone_in_shock_size(coeff, d1, d2):
     assert steady_state_effect_loglinear(coeff, s_lo).log_points < (
         steady_state_effect_loglinear(coeff, s_hi).log_points
     )
-    assert steady_state_effect_loglog(coeff, s_lo).log_points < (
-        steady_state_effect_loglog(coeff, s_hi).log_points
+    assert loglog_effect(coeff, s_lo).log_points < (
+        loglog_effect(coeff, s_hi).log_points
     )
 
 
@@ -192,7 +198,7 @@ def test_loglog_agrees_with_loglinear_for_small_shocks(delta):
     lam0 = 0.554
     s = custom_scenario("small", delta, lam0)
     e = 1.23
-    loglog = steady_state_effect_loglog(e, s).log_points
+    loglog = loglog_effect(e, s).log_points
     loglin = steady_state_effect_loglinear(e / lam0, s).log_points
     assert loglog == pytest.approx(loglin, rel=0.01)
 
@@ -202,6 +208,6 @@ def test_divergence_of_loglog_at_small_openness():
     # under the log-log level form than one year of the short-run growth form
     lam0 = 0.55
     one_point = custom_scenario("1pp", 0.01, lam0)
-    loglog = steady_state_effect_loglog(0.186, one_point)
+    loglog = loglog_effect(0.186, one_point)
     short_run = finite_horizon_effect(0.018, 1.0, 1)
     assert loglog.relative_level / short_run.relative_level > 15

@@ -41,6 +41,12 @@ def test_steady_state_requires_negative_convergence():
         steady_state_semi_elasticity(0.0, 0.018)
     with pytest.raises(DataValidationError):
         steady_state_semi_elasticity(0.3, 0.018)
+    with pytest.raises(DataValidationError, match="must be negative, got nan$"):
+        steady_state_semi_elasticity(math.nan, 1.0)
+    for alpha2 in (math.nan, math.inf):
+        with pytest.raises(DataValidationError, match=f"^openness coefficient must be a finite "
+                                                      f"number, got {alpha2}$"):
+            steady_state_semi_elasticity(-0.04, alpha2)
 
 
 @given(
@@ -65,8 +71,9 @@ def test_feyrer_conversion_published_value():
 def test_feyrer_trivia_and_domain():
     assert feyrer_elasticity(0.0) == 0.0
     assert feyrer_elasticity(0.5) == 1.0
-    with pytest.raises(DataValidationError, match="undefined"):
-        feyrer_elasticity(1.0)
+    for beta in (1.0, math.nan, -math.inf):  # beta / (1 - beta) is nan at -inf
+        with pytest.raises(DataValidationError, match=f"undefined .* got {beta}$"):
+            feyrer_elasticity(beta)
 
 
 @given(st.floats(-0.99, 0.99), st.floats(-0.99, 0.99))
@@ -79,8 +86,12 @@ def test_implied_point_elasticity():
     assert implied_point_elasticity(0.41, 0.55) == 0.2255
     assert implied_point_elasticity(1.04, 0.55) == pytest.approx(0.572)
     assert implied_point_elasticity(0.7, 1.0) == 0.7
-    with pytest.raises(DataValidationError):
-        implied_point_elasticity(0.41, 0.0)
+    for lam in (0.0, math.nan):
+        with pytest.raises(DataValidationError, match=f"out of domain .*: {lam}$"):
+            implied_point_elasticity(0.41, lam)
+    for s in (math.nan, math.inf):
+        with pytest.raises(DataValidationError, match="^semi-elasticity must be a finite number"):
+            implied_point_elasticity(s, 0.5)
 
 
 @given(st.floats(0.01, 3.0), st.floats(0.01, 2.0), st.floats(0.1, 5.0))
@@ -112,6 +123,10 @@ def test_level_coefficient_reduction():
 def test_finite_horizon_needs_epsilon():
     with pytest.raises(DataValidationError, match="short_run_epsilon"):
         ElasticityModel(name="m", form=LOG_LINEAR, coefficient=0.5, years=12)
+    for epsilon in (math.nan, math.inf, True, "0.018", 10**400):  # an int beyond float range
+        message = f"model 'm': short_run_epsilon must be a finite number, got {epsilon!r}"
+        with pytest.raises(DataValidationError, match=f"^{re.escape(message)}$"):
+            ElasticityModel("m", LOG_LINEAR, 0.5, 12, epsilon)
 
 
 def test_model_needs_a_name():
@@ -155,6 +170,13 @@ PAIR = "coefficient of a growth_with_convergence form must be the pair (alpha1, 
          "model 'm': coefficient of a log_linear_level form must be one number, got 'abc'"),
         (LOG_LOG, True,
          "model 'm': coefficient of a log_log_level form must be one number, got True"),
+        # an entry that is not a finite number
+        (GROWTH_FORM, ("a", 1.0), "model 'm': alpha1 must be a finite number, got 'a'"),
+        (GROWTH_FORM, (-0.04, math.nan), "model 'm': alpha2 must be a finite number, got nan"),
+        (GROWTH_FORM, (-math.inf, 1.0), "model 'm': alpha1 must be a finite number, got -inf"),
+        (GROWTH_FORM, (-0.04, True), "model 'm': alpha2 must be a finite number, got True"),
+        (LOG_LINEAR, math.nan, "model 'm': coefficient must be a finite number, got nan"),
+        (LOG_LOG, -math.inf, "model 'm': coefficient must be a finite number, got -inf"),
     ],
 )
 def test_model_coefficient_fits_its_form(form, coefficient, message):
@@ -338,13 +360,12 @@ def test_seed_registry_is_parsed_once_and_frozen():
     assert all(type(getattr(a, f.name)) is tuple for f in dataclasses.fields(a))
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.names = ("x",)
-    assert type(a.entries) is tuple and a.entries == tuple(a)
 
 
 def test_registry_columns_round_trip_its_models(registry):
-    assert ElasticityRegistry(seed_registry().entries) == seed_registry()
-    assert ElasticityRegistry(registry.entries).entries == registry.entries
-    assert registry.get("feyrer") == registry.entries[-1]
+    assert ElasticityRegistry(seed_registry()) == seed_registry()
+    assert tuple(ElasticityRegistry(registry)) == tuple(registry)
+    assert registry.get("feyrer") == tuple(registry)[-1]
 
 
 def test_registry_columns_round_trip_a_growth_row(tmp_path):
@@ -354,7 +375,7 @@ def test_registry_columns_round_trip_a_growth_row(tmp_path):
               "coefficient": {"alpha1": -0.5, "alpha2": 1.0}}
     loaded = load_registry(write_registry(tmp_path / "r.json", [growth]))
     model = ElasticityModel("x", GROWTH_FORM, (-0.5, 1.0), 12, 0.02)
-    assert loaded.entries == (model,) and ElasticityRegistry([model]) == loaded
+    assert tuple(loaded) == (model,) and ElasticityRegistry([model]) == loaded
     assert (loaded.levels, loaded.alphas) == ((2.0,), ((-0.5, 1.0),))
     assert dataclasses.replace(model, years=6).years == 6
 
@@ -544,4 +565,4 @@ def test_read_is_the_reference_read(models):
     assert loaded == reference
     if not isinstance(loaded, str):  # each value of the same type, too
         assert repr(loaded) == repr(reference)
-        assert loaded.entries == reference.entries
+        assert tuple(loaded) == tuple(reference)

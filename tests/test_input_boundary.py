@@ -26,6 +26,7 @@ from tradegap import (
     ScenarioConfig,
     ShockInputs,
     TradeShockScenario,
+    build_gap_audit,
     build_grid,
     build_replication_table,
     build_table2,
@@ -405,6 +406,25 @@ def test_config_constructor_applies_the_baseline_rule():
         message = f"lambda_baseline must be in (0, 1], got {lam0}"
         with pytest.raises(ConfigurationError, match=re.escape(message)):
             ScenarioConfig(ShockInputs(530, 1122, 244, 3105), lam0)
+    with pytest.raises(ConfigurationError, match="^lambda_baseline must be a number, got True$"):
+        ScenarioConfig(ShockInputs(530, 1122, 244, 3105), True)
+
+
+@pytest.mark.parametrize(
+    "build", [build_table2, build_table_a3, build_replication_table, build_gap_audit]
+)
+def test_builders_apply_the_baseline_rule(build):
+    """A builder's ``lambda_baseline`` keeps the rule of a config's: a number
+    on (0, 1], so a table never prints "baseline openness 5"."""
+    for lam0, message in (
+        (5.0, "lambda_baseline must be in (0, 1], got 5.0"),
+        (math.nan, "lambda_baseline must be in (0, 1], got nan"),
+        (True, "lambda_baseline must be a number, got True"),
+        ("0.6", "lambda_baseline must be a number, got '0.6'"),
+    ):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            build(lambda_baseline=lam0)
+    assert build(lambda_baseline=1) == build(lambda_baseline=1.0)
 
 
 def test_registry_string_where_years_belong(tmp_path):

@@ -107,7 +107,7 @@ def test_delta_lambda_pp_is_percentage_points(c123):
 def test_default_config_matches_published_inputs(config):
     assert config.inputs == INPUTS
     assert config.lambda_baseline == 0.554
-    assert config.custom_scenarios == ()
+    assert (config.custom_ids, config.custom_delta_lambdas) == ((), ())
 
 
 def test_load_custom_scenarios(tmp_path):
@@ -131,9 +131,7 @@ def test_load_custom_scenarios(tmp_path):
     )
     cfg = load_scenario_config(p)
     assert cfg.lambda_baseline == 0.5
-    (extra,) = cfg.custom_scenarios
-    assert extra.id == "mild"
-    assert extra.lambda_counterfactual == 0.45
+    assert (cfg.custom_ids, cfg.custom_delta_lambdas) == (("mild",), (0.05,))
 
 
 def test_config_errors_are_configuration_errors(tmp_path):
@@ -324,4 +322,3 @@ def test_config_read_is_the_reference_read(raw):
     assert loaded == reference
     if not isinstance(loaded, str):  # each value of the same type, too
         assert repr(loaded) == repr(reference)
-        assert loaded.custom_scenarios == reference.custom_scenarios

@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 
 from tradegap import (
     DataValidationError,
-    GapKind,
     GdpSeries,
     Observation,
     load_series,
     log_gap,
     splice,
 )
+from tradegap.decomposition import GapKind
 
 
 def series(label, *pairs):
@@ -41,7 +41,7 @@ def test_series_invariants():
 
 def test_series_lookup():
     s = series("cuba", (1958, 3105.0), (1959, 3200.0))
-    assert s.years == (1958, 1959)
+    assert [o.year for o in s.observations] == [1958, 1959]
     assert s.value(1958) == 3105.0
     assert s.has_year(1959) and not s.has_year(1960)
     with pytest.raises(DataValidationError, match="no observation"):
@@ -54,7 +54,7 @@ def test_load_minimal_file(tmp_path):
     p = tmp_path / "s.csv"
     p.write_text("year,value\n1958,3105\n1959,3200\n", encoding="utf-8")
     s = load_series(p)
-    assert s.years == (1958, 1959)
+    assert [o.year for o in s.observations] == [1958, 1959]
     assert s.label == "s"
     assert s.value(1959) == 3200.0
 
