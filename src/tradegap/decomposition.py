@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 
 from .effects import GrowthEffect
-from .errors import ConfigurationError, DataValidationError, _Value
+from .errors import _FLOAT_MAX, ConfigurationError, DataValidationError, _Value, number
 
 #: Calibrated 2024 log gap ln(y_synthetic / y_historical).  Not printed in
 #: the source tables; recovered by the back-out oracle (see
@@ -47,7 +46,7 @@ DEFAULT_GAP_2024_LOG_POINTS = 1.085
 DEFAULT_GAP_1972_RELATIVE = 1.24095
 
 #: Largest gap, in log points, whose relative level exp(gap) - 1 is a float.
-_MAX_GAP_LOG_POINTS = math.log(sys.float_info.max)
+_MAX_GAP_LOG_POINTS = math.log(_FLOAT_MAX)
 
 
 class GapKind(enum.Enum):
@@ -60,6 +59,9 @@ class GapDenominator(_Value):
     """Total underperformance ln(y_synthetic / y_historical), in log points."""
 
     __slots__ = ("kind", "log_points")
+
+    def __post_init__(self) -> None:
+        number(self.log_points, "gap denominator")
 
     @classmethod
     def calibrated_2024(cls) -> "GapDenominator":
@@ -76,7 +78,7 @@ class GapDenominator(_Value):
 
     def checked_log_points(self) -> float:
         """The gap as a share denominator: positive, and finite as a relative
-        level.  Not checked on construction: ``log_gap`` returns either sign."""
+        level.  Its sign is unchecked on construction: ``log_gap`` gives either."""
         if not 0 < self.log_points < _MAX_GAP_LOG_POINTS:
             raise ConfigurationError(
                 f"gap denominator must be positive and finite (below "
@@ -101,6 +103,9 @@ class DecompositionResult(_Value):
     """Embargo share ``theta`` of the total gap under one scheme."""
 
     __slots__ = ("theta",)
+
+    def __post_init__(self) -> None:
+        number(self.theta, "embargo share theta", DataValidationError)
 
     @property
     def policy_share(self) -> float:
@@ -145,11 +150,11 @@ def geometric_share(g_ne: float, g_ns: float) -> DecompositionResult:
     total relative gap ``(1+g_NE)(1+g_NS) - 1``, whose cross term
     ``g_NE*g_NS``, the interaction, counts wholly against the embargo share.
     """
-    if not (g_ne > -1 and g_ns > -1):
-        name, g = ("policy residual g_NS", g_ns) if g_ne > -1 else ("effect g_NE", g_ne)
-        raise DataValidationError(f"relative level changes must exceed -1: {name} is {g!r}")
+    for name, g in (("effect g_NE", g_ne), ("policy residual g_NS", g_ns)):
+        if not number(g, name, DataValidationError) > -1:
+            raise DataValidationError(f"relative level changes must exceed -1: {name} is {g!r}")
     total = g_ns + g_ne + g_ns * g_ne
-    if not math.isfinite(total):  # a +inf component, or a product beyond float range
+    if not math.isfinite(total):  # finite components, but a product or sum beyond float range
         raise DataValidationError(
             f"total relative gap of g_NE {g_ne!r} and g_NS {g_ns!r} is not finite"
         )
@@ -169,11 +174,12 @@ def geometric_share_from_levels(
     computed as :func:`geometric_share` of the implied relative changes, so
     invariant to rescaling all three levels.
     """
-    if not all(0 < y < math.inf for y in (y_e_s, y_ne_s, y_ne_ns)):
-        raise DataValidationError("income levels must be positive and finite")
+    for name, y in (("y_e_s", y_e_s), ("y_ne_s", y_ne_s), ("y_ne_ns", y_ne_ns)):
+        if not number(y, name, DataValidationError) > 0:
+            raise DataValidationError(f"income level {name} must be positive, got {y!r}")
     if y_ne_ns <= y_e_s:
         raise DataValidationError(
-            "degenerate decomposition: counterfactual does not exceed the factual"
+            "degenerate decomposition: counterfactual y_ne_ns does not exceed the factual y_e_s"
         )
     return geometric_share(y_ne_s / y_e_s - 1.0, y_ne_ns / y_ne_s - 1.0)
 
@@ -216,8 +222,7 @@ def backout_gap(effect: GrowthEffect, reported_share: float) -> float:
     ``gap = log_points / share``.  Running this over all log-linear table
     cells audits the calibrated denominator (see the ``gap`` subcommand).
     """
-    if not 0 < reported_share < math.inf:
-        raise DataValidationError(
-            f"reported share must be positive and finite, got {reported_share}"
-        )
-    return effect.log_points / reported_share
+    if not number(reported_share, "reported share", DataValidationError) > 0:
+        raise DataValidationError(f"reported share must be positive, got {reported_share}")
+    gap = effect.log_points / reported_share  # beyond float range for a subnormal share
+    return number(gap, "gap implied by the reported share", DataValidationError)

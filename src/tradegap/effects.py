@@ -30,7 +30,7 @@ from itertools import chain, repeat
 from typing import Callable, Sequence
 
 from .elasticities import ElasticityModel, FormKind, _check_years
-from .errors import DataValidationError, _Value
+from .errors import DataValidationError, _Value, number
 from .scenarios import TradeShockScenario
 
 #: Columns of effects, one entry per scenario: (log points, relative levels).
@@ -54,9 +54,9 @@ def _out_of_range(log_points: float) -> DataValidationError:
 
 def _checked(log_points: float, relative_level: float) -> Effects:
     """The effect as one-cell columns, if it keeps the invariants of every
-    effect: finite, and the encodings within 1e-12."""
-    if not (math.isfinite(log_points) and math.isfinite(relative_level)):
-        raise _out_of_range(log_points)
+    effect: finite numbers, and the encodings within 1e-12."""
+    number(log_points, "log_points", DataValidationError)
+    number(relative_level, "relative_level", DataValidationError)
     try:
         expected = math.expm1(log_points)
     except OverflowError:  # no finite relative level encodes it
@@ -136,6 +136,8 @@ def finite_horizon_effect(
     ``epsilon * delta_lambda_pp / 100`` exactly (no compounding noise).
     """
     _check_years(years)  # first: it rejects years < 1 or beyond float range
+    number(epsilon, "epsilon", DataValidationError)
+    number(delta_lambda_pp, "delta_lambda_pp", DataValidationError)
     cell = _cell(scenario_id, _compounded, [epsilon], [years], [delta_lambda_pp])
     return GrowthEffect(*cell, scenario_id)
 

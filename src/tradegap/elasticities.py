@@ -29,13 +29,11 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
-import sys
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import (ConfigurationError, DataValidationError, _Value, known, number,
-                     read_json, string)
+from .errors import (_FLOAT_MAX, ConfigurationError, DataValidationError, _Value, known,
+                     number, read_json, string)
 
 REGISTRY_SCHEMA_VERSION = 1
 
@@ -71,17 +69,16 @@ class ElasticityModel(_Value):
     def __post_init__(self) -> None:
         if type(self.form) is not FormKind:
             raise DataValidationError(f"model {self.name!r}: unknown functional form {self.form!r}")
-        growth = self.form is FormKind.GROWTH_WITH_CONVERGENCE
         c = self.coefficient
-        if not (type(c) is tuple and len(c) == 2 if growth else type(c) in (int, float)):
-            shape = "the pair (alpha1, alpha2)" if growth else "one number"
+        if self.form is FormKind.GROWTH_WITH_CONVERGENCE and not (type(c) is tuple and len(c) == 2):
             raise DataValidationError(
-                f"model {self.name!r}: coefficient of a {self.form.value} form must be {shape}, "
-                f"got {c!r}"
+                f"model {self.name!r}: coefficient of a {self.form.value} form must be the pair "
+                f"(alpha1, alpha2), got {c!r}"
             )
-        for what, x in zip(("alpha1", "alpha2"), c) if growth else (("coefficient", c),):
-            _check_number(f"model {self.name!r}: {what}", x)
-        self.level_coefficient()  # a growth form's alpha1 < 0
+        try:
+            self.level_coefficient()  # a finite number, and a growth form's alpha1 < 0
+        except DataValidationError as exc:
+            raise DataValidationError(f"model {self.name!r}: {exc}") from None
         if self.years is not None:
             _check_years(self.years)
         _check_model(self.name, self.years, self.short_run_epsilon)
@@ -94,7 +91,7 @@ class ElasticityModel(_Value):
         """
         if self.form is FormKind.GROWTH_WITH_CONVERGENCE:
             return steady_state_semi_elasticity(*self.coefficient)
-        return float(self.coefficient)
+        return number(self.coefficient, "coefficient", DataValidationError)
 
 
 def _check_years(years: int | None) -> None:
@@ -103,14 +100,8 @@ def _check_years(years: int | None) -> None:
         raise DataValidationError(f"finite horizon requires a whole number of years, got {years!r}")
     if years is None or years < 1:
         raise DataValidationError("finite horizon requires years >= 1")
-    if years > sys.float_info.max:  # compounding runs on floats
+    if years > _FLOAT_MAX:  # compounding runs on floats
         raise DataValidationError("years beyond float range")
-
-
-def _check_number(what: str, x: object) -> None:
-    """The rule of :func:`~tradegap.errors.number` for ``what``, and finiteness."""
-    if type(x) not in (int, float) or not abs(x) <= sys.float_info.max:  # bool, nan, inf, huge int
-        raise DataValidationError(f"{what} must be a finite number, got {x!r}")
 
 
 def _check_model(name: str, years: int | None, short_run_epsilon: float | None) -> None:
@@ -120,7 +111,7 @@ def _check_model(name: str, years: int | None, short_run_epsilon: float | None) 
     if years is not None and short_run_epsilon is None:
         raise DataValidationError(f"model {name!r}: finite horizon requires short_run_epsilon")
     if short_run_epsilon is not None:
-        _check_number(f"model {name!r}: short_run_epsilon", short_run_epsilon)
+        number(short_run_epsilon, f"model {name!r}: short_run_epsilon", DataValidationError)
 
 
 class ElasticityRegistry(_Value):
@@ -197,12 +188,12 @@ def steady_state_semi_elasticity(alpha1: float, alpha2: float) -> float:
     >>> round(steady_state_semi_elasticity(-0.0439, 0.018), 2)
     0.41
     """
-    if not alpha1 < 0:  # negated so that nan is rejected too
+    if not number(alpha1, "alpha1", DataValidationError) < 0:
         raise DataValidationError(
             f"no stable steady state: convergence coefficient must be negative, got {alpha1}"
         )
-    _check_number("openness coefficient", alpha2)
-    return -alpha2 / alpha1
+    level = -number(alpha2, "alpha2", DataValidationError) / alpha1
+    return number(level, "steady-state level -alpha2/alpha1", DataValidationError)
 
 
 def feyrer_elasticity(beta: float) -> float:
@@ -216,8 +207,8 @@ def feyrer_elasticity(beta: float) -> float:
     >>> round(feyrer_elasticity(0.558), 4)
     1.2624
     """
-    if not -math.inf < beta < 1.0:  # negated so that nan is rejected too
-        raise DataValidationError(f"elasticity undefined for beta >= 1 or not finite, got {beta}")
+    if not number(beta, "beta", DataValidationError) < 1.0:
+        raise DataValidationError(f"elasticity undefined for beta >= 1, got {beta}")
     return beta / (1.0 - beta)
 
 
@@ -231,10 +222,10 @@ def implied_point_elasticity(semi_elasticity: float, lam: float) -> float:
     >>> implied_point_elasticity(0.41, 0.55)
     0.2255
     """
-    if not 0 < lam <= 2:  # negated so that nan is rejected too
+    if not 0 < number(lam, "openness share lam", DataValidationError) <= 2:
         raise DataValidationError(f"openness share out of domain (0, 2]: {lam}")
-    _check_number("semi-elasticity", semi_elasticity)
-    return semi_elasticity * lam
+    point = number(semi_elasticity, "semi-elasticity", DataValidationError) * lam
+    return number(point, "point elasticity", DataValidationError)
 
 
 # --------------------------------------------------------------------------

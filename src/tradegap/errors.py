@@ -1,4 +1,4 @@
-"""Exception taxonomy, the JSON input boundary and the frozen value base.
+"""Exception taxonomy, the number rule, the JSON input boundary and the frozen value base.
 
 Two families, matching the CLI exit-code contract: configuration problems
 (bad registry/config files, incoherent flag combinations) exit with 2,
@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, TypeVar
 
 _T = TypeVar("_T")
+#: The largest float: a number is finite as a float if it is no larger in size.
+_FLOAT_MAX = sys.float_info.max
 
 
 class ConfigurationError(Exception):
@@ -31,10 +34,13 @@ def _finite(text: str) -> float:
     return value
 
 
-def number(value: object, what: str) -> float:
-    """A JSON number as a float; a string, a bool or any other value raises."""
-    if type(value) not in (int, float):  # a bool's type is bool
-        raise ConfigurationError(f"{what} must be a number, got {value!r}")
+def number(value: object, what: str, error: type[Exception] = ConfigurationError) -> float:
+    """The number rule: ``value`` as a float if it is an ``int`` or a
+    ``float``, not a bool, and finite as a float.  Otherwise raise ``error``
+    naming ``what``; an int beyond float range is shown by its bit length."""
+    if type(value) not in (int, float) or not abs(value) <= _FLOAT_MAX:  # a bool; nan, inf
+        shown = f"an int of {value.bit_length()} bits" if type(value) is int else repr(value)
+        raise error(f"{what} must be a finite number, got {shown}")
     return float(value)
 
 

@@ -11,7 +11,6 @@ forewent, each divided by 1958 GDP (all currency in 1957 USD millions):
 from __future__ import annotations
 
 import functools
-import math
 from pathlib import Path
 
 from .errors import (ConfigurationError, DataValidationError, _Value, known, number,
@@ -32,16 +31,10 @@ class ShockInputs(_Value):
                  "synthetic_export_excess_1972", "gdp_1958")
 
     def __post_init__(self) -> None:
-        # negated comparisons so that NaN is rejected too
-        if not 0 < self.gdp_1958 < math.inf:
-            raise DataValidationError(f"gdp_1958 must be positive and finite, got {self.gdp_1958}")
-        for name in (
-            "trade_gap_vs_synthetic_1972",
-            "trade_with_us_1958",
-            "synthetic_export_excess_1972",
-        ):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise DataValidationError(f"{name} must be non-negative and finite")
+        for name, value in zip(self.__slots__, self._values(self)):
+            if number(value, name, DataValidationError) < 0 or name == "gdp_1958" and not value:
+                sign = "positive" if name == "gdp_1958" else "non-negative"
+                raise DataValidationError(f"{name} must be {sign}, got {value}")
 
 
 class TradeShockScenario(_Value):
@@ -51,6 +44,8 @@ class TradeShockScenario(_Value):
     _defaults = ("",)
 
     def __post_init__(self) -> None:
+        number(self.delta_lambda, f"{self.id}: delta_lambda", DataValidationError)
+        number(self.lambda_baseline, f"{self.id}: lambda_baseline", DataValidationError)
         _check_shock(self.id, self.delta_lambda, self.lambda_baseline)
 
     @property
@@ -65,13 +60,10 @@ class TradeShockScenario(_Value):
 
 
 def _check_shock(sid: str, delta_lambda: float, lambda_baseline: float) -> None:
-    """The scenario rules: a finite baseline and 0 <= delta_lambda < baseline."""
-    # negated comparisons so that a NaN share is rejected too
-    if not lambda_baseline < math.inf:
-        raise DataValidationError(f"{sid}: baseline openness must be finite, got {lambda_baseline}")
-    if not delta_lambda >= 0:
+    """The scenario rule for two numbers: 0 <= delta_lambda < lambda_baseline."""
+    if delta_lambda < 0:
         raise DataValidationError(f"{sid}: delta_lambda must be non-negative")
-    if not lambda_baseline - delta_lambda > 0:
+    if lambda_baseline - delta_lambda <= 0:
         raise DataValidationError(
             f"{sid}: counterfactual openness non-positive "
             f"(delta {delta_lambda} >= baseline {lambda_baseline})"
@@ -205,7 +197,7 @@ def _config_from_json(raw: object) -> ScenarioConfig:
     if not isinstance(given, dict):
         raise ConfigurationError("'inputs' must be an object")
     names = ShockInputs.__slots__
-    inputs = ShockInputs(*(number(given[name], name) for name in names))
+    inputs = ShockInputs(*(number(given[name], f"inputs.{name}") for name in names))
     known(given, names, "inputs: ")
     lam0 = _check_baseline(raw.get("lambda_baseline", DEFAULT_LAMBDA_BASELINE))
     rows = raw.get("custom_scenarios", [])

@@ -14,7 +14,7 @@ from pathlib import Path
 import math
 
 from .decomposition import GapDenominator
-from .errors import DataValidationError, _Value
+from .errors import _FLOAT_MAX, DataValidationError, _Value, number
 
 
 class Observation(_Value):
@@ -23,7 +23,8 @@ class Observation(_Value):
 
 
 class GdpSeries(_Value):
-    """Ordered annual observations; years strictly increasing, values > 0."""
+    """Ordered annual observations: each year an ``int``, the years strictly
+    increasing, and each value a positive finite number."""
 
     __slots__ = ("observations", "label")
     _defaults = ("",)
@@ -32,15 +33,17 @@ class GdpSeries(_Value):
         if not self.observations:
             raise DataValidationError(f"empty series {self.label!r}")
         prev = None
-        for obs in self.observations:
+        for obs in self.observations:  # number()'s rule inline: a call per row slows load_series
+            if type(obs.year) is not int:
+                raise DataValidationError(f"series {self.label!r}: year {obs.year!r} is not an int")
             if prev is not None and obs.year <= prev:
                 raise DataValidationError(
                     f"series {self.label!r}: years not strictly increasing at {obs.year}"
                 )
-            if not 0 < obs.value < math.inf:
+            if type(obs.value) not in (int, float) or not 0 < obs.value <= _FLOAT_MAX:
+                number(obs.value, f"series {self.label!r} value in {obs.year}", DataValidationError)
                 raise DataValidationError(
-                    f"series {self.label!r}: non-positive or non-finite value "
-                    f"{obs.value} in {obs.year}"
+                    f"series {self.label!r}: non-positive value {obs.value} in {obs.year}"
                 )
             prev = obs.year
 

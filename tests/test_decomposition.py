@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -116,9 +117,9 @@ def test_geometric_columns_name_the_first_bad_cell():
 
 
 def test_geometric_rejects_nan_components():
-    with pytest.raises(DataValidationError, match="effect g_NE is nan$"):
+    with pytest.raises(DataValidationError, match="^effect g_NE must be a finite number, got nan$"):
         geometric_share(math.nan, 0.5)
-    with pytest.raises(DataValidationError, match="policy residual g_NS is nan$"):
+    with pytest.raises(DataValidationError, match="^policy residual g_NS must be a finite number"):
         geometric_share(0.5, math.nan)
     # min() passes over a nan that is not first; the column kernel still names it
     for levels in ([0.1, 0.2, math.nan], [math.nan, 0.2, 0.1]):
@@ -127,15 +128,16 @@ def test_geometric_rejects_nan_components():
 
 
 def test_shares_reject_non_finite_components_and_totals():
-    with pytest.raises(DataValidationError, match="g_NE inf and g_NS 0.5 is not finite$"):
+    with pytest.raises(DataValidationError, match="^effect g_NE must be a finite number, got inf$"):
         geometric_share(math.inf, 0.5)
     # finite components whose product overflows the total relative gap
     with pytest.raises(DataValidationError, match="g_NE 1e[+]200 and g_NS 1e[+]200 is not"):
         geometric_share(1e200, 1e200)
-    with pytest.raises(DataValidationError, match="g_NE 0.5 and g_NS inf is not finite$"):
+    with pytest.raises(DataValidationError, match="^policy residual g_NS must be a finite number"):
         geometric_share(0.5, math.inf)
-    for levels in ((1, math.inf, math.inf), (1, 2, math.inf), (1, math.nan, 2)):
-        with pytest.raises(DataValidationError, match="positive and finite"):
+    for levels, name in (((1, math.inf, math.inf), "y_ne_s"), ((1, 2, math.inf), "y_ne_ns"),
+                         ((1, math.nan, 2), "y_ne_s")):
+        with pytest.raises(DataValidationError, match=f"^{name} must be a finite number"):
             geometric_share_from_levels(*levels)
 
 
@@ -148,8 +150,8 @@ def test_geometric_from_levels_trivia():
 
 
 def test_geometric_from_levels_rejects_an_overflowing_level_ratio():
-    # y_NE,S / y_E,S overflows: the total relative gap is not finite
-    with pytest.raises(DataValidationError, match="g_NE inf and g_NS 0.0 is not finite"):
+    # y_NE,S / y_E,S overflows: the relative change g_NE is not a finite number
+    with pytest.raises(DataValidationError, match="^effect g_NE must be a finite number, got inf$"):
         geometric_share_from_levels(1e-300, 1e300, 1e300)
 
 
@@ -228,13 +230,25 @@ def test_geometric_share_of_gap_convenience():
     ],
 )
 def test_library_gap_must_be_positive_and_finite(share, gap):
-    with pytest.raises(ConfigurationError, match="gap denominator must be positive"):
+    # a non-finite gap is refused on construction, a negative or huge one by the share
+    with pytest.raises(ConfigurationError,
+                       match="^gap denominator must be (positive|a finite number)"):
         share(effect_from_log_points(0.1), GapDenominator.explicit(gap))
+
+
+@pytest.mark.parametrize("gap", [math.nan, math.inf, True, "1.085"])
+def test_gap_denominator_is_a_finite_number(gap):
+    """A gap is a number on construction, so ``explicit(True)`` is not a
+    gap of 1 and ``explicit(nan)`` never reaches a share."""
+    message = f"gap denominator must be a finite number, got {gap!r}"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        GapDenominator.explicit(gap)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_backout_gap_rejects_a_non_finite_share(bad):
-    with pytest.raises(DataValidationError, match=f"positive and finite, got {bad}"):
+    message = f"^reported share must be a finite number, got {bad}$"
+    with pytest.raises(DataValidationError, match=message):
         backout_gap(effect_from_log_points(0.1), bad)
 
 

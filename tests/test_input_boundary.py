@@ -4,10 +4,12 @@ traceback, a silently ignored flag or a non-finite table cell."""
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,25 +19,43 @@ from hypothesis import strategies as st
 from tradegap import (
     ConfigurationError,
     DataValidationError,
+    DecompositionResult,
     ElasticityModel,
     ElasticityRegistry,
     FormKind,
+    GapDenominator,
     GdpSeries,
     GrowthEffect,
     Observation,
     ScenarioConfig,
     ShockInputs,
     TradeShockScenario,
+    additive_log_share,
+    backout_gap,
     build_gap_audit,
     build_grid,
     build_replication_table,
+    build_scenarios,
     build_table2,
     build_table_a3,
+    custom_scenario,
+    feyrer_elasticity,
+    finite_horizon_effect,
+    geometric_share,
+    geometric_share_from_levels,
+    geometric_share_of_gap,
+    implied_point_elasticity,
     load_registry,
     load_scenario_config,
     load_series,
+    log_gap,
+    policy_growth_residual,
+    splice,
+    steady_state_effect_loglinear,
+    steady_state_semi_elasticity,
 )
 from tradegap.cli import _COMMANDS, _FLAGS, _build_parser, main
+from tradegap.errors import _Value
 
 INPUTS = {
     "trade_gap_vs_synthetic_1972": 530,
@@ -102,7 +122,8 @@ def test_each_subcommand_registers_only_the_flags_it_reads():
 def test_non_finite_gap_exits_2(command, gap):
     code, out, err = run_cli([command, "--gap", gap])
     assert (code, out) == (2, "")
-    assert err.startswith("configuration error: --gap: gap denominator must be positive and finite")
+    rule = "a finite number" if gap in ("nan", "inf") else "positive and finite"
+    assert err.startswith(f"configuration error: --gap: gap denominator must be {rule}")
     assert err.endswith(f"got {float(gap)}\n")
 
 
@@ -239,14 +260,14 @@ def test_cell_error_names_the_row_and_the_scenario():
 
 
 def test_value_constructors_reject_non_finite_numbers():
-    with pytest.raises(DataValidationError, match="non-finite"):
+    with pytest.raises(DataValidationError, match="value in 2024 must be a finite number, got inf"):
         GdpSeries((Observation(2024, math.inf),))
     for bad in (math.nan, math.inf):
         with pytest.raises(DataValidationError, match="finite"):
             ShockInputs(530, 1122, bad, 3105)
         with pytest.raises(DataValidationError, match="finite"):
             ShockInputs(530, 1122, 244, bad)
-    with pytest.raises(DataValidationError, match="baseline openness must be finite"):
+    with pytest.raises(DataValidationError, match="^x: lambda_baseline must be a finite number"):
         TradeShockScenario("x", 0.1, math.inf)
 
 
@@ -269,7 +290,7 @@ def test_baseline_flag_keeps_the_config_range(command):
 
 
 def test_effect_beyond_float_range_is_a_data_error():
-    with pytest.raises(DataValidationError, match="out of float range"):
+    with pytest.raises(DataValidationError, match="^s: relative_level must be a finite number"):
         GrowthEffect(800.0, math.inf, "s")
 
 
@@ -324,7 +345,8 @@ def test_unreadable_input_file_is_named(tmp_path):
 def test_config_string_where_a_number_belongs(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"inputs": {**INPUTS, "gdp_1958": "abc"}}), encoding="utf-8")
-    with pytest.raises(ConfigurationError, match=r"cfg\.json: gdp_1958 must be a number"):
+    with pytest.raises(ConfigurationError,
+                       match=r"cfg\.json: inputs\.gdp_1958 must be a finite number"):
         load_scenario_config(cfg)
     assert main(["table2", "--config", str(cfg)]) == 2
     assert "Traceback" not in capsys.readouterr().err
@@ -334,10 +356,10 @@ def test_config_string_where_a_number_belongs(tmp_path, capsys):
     "change,message",
     [
         ({"inputs": {**INPUTS, "trade_gap_vs_synthetic_1972": "530"}},
-         "trade_gap_vs_synthetic_1972 must be a number, got '530'"),
+         "inputs.trade_gap_vs_synthetic_1972 must be a finite number, got '530'"),
         ({"inputs": {**INPUTS, "trade_with_us_1958": True}},
-         "trade_with_us_1958 must be a number, got True"),
-        ({"lambda_baseline": "0.554"}, "lambda_baseline must be a number, got '0.554'"),
+         "inputs.trade_with_us_1958 must be a finite number, got True"),
+        ({"lambda_baseline": "0.554"}, "lambda_baseline must be a finite number, got '0.554'"),
         ({"lambda_baseline": 5}, "lambda_baseline must be in (0, 1], got 5.0"),
         ({"lambda_baseline": 0}, "lambda_baseline must be in (0, 1], got 0.0"),
         # the baseline is checked before any custom scenario is read against it
@@ -347,14 +369,16 @@ def test_config_string_where_a_number_belongs(tmp_path, capsys):
          "custom_scenarios[0].id must be a string, got 5"),
         ({"custom_scenarios": [{"id": "a", "delta_lambda": 0.1},
                                {"id": "b", "delta_lambda": "0.2"}]},
-         "custom_scenarios[1].delta_lambda must be a number, got '0.2'"),
+         "custom_scenarios[1].delta_lambda must be a finite number, got '0.2'"),
         ({"custom_scenarios": [{"id": "x", "delta_lambda": 0.1, "description": 1}]},
          "custom_scenarios[0].description must be a string, got 1"),
         ({"custom_scenarios": [{"id": "x"}]}, "custom_scenarios[0] missing field 'delta_lambda'"),
         ({"custom_scenarios": [["x", 0.1]]},
          "custom_scenarios[0]: list indices must be integers or slices, not str"),
+        ({"inputs": {**INPUTS, "gdp_1958": 10**400}},
+         "inputs.gdp_1958 must be a finite number, got an int of 1329 bits"),
         ({"custom_scenarios": [{"id": "x", "delta_lambda": 10**400}]},
-         "custom_scenarios[0]: int too large to convert to float"),
+         "custom_scenarios[0].delta_lambda must be a finite number, got an int of 1329 bits"),
         ({"custom_scenarios": [{"id": "x", "delta_lambda": 0.6}]},
          "custom_scenarios[0]: x: counterfactual openness non-positive"),
         ({"custom_scenarios": [{"id": "a", "delta_lambda": 0.1},
@@ -364,7 +388,7 @@ def test_config_string_where_a_number_belongs(tmp_path, capsys):
         ({"custom_scenarios": [{"id": "a", "delta_lambda": 0.1},
                                {"id": "a", "delta_lambda": 0.1},
                                {"id": "b", "delta_lambda": "0.2"}]},
-         "custom_scenarios[2].delta_lambda must be a number, got '0.2'"),
+         "custom_scenarios[2].delta_lambda must be a finite number, got '0.2'"),
         ({"custom_scenarios": None}, "'custom_scenarios' must be an array"),
         ({"custom_scenarios": {"id": "x", "delta_lambda": 0.1}},
          "'custom_scenarios' must be an array"),
@@ -383,10 +407,11 @@ def test_config_string_where_a_number_belongs(tmp_path, capsys):
          "custom_scenarios[0]: unknown field 'desc'"),
         # an object's own checks come before its unknown fields
         ({"inputs": {**INPUTS, "gdp": 3105, "gdp_1958": "3105"}},
-         "gdp_1958 must be a number, got '3105'"),
+         "inputs.gdp_1958 must be a finite number, got '3105'"),
         ({"custom_scenarios": [{"id": "x", "desc": "y", "delta_lambda": 0.6}]},
          "custom_scenarios[0]: x: counterfactual openness non-positive"),
-        ({"lambda_baseline": "0.6", "lambda_basline": 0.6}, "lambda_baseline must be a number"),
+        ({"lambda_baseline": "0.6", "lambda_basline": 0.6},
+         "lambda_baseline must be a finite number"),
         ({"custom_scenario": [], "custom_scenarios": [{"id": "x", "delta_lambda": "0.1"}]},
          "unknown field 'custom_scenario'"),
     ],
@@ -402,12 +427,14 @@ def test_config_reads_each_field_as_written(tmp_path, change, message):
 
 
 def test_config_constructor_applies_the_baseline_rule():
-    for lam0 in (5, 0, -0.5, math.nan):
+    for lam0 in (5, 0, -0.5):
         message = f"lambda_baseline must be in (0, 1], got {lam0}"
         with pytest.raises(ConfigurationError, match=re.escape(message)):
             ScenarioConfig(ShockInputs(530, 1122, 244, 3105), lam0)
-    with pytest.raises(ConfigurationError, match="^lambda_baseline must be a number, got True$"):
-        ScenarioConfig(ShockInputs(530, 1122, 244, 3105), True)
+    for lam0 in (math.nan, True):
+        message = f"^lambda_baseline must be a finite number, got {lam0}$"
+        with pytest.raises(ConfigurationError, match=message):
+            ScenarioConfig(ShockInputs(530, 1122, 244, 3105), lam0)
 
 
 @pytest.mark.parametrize(
@@ -418,9 +445,9 @@ def test_builders_apply_the_baseline_rule(build):
     on (0, 1], so a table never prints "baseline openness 5"."""
     for lam0, message in (
         (5.0, "lambda_baseline must be in (0, 1], got 5.0"),
-        (math.nan, "lambda_baseline must be in (0, 1], got nan"),
-        (True, "lambda_baseline must be a number, got True"),
-        ("0.6", "lambda_baseline must be a number, got '0.6'"),
+        (math.nan, "lambda_baseline must be a finite number, got nan"),
+        (True, "lambda_baseline must be a finite number, got True"),
+        ("0.6", "lambda_baseline must be a finite number, got '0.6'"),
     ):
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             build(lambda_baseline=lam0)
@@ -647,3 +674,217 @@ def test_cli_fuzz_exits_cleanly(tmp_path_factory, data):
         return
     text = out_file.read_text(encoding="utf-8") if out_file else out
     assert all(math.isfinite(v) for v in _float_cells(text, fmt)), (argv, text)
+
+
+# ------------------------------------------------------- the library's number rule
+
+EFFECT = GrowthEffect(0.07, math.expm1(0.07), "x")
+SCENARIO = TradeShockScenario("x", 0.1, 0.554)
+SYNTHETIC = GdpSeries((Observation(2023, 110.0), Observation(2024, 121.0)), "syn")
+HISTORICAL = GdpSeries((Observation(2023, 100.0), Observation(2024, 105.0)), "hist")
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: custom_scenario("x", 0.1, True), DataValidationError,
+         "x: lambda_baseline must be a finite number, got True"),
+        (lambda: ShockInputs(True, 1122, 244, 3105), DataValidationError,
+         "trade_gap_vs_synthetic_1972 must be a finite number, got True"),
+        (lambda: GapDenominator.explicit(True).checked_log_points(), ConfigurationError,
+         "gap denominator must be a finite number, got True"),
+        (lambda: additive_log_share(EFFECT, GapDenominator.explicit(True)), ConfigurationError,
+         "gap denominator must be a finite number, got True"),
+        (lambda: backout_gap(EFFECT, True), DataValidationError,
+         "reported share must be a finite number, got True"),
+        (lambda: geometric_share(True, 0.5), DataValidationError,
+         "effect g_NE must be a finite number, got True"),
+        (lambda: geometric_share_from_levels(True, 2.0, 3.0), DataValidationError,
+         "y_e_s must be a finite number, got True"),
+        (lambda: feyrer_elasticity(False), DataValidationError,
+         "beta must be a finite number, got False"),
+        (lambda: implied_point_elasticity(0.41, True), DataValidationError,
+         "openness share lam must be a finite number, got True"),
+        (lambda: finite_horizon_effect(0.018, True, 5), DataValidationError,
+         "delta_lambda_pp must be a finite number, got True"),
+        (lambda: GrowthEffect(True, math.e - 1, "x"), DataValidationError,
+         "x: log_points must be a finite number, got True"),
+    ],
+    ids=["custom_scenario", "ShockInputs", "checked_log_points", "additive_log_share",
+         "backout_gap", "geometric_share", "geometric_share_from_levels", "feyrer_elasticity",
+         "implied_point_elasticity", "finite_horizon_effect", "GrowthEffect"],
+)
+def test_a_bool_is_not_a_number(call, error, message):
+    """``True`` compares as 1, but no constructor or function takes it as one."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: ElasticityModel("m", FormKind.LOG_LINEAR_LEVEL, 10**5000),
+         "model 'm': coefficient must be a finite number, got an int of 16610 bits"),
+        (lambda: implied_point_elasticity(10**5000, 0.5),
+         "semi-elasticity must be a finite number, got an int of 16610 bits"),
+    ],
+    ids=["ElasticityModel", "implied_point_elasticity"],
+)
+def test_an_int_too_long_to_print_is_named_by_its_bits(call, message):
+    """Python refuses to print an int of more than 4,300 digits, so the error
+    gives its bit length rather than ending in a bare ``ValueError``."""
+    with pytest.raises(DataValidationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_growth_form_whose_level_overflows_is_refused_on_construction(tmp_path):
+    """-alpha2/alpha1 of a subnormal alpha1 is inf: the model is refused when
+    it is made, not when a table is built."""
+    message = "steady-state level -alpha2/alpha1 must be a finite number, got inf"
+    with pytest.raises(DataValidationError, match=f"^model 'm': {re.escape(message)}$"):
+        ElasticityModel("m", FormKind.GROWTH_WITH_CONVERGENCE, (-1e-320, 1.0))
+    reg = tmp_path / "reg.json"
+    reg.write_text(
+        '{"schema_version": 1, "models": [{"name": "m", "form": "growth_with_convergence", '
+        '"coefficient": {"alpha1": -1e-320, "alpha2": 1.0}, "horizon": {"kind": "steady_state"}}]}',
+        encoding="utf-8",
+    )
+    with pytest.raises(ConfigurationError, match=re.escape(f"reg.json: models[0]: {message}")):
+        load_registry(reg)
+
+
+@pytest.mark.parametrize(
+    "observation,message",
+    [
+        (Observation(2019.5, 1.0), "series 's': year 2019.5 is not an int"),
+        (Observation(True, 1.0), "series 's': year True is not an int"),
+        (Observation(2019, "1"), "series 's' value in 2019 must be a finite number, got '1'"),
+        (Observation(2019, 10**400),
+         "series 's' value in 2019 must be a finite number, got an int of 1329 bits"),
+        (Observation(2019, -1.0), "series 's': non-positive value -1.0 in 2019"),
+    ],
+)
+def test_series_years_are_ints_and_values_numbers(observation, message):
+    with pytest.raises(DataValidationError, match=f"^{re.escape(message)}$"):
+        GdpSeries((observation,), "s")
+
+
+#: Values that are not finite numbers, or that sit at the edge of float range:
+#: nan, infinities, bools, strings, None, ints beyond float range, the largest
+#: floats, and subnormal floats (with zero).
+NOT_QUITE_NUMBERS = st.one_of(
+    st.sampled_from([
+        math.nan, math.inf, -math.inf, True, False, None, "1", "nan", 10**400, -(10**400),
+        sys.float_info.max, -sys.float_info.max,
+    ]),
+    st.floats(-sys.float_info.min, sys.float_info.min, exclude_min=True, exclude_max=True),
+)
+
+
+def _replaced(obj, field):
+    return lambda v: dataclasses.replace(obj, **{field: v})
+
+
+MODEL = ElasticityModel("m", FormKind.LOG_LINEAR_LEVEL, 0.41, 12, 0.018)
+GROWTH = ElasticityModel("m", FormKind.GROWTH_WITH_CONVERGENCE, (-0.0439, 0.018))
+SHOCK_INPUTS = ShockInputs(530, 1122, 244, 3105)
+OBSERVATION = Observation(2024, 100.0)
+
+#: (a call with one numeric input set to ``v``, the names an error may give
+#: for it).  One entry per numeric field of a public value class, numeric
+#: argument of a public function and numeric builder keyword.
+LIBRARY_INPUTS = {
+    **{f"ShockInputs.{name}": (_replaced(SHOCK_INPUTS, name), (name,)) for name in INPUTS},
+    **{f"TradeShockScenario.{name}": (_replaced(SCENARIO, name), (name, "x: "))
+       for name in ("delta_lambda", "lambda_baseline")},
+    **{f"ElasticityModel.{name}": (_replaced(MODEL, name), ("model 'm'", name))
+       for name in ("coefficient", "years", "short_run_epsilon")},
+    "ElasticityModel.alpha1": (lambda v: ElasticityModel("m", GROWTH.form, (v, 0.018)),
+                               ("model 'm'",)),
+    "ElasticityModel.alpha2": (lambda v: ElasticityModel("m", GROWTH.form, (-0.0439, v)),
+                               ("model 'm'",)),
+    **{f"GrowthEffect.{name}": (_replaced(EFFECT, name), (name, "x: "))
+       for name in ("log_points", "relative_level")},
+    "GapDenominator.log_points": (GapDenominator.explicit, ("gap denominator",)),
+    "DecompositionResult.theta": (DecompositionResult, ("theta",)),
+    **{f"Observation.{name}": (lambda v, name=name: GdpSeries(
+        (dataclasses.replace(OBSERVATION, **{name: v}),), "s"), (name,))
+       for name in ("year", "value")},
+    "ScenarioConfig.lambda_baseline": (lambda v: ScenarioConfig(SHOCK_INPUTS, v),
+                                       ("lambda_baseline",)),
+    "steady_state_semi_elasticity.alpha1": (lambda v: steady_state_semi_elasticity(v, 0.018),
+                                            ("alpha1", "convergence coefficient")),
+    "steady_state_semi_elasticity.alpha2": (lambda v: steady_state_semi_elasticity(-0.0439, v),
+                                            ("alpha2",)),
+    "feyrer_elasticity.beta": (feyrer_elasticity, ("beta",)),
+    "implied_point_elasticity.semi_elasticity": (
+        lambda v: implied_point_elasticity(v, 0.55), ("semi-elasticity", "point elasticity")),
+    "implied_point_elasticity.lam": (lambda v: implied_point_elasticity(0.41, v),
+                                     ("openness share",)),
+    "finite_horizon_effect.epsilon": (lambda v: finite_horizon_effect(v, 17.1, 12, "x"),
+                                      ("epsilon", "x: ")),
+    "finite_horizon_effect.delta_lambda_pp": (
+        lambda v: finite_horizon_effect(0.018, v, 12, "x"), ("delta_lambda_pp", "x: ")),
+    "finite_horizon_effect.years": (lambda v: finite_horizon_effect(0.018, 17.1, v, "x"),
+                                    ("years",)),
+    "steady_state_effect_loglinear.semi_elasticity": (
+        lambda v: steady_state_effect_loglinear(v, SCENARIO), ("model 'custom'", "x: ")),
+    # a share of a gap too small for it is an embargo share theta beyond float range
+    **{f"{share.__name__}.total": (lambda v, share=share: share(
+        EFFECT, GapDenominator.explicit(v)), ("gap denominator", "theta"))
+       for share in (additive_log_share, geometric_share_of_gap, policy_growth_residual)},
+    "geometric_share.g_ne": (lambda v: geometric_share(v, 0.5), ("g_NE",)),
+    "geometric_share.g_ns": (lambda v: geometric_share(0.5, v), ("g_NS",)),
+    # an error may name the relative change g_NE or g_NS that the levels imply
+    **{f"geometric_share_from_levels.{name}": (lambda v, i=i: geometric_share_from_levels(
+        *(v if j == i else y for j, y in enumerate((100.0, 107.4, 296.0)))),
+        (name, "g_NE", "g_NS"))
+       for i, name in enumerate(("y_e_s", "y_ne_s", "y_ne_ns"))},
+    "backout_gap.reported_share": (lambda v: backout_gap(EFFECT, v), ("reported share",)),
+    # a year that is not in a series is named with the series
+    "log_gap.year": (lambda v: log_gap(SYNTHETIC, HISTORICAL, v), ("series 'syn'",)),
+    "splice.splice_year": (lambda v: splice(SYNTHETIC, HISTORICAL, v), ("splice year",)),
+    "custom_scenario.delta_lambda": (lambda v: custom_scenario("x", v), ("delta_lambda", "x: ")),
+    "custom_scenario.lambda_baseline": (lambda v: custom_scenario("x", 0.1, v),
+                                        ("lambda_baseline", "x: ")),
+    "build_scenarios.lambda_baseline": (lambda v: build_scenarios(SHOCK_INPUTS, v),
+                                        ("lambda_baseline", "baseline")),
+    **{f"{build.__name__}.lambda_baseline": (lambda v, build=build: build(lambda_baseline=v),
+                                             ("lambda_baseline", "baseline"))
+       for build in (build_table2, build_table_a3, build_replication_table, build_gap_audit)},
+    **{f"{build.__name__}.years": (lambda v, build=build: build(years=v), ("years",))
+       for build in (build_table2, build_table_a3, build_grid, build_replication_table)},
+    **{f"{build.__name__}.gap": (lambda v, build=build: build(gap=GapDenominator.explicit(v)),
+                                 ("gap",))
+       for build in (build_table2, build_table_a3, build_grid)},
+}
+
+
+def _numbers(obj):
+    """Every number a result holds, through value objects, tuples and lists."""
+    if isinstance(obj, _Value):
+        obj = obj.__getstate__()
+    if isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _numbers(item)
+    elif isinstance(obj, (int, float)):
+        yield obj
+
+
+@pytest.mark.parametrize("target", sorted(LIBRARY_INPUTS))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(value=NOT_QUITE_NUMBERS)
+def test_library_keeps_the_cli_input_rules(target, value):
+    """A constructor, function or builder given a value that is not a finite
+    number, or one at the edge of float range, returns a result whose floats
+    are all finite and which holds no bool, or raises a configuration or data
+    error that names the input: never a bare ``TypeError``, ``ValueError`` or
+    ``OverflowError``.  Ints are exact, and a year may be any int."""
+    call, names = LIBRARY_INPUTS[target]
+    try:
+        result = call(value)
+    except (ConfigurationError, DataValidationError) as exc:
+        assert any(name in str(exc) for name in names), (target, value, str(exc))
+        return
+    for x in _numbers(result):
+        assert type(x) is not bool and (type(x) is int or math.isfinite(x)), (target, value, x)

@@ -89,8 +89,10 @@ def test_counterfactual_openness_is_derived():
     s = TradeShockScenario("x", 0.174, 0.554)
     assert s.lambda_counterfactual == 0.554 - 0.174
     with pytest.raises(DataValidationError, match="non-negative"):
+        TradeShockScenario("x", -0.1, 0.554)
+    with pytest.raises(DataValidationError, match="^x: delta_lambda must be a finite number"):
         TradeShockScenario("x", math.nan, 0.554)
-    with pytest.raises(DataValidationError, match="baseline openness must be finite"):
+    with pytest.raises(DataValidationError, match="^x: lambda_baseline must be a finite number"):
         TradeShockScenario("x", 0.1, math.nan)
     for delta in (0.554, 0.6):  # so the log-log form never sees lambda_cf <= 0
         with pytest.raises(DataValidationError, match="counterfactual openness non-positive"):
@@ -203,7 +205,7 @@ def reference_config(raw):
     if not isinstance(raw["inputs"], dict):
         raise ConfigurationError("'inputs' must be an object")
     names = [f.name for f in fields(ShockInputs)]
-    inputs = ShockInputs(*(number(raw["inputs"][name], name) for name in names))
+    inputs = ShockInputs(*(number(raw["inputs"][name], f"inputs.{name}") for name in names))
     unknown_fields("inputs: ", raw["inputs"], names)
     lam0 = number(raw.get("lambda_baseline", 0.554), "lambda_baseline")
     if not 0 < lam0 <= 1:

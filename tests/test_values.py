@@ -38,10 +38,11 @@ SERIES = (Observation(2023, 1.0), Observation(2024, 2.0, "wdi"))
 CASES = [
     (GapDenominator, (GapKind.EXPLICIT, 1.0), ("kind", "log_points"),
      "GapDenominator(kind=<GapKind.EXPLICIT: 'explicit'>, log_points=1.0)", None, None),
-    (DecompositionResult, (0.25,), ("theta",), "DecompositionResult(theta=0.25)", None, None),
+    (DecompositionResult, (0.25,), ("theta",), "DecompositionResult(theta=0.25)", None,
+     ({"theta": math.inf}, "embargo share theta must be a finite number, got inf")),
     (GrowthEffect, (0.0, 0.0, "C1"), ("log_points", "relative_level", "scenario_id"),
      "GrowthEffect(log_points=0.0, relative_level=0.0, scenario_id='C1')", None,
-     ({"relative_level": math.inf}, "C1: effect of 0.0 log points is out of float range")),
+     ({"relative_level": math.inf}, "C1: relative_level must be a finite number, got inf")),
     (ElasticityModel, (MODEL.name, MODEL.form, 0.5, None, None, "note"),
      ("name", "form", "coefficient", "years", "short_run_epsilon", "source_note"),
      "ElasticityModel(name='m', form=<FormKind.LOG_LINEAR_LEVEL: 'log_linear_level'>, "
@@ -57,7 +58,7 @@ CASES = [
       "gdp_1958"),
      "ShockInputs(trade_gap_vs_synthetic_1972=530.0, trade_with_us_1958=1122.0, "
      "synthetic_export_excess_1972=244.0, gdp_1958=3105.0)", None,
-     ({"gdp_1958": 0.0}, "gdp_1958 must be positive and finite, got 0.0")),
+     ({"gdp_1958": 0.0}, "gdp_1958 must be positive, got 0.0")),
     (TradeShockScenario, ("X", 0.1, 0.5, "d"),
      ("id", "delta_lambda", "lambda_baseline", "description"),
      "TradeShockScenario(id='X', delta_lambda=0.1, lambda_baseline=0.5, description='d')", None,
