@@ -293,7 +293,7 @@ def _model_row(i: int, row: dict) -> tuple:
         if not isinstance(kind, str) or kind not in _FINITE:
             raise ConfigurationError(f"horizon.kind: unknown horizon kind {kind!r}")
         if years is not None:
-            if type(years) not in (int, float) or int(years) != years:
+            if type(years) not in (int, float) or not number(years, "horizon.years").is_integer():
                 raise ConfigurationError(f"horizon.years must be a whole number, got {years!r}")
             years = int(years)
         if _FINITE[kind]:

@@ -8,7 +8,6 @@ data/validation problems (bad numbers, malformed series) exit with 3.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from operator import attrgetter
 from pathlib import Path
@@ -25,13 +24,6 @@ class ConfigurationError(Exception):
 
 class DataValidationError(ValueError):
     """A numeric input or data file violates a domain invariant."""
-
-
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text}")
-    return value
 
 
 def number(value: object, what: str, error: type[Exception] = ConfigurationError) -> float:
@@ -63,15 +55,13 @@ def read_json(path: Path, what: str, parse: Callable[[Any], _T]) -> _T:
     """Read the JSON file ``path`` and ``parse`` it; every bad input raises
     a :class:`ConfigurationError` naming ``what`` and the file.
 
-    ``NaN``, ``Infinity`` and out-of-range numbers are rejected.  A missing
-    or unknown field, a wrong type, a value ``float``/``int`` cannot read
-    and a domain violation (:class:`DataValidationError`) raised by
-    ``parse`` are all configuration errors.
+    ``parse`` checks every number by :func:`number`, so ``NaN``, ``Infinity``
+    and ``1e400`` are named by their field.  A missing or unknown field, a
+    wrong type, a value ``float``/``int`` cannot read and a domain violation
+    (:class:`DataValidationError`) raised by ``parse`` are all configuration errors.
     """
     try:
-        raw = json.loads(
-            path.read_text(encoding="utf-8"), parse_float=_finite, parse_constant=_finite
-        )
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigurationError(f"{what} not found: {path}") from None
     except OSError as exc:  # a directory, or unreadable

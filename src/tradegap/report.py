@@ -7,11 +7,9 @@ any computation.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from itertools import chain, islice, product, repeat
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .decomposition import GapDenominator, additive_log_thetas, backout_gap, geometric_thetas_of_gap
 from .effects import (
@@ -509,27 +507,30 @@ def _formatted(template: str, parts: list[_Part]) -> Iterator[str]:
         yield (template * (len(cells) // len(cols))) % cells
 
 
-def _csv_rows(rows: Iterable[Sequence[object]]) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+def _csv_field(text: str, lone: bool = False) -> str:
+    """``text`` as a CSV field: quoted, quotes doubled, if it holds a comma, quote or line break."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text or '""' * lone
+
+
+def _csv_part(spec: str, cells: Sequence[object] | str, lone: bool) -> _Part:
+    """A shared cell as a CSV field; each cell of a ``%s`` column, if ``lone`` or one is quoted."""
+    if isinstance(cells, str):
+        field = _csv_field(cells, lone)
+        return field.replace("%", "%%"), field
+    quote = spec == "%s" and (lone or _csv_field(text := "".join(cells)) != text)
+    return spec, [_csv_field(c, lone) for c in cells] if quote else cells
 
 
 def _csv_chunks(table: ResultTable, decimals: int) -> Iterator[str]:
     blocks = _parts(table, decimals)
-    yield f"# {table.caption}\n" + _csv_rows([table.columns])
-    spec = f"%.{decimals}f"
+    lone = len(table.columns) == 1  # then an empty field is written "", so no row is blank
+    yield f"# {table.caption}\n" + ",".join(_csv_field(c, lone) for c in table.columns) + "\n"
+    done: dict[int, _Part] = {}  # id of a part -> its CSV part: a shared column's made once
     for parts in blocks:
-        strs = [[cells] if isinstance(cells, str) else cells for s, cells in parts if s != spec]
-        text = "".join(map("".join, strs))
-        if all(map(all, strs)) and not ("," in text or '"' in text or "\r" in text or "\n" in text):
-            template = ",".join(s for s, _cells in parts) + "\n"  # shared cells baked in
-            yield from _formatted(template, parts)
-        else:  # csv.writer quotes these cells, by rules that differ between Python versions
-            yield _csv_rows(zip(*(
-                repeat(cells) if isinstance(cells, str) else map(s.__mod__, cells)
-                for s, cells in parts
-            )))
+        parts = [done.get(id(p)) or done.setdefault(id(p), _csv_part(*p, lone)) for p in parts]
+        yield from _formatted(",".join(s for s, _c in parts) + "\n", parts)
     yield "".join(f"# {note}\n" for note in table.footnotes)
 
 
@@ -574,12 +575,12 @@ def render_markdown(table: ResultTable, decimals: int = 1) -> str:
 
 def render_chunks(table: ResultTable, fmt: str, decimals: int = 1) -> Iterator[str]:
     """``render``'s text in chunks; every check runs before the first."""
-    return {"csv": _csv_chunks, "md": _markdown_chunks}[fmt](table, decimals)
+    chunks = {"csv": _csv_chunks, "md": _markdown_chunks}.get(fmt)
+    if chunks is None:
+        raise ConfigurationError(f"unknown output format {fmt!r}")
+    return chunks(table, decimals)
 
 
 def render(table: ResultTable, fmt: str, decimals: int = 1) -> str:
-    if fmt == "csv":
-        return render_csv(table, decimals)
-    if fmt == "md":
-        return render_markdown(table, decimals)
-    raise ConfigurationError(f"unknown output format {fmt!r}")
+    render_chunks(table, fmt, decimals)  # raises on an unknown format, and makes no text
+    return (render_csv if fmt == "csv" else render_markdown)(table, decimals)

@@ -59,14 +59,15 @@ class TradeShockScenario(_Value):
         return self.delta_lambda * 100.0
 
 
-def _check_shock(sid: str, delta_lambda: float, lambda_baseline: float) -> None:
-    """The scenario rule for two numbers: 0 <= delta_lambda < lambda_baseline."""
-    if delta_lambda < 0:
+def _check_shock(sid: str, delta: float, lam0: float) -> None:
+    """The scenario rule for two numbers: 0 <= delta_lambda < lambda_baseline <= 1."""
+    if not 0 < lam0 <= 1:
+        raise DataValidationError(f"{sid}: lambda_baseline must be in (0, 1], got {lam0}")
+    if delta < 0:
         raise DataValidationError(f"{sid}: delta_lambda must be non-negative")
-    if lambda_baseline - delta_lambda <= 0:
+    if lam0 - delta <= 0:
         raise DataValidationError(
-            f"{sid}: counterfactual openness non-positive "
-            f"(delta {delta_lambda} >= baseline {lambda_baseline})"
+            f"{sid}: counterfactual openness non-positive (delta {delta} >= baseline {lam0})"
         )
 
 
@@ -114,7 +115,7 @@ def custom_scenario(
     lambda_baseline: float = DEFAULT_LAMBDA_BASELINE,
     description: str = "",
 ) -> TradeShockScenario:
-    """A user-defined shock; requires 0 <= delta_lambda < lambda_baseline."""
+    """A user-defined shock; requires 0 <= delta_lambda < lambda_baseline <= 1."""
     return TradeShockScenario(sid, delta_lambda, lambda_baseline, description)
 
 
@@ -170,7 +171,7 @@ class ScenarioConfig(_Value):
 def _check_baseline(lambda_baseline: object) -> float:
     """The config rule for the baseline openness: a number, and a share on (0, 1]."""
     lam0 = number(lambda_baseline, "lambda_baseline")
-    if not 0 < lam0 <= 1:  # negated so that NaN is rejected too
+    if not 0 < lam0 <= 1:
         raise ConfigurationError(f"lambda_baseline must be in (0, 1], got {lam0}")
     return lam0
 

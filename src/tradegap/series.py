@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import csv
 import io
-from pathlib import Path
-
 import math
+from pathlib import Path
 
 from .decomposition import GapDenominator
 from .errors import _FLOAT_MAX, DataValidationError, _Value, number
@@ -104,6 +103,13 @@ def load_series(path: str | Path, label: str | None = None) -> GdpSeries:
         raise DataValidationError(f"{path}: {exc}") from None
 
 
+def _check_year(year: object, what: str) -> None:
+    """The rule of a calendar year: an ``int``, not a bool, within float range."""
+    if type(year) is not int:
+        raise DataValidationError(f"{what} must be an int, got {year!r}")
+    number(year, what, DataValidationError)
+
+
 def splice(base: GdpSeries, extension: GdpSeries, splice_year: int) -> GdpSeries:
     """Extend `base` beyond `splice_year` using `extension`'s growth rates.
 
@@ -112,6 +118,7 @@ def splice(base: GdpSeries, extension: GdpSeries, splice_year: int) -> GdpSeries
     links required (a gap in the extension raises rather than bridging).
     Spliced rows are tagged ``spliced:<extension label>``.
     """
+    _check_year(splice_year, "splice_year")
     for s, name in ((base, "base"), (extension, "extension")):
         if not s.has_year(splice_year):
             raise DataValidationError(
@@ -134,6 +141,7 @@ def splice(base: GdpSeries, extension: GdpSeries, splice_year: int) -> GdpSeries
 
 def log_gap(synthetic: GdpSeries, historical: GdpSeries, year: int) -> GapDenominator:
     """ln(synthetic[year] / historical[year]) as an explicit denominator."""
+    _check_year(year, "year")
     syn, hist = synthetic.value(year), historical.value(year)
     ratio = syn / hist  # zero if below float range, though its log is a float
     return GapDenominator.explicit(math.log(ratio) if ratio else math.log(syn) - math.log(hist))

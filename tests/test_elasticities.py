@@ -499,6 +499,8 @@ def reference_years(obj):
     if obj["kind"] not in ("finite", "steady_state"):
         raise ConfigurationError(f"horizon.kind: unknown horizon kind {obj['kind']!r}")
     years = obj.get("years")
+    if type(years) in (int, float):
+        number(years, "horizon.years")  # nan, inf and an int beyond float range
     if years is not None and (type(years) not in (int, float) or int(years) != years):
         raise ConfigurationError(f"horizon.years must be a whole number, got {years!r}")
     if obj["kind"] == "finite":

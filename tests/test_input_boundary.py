@@ -314,20 +314,30 @@ def test_semi_elasticity_beyond_float_range_is_a_data_error(build, s, message):
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
 def test_json_rejects_non_finite_numbers(tmp_path, token):
+    """JSON reads ``NaN``, ``Infinity`` and ``1e400`` as floats; the number
+    rule then rejects each, named by its field's path, with exit 2."""
+    shown = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf", "1e400": "inf"}[token]
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(
-        json.dumps({"inputs": INPUTS}).replace("244", token), encoding="utf-8"
-    )
-    with pytest.raises(ConfigurationError, match="invalid JSON"):
+    cfg.write_text(json.dumps({"inputs": INPUTS}).replace("244", token), encoding="utf-8")
+    message = (f"scenario config {cfg}: inputs.synthetic_export_excess_1972 "
+               f"must be a finite number, got {shown}")
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
         load_scenario_config(cfg)
+    assert run_cli(["table2", "--config", str(cfg)]) == (2, "", f"configuration error: {message}\n")
     reg = tmp_path / "reg.json"
-    reg.write_text(
-        '{"schema_version": 1, "models": [{"name": "x", "form": "log_linear_level", '
-        f'"coefficient": {token}, "horizon": {{"kind": "steady_state"}}}}]}}',
-        encoding="utf-8",
-    )
-    with pytest.raises(ConfigurationError, match="invalid JSON"):
-        load_registry(reg)
+    for field, model in (
+        ("coefficient", f'"coefficient": {token}, "horizon": {{"kind": "steady_state"}}'),
+        ("horizon.years", '"coefficient": 1.0, "short_run_epsilon": 0.02, '
+                          f'"horizon": {{"kind": "finite", "years": {token}}}'),
+    ):
+        reg.write_text(
+            '{"schema_version": 1, "models": [{"name": "x", "form": "log_linear_level", '
+            f'{model}}}]}}',
+            encoding="utf-8",
+        )
+        message = f"registry {reg}: models[0].{field} must be a finite number, got {shown}"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            load_registry(reg)
 
 
 def test_unreadable_input_file_is_named(tmp_path):
@@ -842,8 +852,9 @@ LIBRARY_INPUTS = {
        for i, name in enumerate(("y_e_s", "y_ne_s", "y_ne_ns"))},
     "backout_gap.reported_share": (lambda v: backout_gap(EFFECT, v), ("reported share",)),
     # a year that is not in a series is named with the series
-    "log_gap.year": (lambda v: log_gap(SYNTHETIC, HISTORICAL, v), ("series 'syn'",)),
-    "splice.splice_year": (lambda v: splice(SYNTHETIC, HISTORICAL, v), ("splice year",)),
+    "log_gap.year": (lambda v: log_gap(SYNTHETIC, HISTORICAL, v), ("series 'syn'", "year must")),
+    "splice.splice_year": (lambda v: splice(SYNTHETIC, HISTORICAL, v),
+                           ("splice year", "splice_year")),
     "custom_scenario.delta_lambda": (lambda v: custom_scenario("x", v), ("delta_lambda", "x: ")),
     "custom_scenario.lambda_baseline": (lambda v: custom_scenario("x", 0.1, v),
                                         ("lambda_baseline", "x: ")),

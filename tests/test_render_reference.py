@@ -5,7 +5,9 @@ rows run block by block, a block's shared text standing in every one of its
 rows; every cell passes through one formatting rule (a float must be finite and prints
 at ``decimals`` places, anything else prints as ``str``), CSV rows go
 through ``csv.writer`` one at a time, and Markdown pads each cell to its
-column's width.  It is written out here rather than imported, so that the
+column's width.  ``csv.writer`` ends each row in ``\r\n``, swapped for
+``\n`` after it: with that terminator every supported Python version quotes
+a field holding ``\r`` or ``\n``, so the reference is the same on each.  It is written out here rather than imported, so that the
 renderers are compared with an independent transcription and not with
 themselves.  Output must be equal with ``==``; a table that cannot be
 rendered must raise the same exception class and message as the reference,
@@ -46,16 +48,18 @@ def ref_cell(cell, decimals):
     return str(cell)
 
 
-def ref_csv(table, decimals):
+def ref_csv_row(cells):
     buf = io.StringIO()
-    buf.write(f"# {table.caption}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(table.columns)
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    return buf.getvalue().removesuffix("\r\n") + "\n"
+
+
+def ref_csv(table, decimals):
+    lines = [f"# {table.caption}\n", ref_csv_row(table.columns)]
     for row in ref_rows(table):
-        writer.writerow([ref_cell(c, decimals) for c in row])
-    for note in table.footnotes:
-        buf.write(f"# {note}\n")
-    return buf.getvalue()
+        lines.append(ref_csv_row([ref_cell(c, decimals) for c in row]))
+    lines.extend(f"# {note}\n" for note in table.footnotes)
+    return "".join(lines)
 
 
 def ref_markdown(table, decimals):
@@ -144,6 +148,7 @@ def _blocks(columns, *blocks):
 SCENARIOS = ["C1", "C2", "C3"]
 SHOCKS = ["0.174000", "0.361353", "0.439936"]
 SHARED = [1.0, math.inf]
+LABELS = ["Yanikkaya (2003), 12-year", "Yanikkaya (2003)"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -190,6 +195,25 @@ SHARED = [1.0, math.inf]
     ),
     decimals=1,
 )
+# CSV quoting in the template: a block of comma-bearing labels beside float
+# columns, as in Table 2, with a quote among them and a column of them shared
+# by a second block
+@example(
+    table=_blocks(
+        ("model", "elasticity", "share_C1_pct", "share_C2_pct"),
+        (["Yanikkaya (2003), 12-year", 'a "b"', "Feyrer (2019)"], ["0.018/pp", "x", "1.20"],
+         [2.0491, -0.0, 31.5], [4.25, 1.0, 9.96]),
+        (LABELS, "shared", [1.0, 2.0], [3.0, 4.0]),
+        (LABELS, "other", [5.0, 6.0], [7.0, 8.0]),
+    ),
+    decimals=1,
+)
+# a % inside a quoted shared cell, and a quoted shared cell beside a quoted column
+@example(table=_blocks(("model", "x"), ('5% open, "so far"', [1.0, 2.0])), decimals=1)
+@example(table=_blocks(("a", "b", "c"), ('"%s"', ["x,y", "z"], "%d,%%")), decimals=1)
+# one column: an empty header and an empty cell are written "", so no row is blank
+@example(table=_table(("",), ("",), ("a",), ("",)), decimals=1)
+@example(table=_table(("",), ("a\nb",), ("",)), decimals=1)
 # every cell finite, but their sum is not
 @example(table=_table(("x", "y"), (1e308, "a"), (1e308, "b")), decimals=1)
 # one column object in blocks 1 and 3, checked once: its inf is still named,

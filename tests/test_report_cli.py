@@ -359,8 +359,9 @@ def test_csv_and_markdown_carry_identical_numbers(registry):
 
 
 def test_render_unknown_format(registry):
-    with pytest.raises(ConfigurationError, match="unknown output format"):
-        render(build_replication_table(), "yaml")
+    for fn in (render, report.render_chunks):
+        with pytest.raises(ConfigurationError, match="^unknown output format 'yaml'$"):
+            fn(build_replication_table(), "yaml")
 
 
 @pytest.mark.parametrize("fmt,render_fmt", [("csv", render_csv), ("md", render_markdown)])
@@ -379,6 +380,33 @@ def test_csv_quotes_commas():
     text = render_csv(table)
     line = next(l for l in text.splitlines() if "12-year" in l)
     assert line.startswith('"Yanikkaya (2003), 12-year"')
+
+
+@pytest.mark.parametrize(
+    "ids,rows",
+    [
+        # a NUL is written as it is, beside a quoted id: no escape character is needed
+        (["a\0b", "c,d"], ["a\0b,0.050000,1.1,1.0,0.6", '"c,d",0.100000,2.2,2.0,1.1']),
+        # a carriage return is quoted, as a line feed is
+        (["a\rb"], ['"a\rb",0.050000,1.1,1.0,0.6']),
+    ],
+)
+def test_grid_csv_quotes_custom_ids_alike_on_every_python(ids, rows, config, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "inputs": dataclasses.asdict(config.inputs),
+        "custom_scenarios": [
+            {"id": sid, "delta_lambda": 0.05 * (i + 1)} for i, sid in enumerate(ids)
+        ],
+    }), encoding="utf-8")
+    assert main(["grid", "--format", "csv", "--config", str(path)]) == 0
+    lines = capsys.readouterr().out.split("\n")
+    assert lines[2:5 + len(ids)] == [
+        "Yanikkaya (2003),12-year,C1,0.174000,3.8,3.5,2.0",
+        "Yanikkaya (2003),12-year,C2,0.361353,8.1,7.2,4.1",
+        "Yanikkaya (2003),12-year,C3,0.439936,9.9,8.7,5.1",
+        *(f"Yanikkaya (2003),12-year,{row}" for row in rows),
+    ]
 
 
 def test_rounding_is_display_only():

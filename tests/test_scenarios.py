@@ -99,6 +99,22 @@ def test_counterfactual_openness_is_derived():
             TradeShockScenario("x", delta, 0.554)
 
 
+def test_scenario_constructors_keep_the_baseline_rule():
+    """A scenario's baseline is a share on (0, 1], as a config's and the flag's are."""
+    inputs = ShockInputs(530, 1122, 244, 3105)
+    for lam0 in (5.0, 1.5, 0, -0.5):
+        with pytest.raises(DataValidationError,
+                           match=rf"^x: lambda_baseline must be in \(0, 1\], got {lam0}$"):
+            TradeShockScenario("x", 0.1, lam0)
+        with pytest.raises(DataValidationError,
+                           match=rf"^x: lambda_baseline must be in \(0, 1\], got {lam0}$"):
+            custom_scenario("x", 0.1, lam0)
+        with pytest.raises(DataValidationError,
+                           match=rf"^C1: lambda_baseline must be in \(0, 1\], got {lam0}$"):
+            build_scenarios(inputs, lambda_baseline=lam0)
+    assert custom_scenario("x", 0.1, 1).lambda_baseline == 1
+
+
 def test_delta_lambda_pp_is_percentage_points(c123):
     c1 = c123[0]
     assert c1.delta_lambda_pp == 100 * c1.delta_lambda

@@ -205,6 +205,23 @@ def test_splice_two_step_equals_one_pass(base_value, growth, cut):
 
 # ------------------------------------------------------------------- log gap
 
+@pytest.mark.parametrize(
+    "year,shown",
+    [
+        pytest.param(10**5000, "a finite number, got an int of 16610 bits", id="huge"),
+        (2000.0, "an int, got 2000.0"),
+        (True, "an int, got True"),
+    ],
+)
+def test_year_arguments_follow_the_year_rule(year, shown):
+    """A calendar year is an int, not a bool, within float range."""
+    syn = series("synthetic", (2000, 296.0))
+    hist = series("historical", (2000, 100.0))
+    with pytest.raises(DataValidationError, match=f"^year must be {shown}$"):
+        log_gap(syn, hist, year)
+    with pytest.raises(DataValidationError, match=f"^splice_year must be {shown}$"):
+        splice(hist, syn, year)
+
 def test_log_gap_matches_calibrated_default():
     syn = series("synthetic", (2024, 296.0))
     hist = series("historical", (2024, 100.0))
