@@ -9,7 +9,9 @@ grid        full sensitivity grid, both schemes side by side
 gap         back-out diagnostics for the calibrated 2024 denominator
 
 Each subcommand takes only the flags its table builder reads; any other
-flag is a usage error.  Exit codes: 0 success, 2 configuration error,
+flag is a usage error.  A flag's value is checked first, by the rule its
+builder applies, and one that breaks it is a one-line configuration error
+naming the flag.  Exit codes: 0 success, 2 configuration error,
 3 data/validation error.
 """
 
@@ -19,39 +21,20 @@ import argparse
 import functools
 import sys
 from itertools import chain
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 from . import report
 from .decomposition import GapDenominator
 from .elasticities import _check_years
 from .errors import ConfigurationError, DataValidationError
 from .scenarios import _check_baseline, default_scenario_config, load_scenario_config
-from .series import load_series, log_gap
-
-
-def _years(text: str) -> int:
-    """The type of ``--years``: a whole number of years, at least 1."""
-    try:
-        years = int(text)
-    except ValueError:
-        years = 0
-    if years < 1:
-        raise argparse.ArgumentTypeError(f"expected a whole number of years >= 1, got {text!r}")
-    return years
-
-
-def _baseline(text: str) -> float:
-    """The type of ``--lambda-baseline``: a share on (0, 1], as in a config file."""
-    try:
-        return _check_baseline(float(text))
-    except (ValueError, ConfigurationError):
-        raise argparse.ArgumentTypeError(f"expected a share in (0, 1], got {text!r}") from None
+from .series import _check_year, load_series, log_gap
 
 
 #: Builder keyword -> the flags that feed it, as (flag, type, metavar, help).
 _FLAGS: dict[str, tuple[tuple[str, Callable[[str], object], str, str], ...]] = {
-    "years": (("--years", _years, "N", "override the finite compounding horizon, N >= 1"),),
-    "lambda_baseline": (("--lambda-baseline", _baseline, "X", "override baseline openness share"),),
+    "years": (("--years", int, "N", "override the finite compounding horizon, N >= 1"),),
+    "lambda_baseline": (("--lambda-baseline", float, "X", "override baseline openness share"),),
     "gap": (
         ("--gap", float, "LOG_POINTS", "explicit total-gap denominator in log points"),
         ("--gap-synthetic", str, "CSV",
@@ -59,6 +42,14 @@ _FLAGS: dict[str, tuple[tuple[str, Callable[[str], object], str, str], ...]] = {
         ("--gap-historical", str, "CSV", "historical GDP series"),
         ("--gap-year", int, "YEAR", "year at which to measure the gap"),
     ),
+}
+
+#: A flag's argparse dest -> the rule its table builder applies to its value.
+_RULES: dict[str, Callable[[Any], object]] = {
+    "years": _check_years,
+    "lambda_baseline": _check_baseline,
+    "gap": lambda gap: GapDenominator.explicit(gap).checked_log_points(),
+    "gap_year": lambda year: _check_year(year, "year"),
 }
 
 #: Subcommand -> (help, report builder, builder keywords taken from flags,
@@ -99,40 +90,38 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_gap(args: argparse.Namespace) -> GapDenominator | None:
-    """Turn the gap flags into a checked denominator; None means package
-    default.  An error in the gap names the flags it came from."""
+    """The gap flags as a denominator, ``--gap`` already checked by its rule;
+    None means package default.  A series gap's error names its three flags."""
     series_flags = (args.gap_synthetic, args.gap_historical, args.gap_year)
     if args.gap is not None:
         if any(f is not None for f in series_flags):
             raise ConfigurationError("--gap conflicts with --gap-synthetic/--gap-historical")
-        flags, read = "--gap", lambda: GapDenominator.explicit(args.gap)
-    elif all(f is None for f in series_flags):
+        return GapDenominator.explicit(args.gap)
+    if all(f is None for f in series_flags):
         return None
-    elif any(f is None for f in series_flags):
+    if any(f is None for f in series_flags):
         raise ConfigurationError(
             "--gap-synthetic, --gap-historical and --gap-year must be given together"
         )
-    else:
-        synthetic, historical = load_series(args.gap_synthetic), load_series(args.gap_historical)
-        flags = "--gap-synthetic/--gap-historical/--gap-year"
-        read = lambda: log_gap(synthetic, historical, args.gap_year)
+    synthetic, historical = load_series(args.gap_synthetic), load_series(args.gap_historical)
     try:
-        gap = read()
+        gap = log_gap(synthetic, historical, args.gap_year)
         gap.checked_log_points()
     except (ConfigurationError, DataValidationError) as exc:
-        raise type(exc)(f"{flags}: {exc}") from None
+        raise type(exc)(f"--gap-synthetic/--gap-historical/--gap-year: {exc}") from None
     return gap
 
 
 def _run(args: argparse.Namespace) -> Iterator[str]:
     """The chunks of the table ``args`` ask for, the first taken: every check has run."""
+    for dest, rule in _RULES.items():
+        if getattr(args, dest, None) is not None:
+            try:
+                rule(getattr(args, dest))
+            except (ConfigurationError, DataValidationError) as exc:
+                raise ConfigurationError(f"--{dest.replace('_', '-')}: {exc}") from None
     _help, builder, keywords, decimals = _COMMANDS[args.command]
     config = load_scenario_config(args.config) if args.config else default_scenario_config()
-    if "years" in keywords and args.years is not None:
-        try:  # >= 1 by its type, but maybe beyond float range
-            _check_years(args.years)
-        except DataValidationError as exc:
-            raise DataValidationError(f"--years: {exc}") from None
     flags = {k: _resolve_gap(args) if k == "gap" else getattr(args, k) for k in keywords}
     given = {k: v for k, v in flags.items() if v is not None}
     table = getattr(report, builder)(config=config, **given)

@@ -170,9 +170,9 @@ def geometric_share_from_levels(
 
     ``y_e_s`` is the factual (embargo + policies), ``y_ne_s`` the
     embargo-lifted counterfactual, ``y_ne_ns`` the no-embargo no-policy
-    counterfactual.  ``theta = (y_NE,S - y_E,S) / (y_NE,NS - y_E,S)``,
-    computed as :func:`geometric_share` of the implied relative changes, so
-    invariant to rescaling all three levels.
+    counterfactual.  ``theta = (y_NE,S - y_E,S) / (y_NE,NS - y_E,S)``, the
+    :func:`geometric_share` of the implied relative changes, computed from the
+    differences: it takes no level ratio, which may be beyond float range.
     """
     for name, y in (("y_e_s", y_e_s), ("y_ne_s", y_ne_s), ("y_ne_ns", y_ne_ns)):
         if not number(y, name, DataValidationError) > 0:
@@ -181,7 +181,7 @@ def geometric_share_from_levels(
         raise DataValidationError(
             "degenerate decomposition: counterfactual y_ne_ns does not exceed the factual y_e_s"
         )
-    return geometric_share(y_ne_s / y_e_s - 1.0, y_ne_ns / y_ne_s - 1.0)
+    return DecompositionResult((y_ne_s - y_e_s) / (y_ne_ns - y_e_s))
 
 
 def policy_growth_residual(effect: GrowthEffect, total: GapDenominator) -> float:

@@ -1,8 +1,8 @@
 """Table builders and renderers: replication, effect/share grids, gap audit.
 
-Builders return a :class:`ResultTable` holding full-precision floats;
-display rounding happens in the renderers only and never feeds back into
-any computation.
+Builders return a :class:`ResultTable` of full-precision floats, rounded for
+display by the renderers only, and of text: the coefficient column (``.2f``,
+``.3f/pp``), the grid's ``delta_lambda`` column (``.6f``) and the footnotes.
 """
 
 from __future__ import annotations
@@ -444,7 +444,7 @@ def _inputs_footnote(config: ScenarioConfig) -> str:
 
 
 # --------------------------------------------------------------------------
-# renderers — the only place display rounding happens
+# renderers — the only place a float cell is rounded for display
 # --------------------------------------------------------------------------
 
 def _format_cell(cell: object, decimals: int) -> str:

@@ -22,8 +22,8 @@ class Observation(_Value):
 
 
 class GdpSeries(_Value):
-    """Ordered annual observations: each year an ``int``, the years strictly
-    increasing, and each value a positive finite number."""
+    """Ordered annual observations: each year an ``int`` within float range,
+    the years strictly increasing, and each value a positive finite number."""
 
     __slots__ = ("observations", "label")
     _defaults = ("",)
@@ -35,7 +35,8 @@ class GdpSeries(_Value):
         for obs in self.observations:  # number()'s rule inline: a call per row slows load_series
             if type(obs.year) is not int:
                 raise DataValidationError(f"series {self.label!r}: year {obs.year!r} is not an int")
-            if prev is not None and obs.year <= prev:
+            if not abs(obs.year) <= _FLOAT_MAX or prev is not None and obs.year <= prev:
+                number(obs.year, f"series {self.label!r} year", DataValidationError)
                 raise DataValidationError(
                     f"series {self.label!r}: years not strictly increasing at {obs.year}"
                 )
@@ -56,8 +57,8 @@ class GdpSeries(_Value):
         raise DataValidationError(f"series {self.label!r}: no observation for {year}")
 
 
-def load_series(path: str | Path, label: str | None = None) -> GdpSeries:
-    """Parse a CSV series file; diagnostics carry 1-based line numbers."""
+def load_series(path: str | Path) -> GdpSeries:
+    """Parse a CSV series file, labelled by its stem; a malformed row is named by its line."""
     path = Path(path)
     try:
         data = path.read_bytes()
@@ -90,15 +91,13 @@ def load_series(path: str | Path, label: str | None = None) -> GdpSeries:
             raise DataValidationError(
                 f"{path}:{lineno}: malformed row {','.join(row)!r}"
             ) from None
-        if not math.isfinite(value):
-            raise DataValidationError(f"{path}:{lineno}: non-finite value {row[1].strip()!r}")
         tag = row[2].strip() if len(row) > 2 else ""
         rows.append(Observation(year, value, tag))
     if not rows:
         raise DataValidationError(f"{path}: empty series")
     # re-raise invariant violations with the file in the message
     try:
-        return GdpSeries(tuple(rows), label or path.stem)
+        return GdpSeries(tuple(rows), path.stem)
     except DataValidationError as exc:
         raise DataValidationError(f"{path}: {exc}") from None
 

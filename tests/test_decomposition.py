@@ -149,10 +149,11 @@ def test_geometric_from_levels_trivia():
     )
 
 
-def test_geometric_from_levels_rejects_an_overflowing_level_ratio():
-    # y_NE,S / y_E,S overflows: the relative change g_NE is not a finite number
-    with pytest.raises(DataValidationError, match="^effect g_NE must be a finite number, got inf$"):
-        geometric_share_from_levels(1e-300, 1e300, 1e300)
+def test_geometric_from_levels_takes_no_level_ratio():
+    # y_NE,S / y_E,S is beyond float range, but the ratio of differences is not
+    assert geometric_share_from_levels(1e-300, 1e300, 1e300).theta == 1.0
+    assert geometric_share_from_levels(5e-324, 2.0, 3.0).theta == 0.6666666666666666
+    assert geometric_share_from_levels(1e-300, 1e300, 1e308).theta == 1e-08
 
 
 def test_geometric_from_levels_errors():

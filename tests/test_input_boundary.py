@@ -173,15 +173,13 @@ def test_gap_too_small_for_a_finite_share_exits_3(command, gap, cell):
 
 @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
 def test_series_rejects_non_finite_values(tmp_path, value):
-    with pytest.raises(DataValidationError, match=r"syn\.csv:3: non-finite"):
-        load_series(write_series(tmp_path / "syn.csv", (2023, 90), (2024, value)))
+    syn = write_series(tmp_path / "syn.csv", (2023, 90), (2024, value))
+    message = f"{syn}: series 'syn' value in 2024 must be a finite number, got {float(value)}"
+    with pytest.raises(DataValidationError, match=f"^{re.escape(message)}$"):
+        load_series(syn)
     hist = write_series(tmp_path / "hist.csv", (2023, 100), (2024, 100))
-    code, out, err = run_cli([
-        "table2", "--gap-synthetic", str(tmp_path / "syn.csv"),
-        "--gap-historical", hist, "--gap-year", "2024",
-    ])
-    assert (code, out) == (3, "")
-    assert "syn.csv:3" in err
+    argv = ["table2", "--gap-synthetic", syn, "--gap-historical", hist, "--gap-year", "2024"]
+    assert run_cli(argv) == (3, "", f"data error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -222,11 +220,9 @@ def test_series_path_that_is_a_directory_exits_3(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["replicate", "table2", "grid"])
-def test_horizon_too_long_for_a_float_exits_3(command):
+def test_horizon_too_long_for_a_float_exits_2(command):
     code, out, err = run_cli([command, "--years", "1" + "0" * 400])
-    assert (code, out) == (3, "")
-    assert err == "data error: --years: years beyond float range\n"
-    assert err.count("\n") == 1 and len(err) < 200
+    assert (code, out, err) == (2, "", "configuration error: --years: years beyond float range\n")
 
 
 def test_effect_out_of_float_range_names_the_scenario_once():
@@ -275,17 +271,26 @@ def test_value_constructors_reject_non_finite_numbers():
 def test_nan_baseline_is_named_as_the_bad_input(command):
     code, out, err = run_cli([command, "--lambda-baseline", "nan"])
     assert (code, out) == (2, "")
-    assert "argument --lambda-baseline: expected a share in (0, 1], got 'nan'" in err
+    assert err == (
+        "configuration error: --lambda-baseline: lambda_baseline must be a finite number, got nan\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["replicate", "table2", "table-a3", "gap"])
 def test_baseline_flag_keeps_the_config_range(command):
     """``--lambda-baseline`` takes the values a config's ``lambda_baseline``
-    takes: a share on (0, 1]."""
-    for value in ("5", "1e308", "0", "-0.5", "inf", "x"):
-        code, out, err = run_cli([command, "--lambda-baseline", value])
-        assert (code, out) == (2, "")
-        assert f"argument --lambda-baseline: expected a share in (0, 1], got {value!r}" in err
+    takes: a share on (0, 1], by the same rule and in the same words."""
+    for value in ("5", "1e308", "0", "-0.5"):
+        assert run_cli([command, "--lambda-baseline", value]) == (2, "", (
+            f"configuration error: --lambda-baseline: lambda_baseline must be in (0, 1], "
+            f"got {float(value)}\n"
+        ))
+    code, out, err = run_cli([command, "--lambda-baseline", "inf"])
+    assert (code, out) == (2, "")
+    assert err.endswith("lambda_baseline must be a finite number, got inf\n")
+    code, out, err = run_cli([command, "--lambda-baseline", "x"])
+    assert (code, out) == (2, "")
+    assert "argument --lambda-baseline: invalid float value: 'x'" in err
     assert run_cli([command, "--lambda-baseline", "1"])[0] == 0
 
 
@@ -547,7 +552,35 @@ def test_replication_percent_beyond_float_range_names_its_scenario(tmp_path):
 def test_cli_years_must_be_at_least_one(years):
     code, out, err = run_cli(["grid", "--years", years])
     assert (code, out) == (2, "")
-    assert f"argument --years: expected a whole number of years >= 1, got {years!r}" in err
+    if years == "1.5":  # not an int: argparse's usage error
+        assert "argument --years: invalid int value: '1.5'" in err
+    else:
+        assert err == "configuration error: --years: finite horizon requires years >= 1\n"
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--years", "0"),
+        ("--years", "1" + "0" * 400),
+        ("--lambda-baseline", "nan"),
+        ("--gap", "-1"),
+        ("--gap-year", "9" * 400),
+    ],
+    ids=["years-0", "years-401-digits", "baseline-nan", "gap-negative", "gap-year-400-digits"],
+)
+def test_flag_that_breaks_its_rule_is_one_line_naming_it(flag, value):
+    """A flag's value is checked by the rule its builder applies: a failure
+    is one line, exit 2, naming the flag."""
+    code, out, err = run_cli(["table2", flag, value])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith(f"configuration error: {flag}: "), err
+
+
+def test_flag_rules_run_before_the_config_and_the_gap_flags_are_read():
+    for extra in (["--config", "missing.json"], ["--gap-synthetic", "s.csv"]):
+        code, out, err = run_cli(["table2", "--gap", "-1", *extra])
+        assert (code, out) == (2, "") and err.startswith("configuration error: --gap: "), err
 
 
 def test_cached_parser_keeps_no_state_between_runs(tmp_path, capsys):
@@ -772,6 +805,11 @@ def test_growth_form_whose_level_overflows_is_refused_on_construction(tmp_path):
         (Observation(2019, 10**400),
          "series 's' value in 2019 must be a finite number, got an int of 1329 bits"),
         (Observation(2019, -1.0), "series 's': non-positive value -1.0 in 2019"),
+        # a year beyond float range is shown by its bit length, before the value
+        (Observation(10**400, 1.0),
+         "series 's' year must be a finite number, got an int of 1329 bits"),
+        (Observation(-(10**5000), -1.0),
+         "series 's' year must be a finite number, got an int of 16610 bits"),
     ],
 )
 def test_series_years_are_ints_and_values_numbers(observation, message):
@@ -845,10 +883,8 @@ LIBRARY_INPUTS = {
        for share in (additive_log_share, geometric_share_of_gap, policy_growth_residual)},
     "geometric_share.g_ne": (lambda v: geometric_share(v, 0.5), ("g_NE",)),
     "geometric_share.g_ns": (lambda v: geometric_share(0.5, v), ("g_NS",)),
-    # an error may name the relative change g_NE or g_NS that the levels imply
     **{f"geometric_share_from_levels.{name}": (lambda v, i=i: geometric_share_from_levels(
-        *(v if j == i else y for j, y in enumerate((100.0, 107.4, 296.0)))),
-        (name, "g_NE", "g_NS"))
+        *(v if j == i else y for j, y in enumerate((100.0, 107.4, 296.0)))), (name,))
        for i, name in enumerate(("y_e_s", "y_ne_s", "y_ne_ns"))},
     "backout_gap.reported_share": (lambda v: backout_gap(EFFECT, v), ("reported share",)),
     # a year that is not in a series is named with the series
@@ -890,7 +926,7 @@ def test_library_keeps_the_cli_input_rules(target, value):
     number, or one at the edge of float range, returns a result whose floats
     are all finite and which holds no bool, or raises a configuration or data
     error that names the input: never a bare ``TypeError``, ``ValueError`` or
-    ``OverflowError``.  Ints are exact, and a year may be any int."""
+    ``OverflowError``.  Ints are exact."""
     call, names = LIBRARY_INPUTS[target]
     try:
         result = call(value)

@@ -125,7 +125,7 @@ def test_round_trip_arbitrary_values(tmp_path_factory, values):
         tuple(Observation(1900 + i, v) for i, v in enumerate(values)), label="w"
     )
     path = tmp_path_factory.mktemp("rt") / "w.csv"
-    assert load_series(write_csv(s, path), label="w") == s
+    assert load_series(write_csv(s, path)) == s
 
 
 # -------------------------------------------------------------------- splice
