@@ -14,7 +14,6 @@ from .decomposition import (
     geometric_share,
     geometric_share_from_levels,
     geometric_share_of_gap,
-    policy_growth_residual,
 )
 from .effects import (
     GrowthEffect,
@@ -93,7 +92,6 @@ __all__ = [
     "load_scenario_config",
     "load_series",
     "log_gap",
-    "policy_growth_residual",
     "render",
     "render_csv",
     "render_markdown",

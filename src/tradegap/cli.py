@@ -11,7 +11,9 @@ gap         back-out diagnostics for the calibrated 2024 denominator
 Each subcommand takes only the flags its table builder reads; any other
 flag is a usage error.  A flag's value is checked first, by the rule its
 builder applies, and one that breaks it is a one-line configuration error
-naming the flag.  Exit codes: 0 success, 2 configuration error,
+naming the flag.  Exit codes: 0 success, 1 the reader of the output has
+gone (a closed pipe on stdout or on an --out FIFO, nothing on stderr),
+2 configuration error, an output that cannot be written among them,
 3 data/validation error.
 """
 
@@ -19,7 +21,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
+from contextlib import nullcontext
 from itertools import chain
 from typing import Any, Callable, Iterator
 
@@ -121,7 +125,7 @@ def _run(args: argparse.Namespace) -> Iterator[str]:
             except (ConfigurationError, DataValidationError) as exc:
                 raise ConfigurationError(f"--{dest.replace('_', '-')}: {exc}") from None
     _help, builder, keywords, decimals = _COMMANDS[args.command]
-    config = load_scenario_config(args.config) if args.config else default_scenario_config()
+    config = default_scenario_config() if args.config is None else load_scenario_config(args.config)
     flags = {k: _resolve_gap(args) if k == "gap" else getattr(args, k) for k in keywords}
     given = {k: v for k, v in flags.items() if v is not None}
     table = getattr(report, builder)(config=config, **given)
@@ -133,17 +137,21 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         chunks = _run(args)
-        if args.out:  # opened only now: a failing run creates no file
-            with open(args.out, "w", encoding="utf-8") as out:
-                out.writelines(chunks)
+        to_file = args.out is not None  # --out opens only now: a failing run makes no file
+        with open(args.out, "w", encoding="utf-8") if to_file else nullcontext(sys.stdout) as out:
+            out.writelines(chunks)
+            out.flush()
+    except BrokenPipeError:  # the reader has gone, as after `| head`: end quietly,
+        # with stdout on os.devnull so that the interpreter's last flush is silent too
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
     except (ConfigurationError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except DataValidationError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    if not args.out:
-        sys.stdout.writelines(chunks)
     return 0
 
 

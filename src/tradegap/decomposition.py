@@ -184,23 +184,6 @@ def geometric_share_from_levels(
     return DecompositionResult((y_ne_s - y_e_s) / (y_ne_ns - y_e_s))
 
 
-def policy_growth_residual(effect: GrowthEffect, total: GapDenominator) -> float:
-    """Relative policy component g_NS with (1+g_NE)(1+g_NS) = exp(total).
-
-    The source tables give no independent policy estimate, so the policy
-    component is always the residual claimant of whatever part of the total
-    gap the embargo effect leaves unexplained.
-    """
-    gap = total.checked_log_points()
-    try:
-        return math.expm1(gap - effect.log_points)
-    except OverflowError:
-        raise DataValidationError(
-            f"policy residual of a {effect.log_points!r} log-point effect against a {gap!r} "
-            "log-point gap is out of float range"
-        ) from None
-
-
 def geometric_share_of_gap(effect: GrowthEffect, total: GapDenominator) -> DecompositionResult:
     """Geometric share of an effect against a gap, policy as residual:
     ``theta = g_NE / expm1(gap)``, by the kernel of Table A3 and the grid.

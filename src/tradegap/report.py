@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain, islice, product, repeat
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .decomposition import GapDenominator, additive_log_thetas, backout_gap, geometric_thetas_of_gap
 from .effects import (
@@ -178,12 +178,10 @@ def _cells(
     share_fns: tuple[_ShareKernel, ...],
     years: int | None = None,
     finite_gap: GapDenominator | None = None,
-) -> tuple[_Rows, list[tuple[list[list[float]], int]]]:
-    """The model rows, and per row the columns of its pass and where its
-    cells start in them: an effect % column and one share % column per share
-    kernel, over the scenarios ``ids`` with ``shocks``, on plain floats.
-    Row ``i``'s cells are ``column[start:start + len(ids)]`` of each of its
-    columns.
+) -> tuple[_Rows, list[Sequence[Sequence[float]]]]:
+    """The model rows, and per row its percent columns over the scenarios
+    ``ids`` with ``shocks``, on plain floats: an effect % column and one
+    share % column per share kernel.
 
     The cells of all steady-state rows go through the kernels in one pass,
     and those of all finite-horizon rows in another; a pass of more than
@@ -218,15 +216,16 @@ def _cells(
 
     n = len(ids)
     step = max(1, _PASS_CELLS // n)  # rows per pass
-    places: list[tuple[list[list[float]], int]] = [([], 0)] * len(rows.effects)  # set per pass
+    cells: list[Sequence[Sequence[float]]] = [()] * len(rows.effects)  # set per pass
     try:
         for finite in (False, True):
             group = [i for i, (n_years, _c, _col) in enumerate(rows.effects)
                      if (n_years is not None) is finite]
             for chunk in (group[k:k + step] for k in range(0, len(group), step)):
                 columns = columns_of([rows.effects[i] for i in chunk], shocks)
-                for k, i in enumerate(chunk):
-                    places[i] = (columns, k * n)
+                grouped = zip(*(zip(*[iter(c)] * n) for c in columns))  # zip's grouper: n per row
+                for i, row in zip(chunk, grouped):
+                    cells[i] = row
     except DataValidationError as error:
         for i, j in product(range(len(rows.effects)), range(n)):  # the first bad cell, row-major
             try:
@@ -235,7 +234,7 @@ def _cells(
                 error = DataValidationError(f"{rows.labels[i]}, scenario {ids[j]}: {exc}")
                 break
         raise error
-    return rows, places
+    return rows, cells
 
 
 # --------------------------------------------------------------------------
@@ -301,7 +300,7 @@ def _share_table(
     scenarios = _table_scenarios(config, lambda_baseline)
     ids = [s.id for s in scenarios]
     shocks = shock_columns([s.delta_lambda for s in scenarios], scenarios[0].lambda_baseline)
-    rows, places = _cells(registry, ids, shocks, gap, (share,), years, gap_1972)
+    rows, cells = _cells(registry, ids, shocks, gap, (share,), years, gap_1972)
     return ResultTable(
         caption=caption,
         columns=("model", "elasticity")
@@ -309,7 +308,7 @@ def _share_table(
         + tuple(f"share_{i}_pct" for i in ids),
         blocks=((
             rows.labels, rows.coefficients,
-            *([columns[c][start + j] for columns, start in places]
+            *([row[c][j] for row in cells]
               for c in ((0, 1) if with_effects else (1,)) for j in range(len(ids))),
         ),),
         footnotes=(
@@ -374,18 +373,17 @@ def build_grid(
     ids = [s.id for s in scenarios] + list(config.custom_ids)
     delta_lambdas = [s.delta_lambda for s in scenarios] + list(config.custom_delta_lambdas)
     shocks = [f"{dl:.6f}" for dl in delta_lambdas]
-    rows, places = _cells(
+    rows, cells = _cells(
         registry, ids, shock_columns(delta_lambdas, config.lambda_baseline), gap,
         (additive_log_thetas, geometric_thetas_of_gap), years,
     )
-    n = len(ids)
     return ResultTable(
         caption="Sensitivity grid: embargo effect and gap share per model and scenario",
         columns=("model", "horizon", "scenario", "delta_lambda", "effect_pct",
                  "theta_additive_log_pct", "theta_geometric_pct"),
         blocks=tuple(
-            (display, horizon, ids, shocks, *(c if len(c) == n else c[at:at + n] for c in cols))
-            for display, horizon, (cols, at) in zip(rows.displays, rows.horizons, places)
+            (display, horizon, ids, shocks, *row)
+            for display, horizon, row in zip(rows.displays, rows.horizons, cells)
         ),
         footnotes=(
             f"all shares measured against the {gap.describe()}",
@@ -464,31 +462,32 @@ def _format_cell(cell: object, decimals: int) -> str:
 _Part = tuple[str, Sequence[object]]
 
 
-def _parts(table: ResultTable, decimals: int) -> list[list[_Part]]:
-    """The parts of each block that has rows, in order; a column in many blocks is checked once."""
+def _parts(
+    table: ResultTable, decimals: int, finish: Callable[[_Part], tuple[Any, ...]]
+) -> list[list[tuple[Any, ...]]]:
+    """The parts of each block that has rows, in order, each through the renderer's
+    ``finish``, which keeps the cells second; a column in many blocks goes through once."""
     spec = f"%.{decimals}f"
-    seen: dict[int, _Part] = {}  # id of a column -> its part; the table keeps each alive
+    seen: dict[int, tuple[Any, ...]] = {}  # id of a column -> its part; the table keeps each alive
     blocks = []
     try:
         for block in table.blocks:
             if not _length(block):
                 continue
-            parts: list[_Part] = []
             for col in block:
-                if isinstance(col, str):
-                    parts.append((col.replace("%", "%%"), col))
+                if id(col) in seen:
                     continue
-                if id(col) not in seen:
-                    kinds = set(map(type, col))
-                    # a sum is finite only if every cell is; one that overflows sends
-                    # the cells, finite or not, through _format_cell
-                    if kinds == {float} and math.isfinite(sum(col)):
-                        seen[id(col)] = (spec, col)
-                    else:
-                        cells = col if kinds == {str} else [_format_cell(c, decimals) for c in col]
-                        seen[id(col)] = ("%s", cells)
-                parts.append(seen[id(col)])
-            blocks.append(parts)
+                if isinstance(col, str):
+                    part: _Part = (col.replace("%", "%%"), col)
+                # a sum is finite only if every cell is; one that overflows sends
+                # the cells, finite or not, through _format_cell
+                elif (kinds := set(map(type, col))) == {float} and math.isfinite(sum(col)):
+                    part = (spec, col)
+                else:
+                    cells = col if kinds == {str} else [_format_cell(c, decimals) for c in col]
+                    part = ("%s", cells)
+                seen[id(col)] = finish(part)
+            blocks.append([seen[id(col)] for col in block])
     except DataValidationError as error:  # name the first bad cell in row-major order
         try:
             [_format_cell(c, decimals) for row in table.rows for c in row]
@@ -498,9 +497,9 @@ def _parts(table: ResultTable, decimals: int) -> list[list[_Part]]:
     return blocks
 
 
-def _formatted(template: str, parts: list[_Part]) -> Iterator[str]:
+def _formatted(template: str, parts: list[tuple[Any, ...]]) -> Iterator[str]:
     """A block's rows through its ``template``, one %-call per ``_PASS_CELLS`` rows."""
-    cols = [cells for _s, cells in parts if not isinstance(cells, str)]
+    cols = [part[1] for part in parts if not isinstance(part[1], str)]
     rows = zip(*cols)
     for _ in range(0, len(cols[0]), _PASS_CELLS):
         cells = tuple(chain.from_iterable(islice(rows, _PASS_CELLS)))
@@ -524,12 +523,10 @@ def _csv_part(spec: str, cells: Sequence[object] | str, lone: bool) -> _Part:
 
 
 def _csv_chunks(table: ResultTable, decimals: int) -> Iterator[str]:
-    blocks = _parts(table, decimals)
     lone = len(table.columns) == 1  # then an empty field is written "", so no row is blank
+    blocks = _parts(table, decimals, lambda part: _csv_part(*part, lone))
     yield f"# {table.caption}\n" + ",".join(_csv_field(c, lone) for c in table.columns) + "\n"
-    done: dict[int, _Part] = {}  # id of a part -> its CSV part: a shared column's made once
     for parts in blocks:
-        parts = [done.get(id(p)) or done.setdefault(id(p), _csv_part(*p, lone)) for p in parts]
         yield from _formatted(",".join(s for s, _c in parts) + "\n", parts)
     yield "".join(f"# {note}\n" for note in table.footnotes)
 
@@ -551,19 +548,17 @@ def _width(spec: str, cells: Sequence[object]) -> int:
 
 
 def _markdown_chunks(table: ResultTable, decimals: int) -> Iterator[str]:
-    blocks = _parts(table, decimals)
+    blocks = _parts(table, decimals, lambda part: (*part, _width(*part)))
     widths = [len(name) for name in table.columns]
-    distinct = {id(part): part for parts in blocks for part in parts}  # a shared column once
-    width = {key: _width(*part) for key, part in distinct.items()}
     for parts in blocks:  # the widest cell of any block
-        widths = [max(w, width[id(part)]) for w, part in zip(widths, parts)]
+        widths = [max(w, part[2]) for w, part in zip(widths, parts)]
     header = "| " + " | ".join(map(str.ljust, table.columns, widths)) + " |"
     rule = "|" + "|".join("-" * (w + 2) for w in widths) + "|"
     yield f"**{table.caption}**\n\n{header}\n{rule}\n"
     for parts in blocks:
         template = "| " + " | ".join(
             cells.ljust(w).replace("%", "%%") if isinstance(cells, str) else f"%-{w}{s[1:]}"
-            for (s, cells), w in zip(parts, widths)
+            for (s, cells, _w), w in zip(parts, widths)
         ) + " |\n"
         yield from _formatted(template, parts)
     yield "".join(f"\n- {note}" for note in table.footnotes) + "\n"

@@ -15,7 +15,6 @@ from tradegap import (
     geometric_share,
     geometric_share_from_levels,
     geometric_share_of_gap,
-    policy_growth_residual,
 )
 from tradegap.decomposition import GapKind, geometric_thetas_of_gap
 
@@ -87,8 +86,8 @@ def test_additive_log_components_reconstruct_total(c_ne, c_ns):
 # ----------------------------------------------------------------- geometric
 
 def test_geometric_published_cell():
-    g_ne = math.expm1(0.41 * 0.174)
-    res = geometric_share(g_ne, policy_growth_residual(effect_from_log_points(0.41 * 0.174), GAP))
+    c = 0.41 * 0.174
+    res = geometric_share(math.expm1(c), math.expm1(GAP.log_points - c))
     assert 100 * res.theta == pytest.approx(3.8, abs=0.1)
 
 
@@ -111,9 +110,6 @@ def test_geometric_columns_name_the_first_bad_cell():
     # the second cell's effect is at -1, and so is the third cell's residual
     with pytest.raises(DataValidationError, match="effect g_NE is -1.0$"):
         geometric_thetas_of_gap([0.1, 0.1, 100.0], [math.expm1(0.1), -1.0, 1.0], 1.0)
-    # an effect far below the gap leaves a residual beyond float range
-    with pytest.raises(DataValidationError, match="policy residual of a -1000.0 log-point"):
-        policy_growth_residual(effect_from_log_points(-1000.0), GapDenominator.explicit(1.0))
 
 
 def test_geometric_rejects_nan_components():
@@ -203,18 +199,10 @@ def test_geometric_identity_theta_times_denominator(g_ne, g_ns):
     assert res.theta * denominator == pytest.approx(g_ne, rel=1e-12, abs=1e-15)
 
 
-def test_policy_residual_closes_the_gap():
-    e = effect_from_log_points(0.3)
-    g_ns = policy_growth_residual(e, GAP)
-    assert (1 + e.relative_level) * (1 + g_ns) == pytest.approx(
-        math.exp(GAP.log_points), rel=1e-12
-    )
-
-
 def test_geometric_share_of_gap_convenience():
     e = effect_from_log_points(0.41 * 0.174)
     direct = geometric_share_of_gap(e, GAP)
-    manual = geometric_share(e.relative_level, policy_growth_residual(e, GAP))
+    manual = geometric_share(e.relative_level, math.expm1(GAP.log_points - e.log_points))
     assert direct.theta == manual.theta
 
 
@@ -227,7 +215,6 @@ def test_geometric_share_of_gap_convenience():
         (additive_log_share, math.inf),
         (geometric_share_of_gap, -1.0),
         (geometric_share_of_gap, 710.0),
-        (policy_growth_residual, math.nan),
     ],
 )
 def test_library_gap_must_be_positive_and_finite(share, gap):

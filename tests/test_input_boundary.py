@@ -49,7 +49,6 @@ from tradegap import (
     load_scenario_config,
     load_series,
     log_gap,
-    policy_growth_residual,
     splice,
     steady_state_effect_loglinear,
     steady_state_semi_elasticity,
@@ -880,7 +879,7 @@ LIBRARY_INPUTS = {
     # a share of a gap too small for it is an embargo share theta beyond float range
     **{f"{share.__name__}.total": (lambda v, share=share: share(
         EFFECT, GapDenominator.explicit(v)), ("gap denominator", "theta"))
-       for share in (additive_log_share, geometric_share_of_gap, policy_growth_residual)},
+       for share in (additive_log_share, geometric_share_of_gap)},
     "geometric_share.g_ne": (lambda v: geometric_share(v, 0.5), ("g_NE",)),
     "geometric_share.g_ns": (lambda v: geometric_share(0.5, v), ("g_NS",)),
     **{f"geometric_share_from_levels.{name}": (lambda v, i=i: geometric_share_from_levels(

@@ -331,9 +331,7 @@ def test_every_public_function_has_a_reader():
         name for name in tradegap.__all__
         if callable(obj := getattr(tradegap, name)) and not isinstance(obj, type)
     }
-    # ROADMAP item 2 ("tradegap explain") may print g_NS through it
-    unread = functions - named - {"policy_growth_residual"}
-    assert sorted(unread) == []
+    assert sorted(functions - named) == []
 
 
 def test_readme_python_blocks_run():
@@ -466,6 +464,12 @@ def test_cli_more_config_errors_exit_2(tmp_path, capsys):
     # partial series flags are a flag-coherence problem
     assert main(["table2", "--gap-synthetic", "x.csv"]) == 2
     capsys.readouterr()
+    # an empty path names no file: it is neither the packaged config nor stdout
+    for flag in ("--config", "--out"):
+        assert main(["replicate", flag, ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, captured
+        assert captured.err.startswith("configuration error: ")
 
 
 def test_cli_data_error_exit_3(tmp_path, capsys):
@@ -483,6 +487,55 @@ def test_cli_data_error_exit_3(tmp_path, capsys):
     )
     assert rc == 3
     assert "data error" in capsys.readouterr().err
+
+
+def _cli_child(argv, stdout):
+    """A ``tradegap`` process writing to ``stdout``: (exit code, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tradegap.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-m", "tradegap.cli", *argv], env=env, stdout=stdout,
+                         stderr=subprocess.PIPE, text=True)
+    return run.returncode, run.stderr
+
+
+def test_cli_closed_pipe_ends_quietly_with_exit_1():
+    """A reader that has gone, as after ``| head``, ends the run with exit 1
+    and nothing on stderr: no traceback, and no error from the last flush."""
+    read, write = os.pipe()
+    os.close(read)  # closed before the child writes, so its first write fails
+    try:
+        assert _cli_child(["grid"], write) == (1, "")
+    finally:
+        os.close(write)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_cli_stdout_write_error_exits_2():
+    """A write error on stdout is one line and exit 2, as on ``--out``: the
+    flush runs inside the run, so a table smaller than the buffer fails too."""
+    with open("/dev/full", "w") as full:
+        code, err = _cli_child(["replicate"], full)
+    assert (code, err) == (2, "configuration error: [Errno 28] No space left on device\n")
+
+
+def test_cli_closed_pipe_points_stdout_at_devnull(tmp_path, monkeypatch, capsys):
+    """In process: on a closed pipe, stdout's descriptor is pointed at
+    ``os.devnull``, so the interpreter's last flush has nowhere to fail."""
+
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def writelines(self, chunks):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "w") as stand_in:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(stand_in.fileno()))
+        assert main(["replicate"]) == 1
+        assert os.path.samestat(os.fstat(stand_in.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_gap_from_series(tmp_path, capsys):
