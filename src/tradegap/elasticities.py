@@ -241,8 +241,9 @@ def load_registry(path: str | Path) -> ElasticityRegistry:
     alpha2}`` for a growth form, and ``horizon`` is ``{kind, years?}``; a
     field marked ``?`` may be left out.  A missing or unsupported schema
     version is rejected, and so is any other field, named by its path.
+    Unchanged bytes at one path are parsed once per process.
     """
-    return read_json(Path(path), "registry", _registry_from_json)
+    return read_json(path, "registry", _registry_from_json)
 
 
 _MODEL_FIELDS = ("name", "form", "coefficient", "horizon", "short_run_epsilon", "source_note")

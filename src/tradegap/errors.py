@@ -7,10 +7,11 @@ data/validation problems (bad numbers, malformed series) exit with 3.
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 import sys
 from operator import attrgetter
-from pathlib import Path
 from typing import Any, Callable, Iterable, TypeVar
 
 _T = TypeVar("_T")
@@ -51,21 +52,40 @@ def known(value: dict, fields: tuple[str, ...], where: str, index: int | None = 
             raise ConfigurationError(f"{where.format(index)}unknown field {key!r}")
 
 
-def read_json(path: Path, what: str, parse: Callable[[Any], _T]) -> _T:
+#: A sweep rereads one registry, one config and a pair of series: a few entries
+#: serve it, and the bound keeps a process from holding every file it ever read.
+_PARSED_FILES = 32
+
+
+@functools.lru_cache(maxsize=_PARSED_FILES)
+def _parsed(parse: Callable[..., _T], path: str, data: bytes, *rest: object) -> _T:
+    """``parse(path, data, *rest)``, once per distinct key; an exception is never kept."""
+    return parse(path, data, *rest)
+
+
+def read_json(path: str | os.PathLike[str], what: str, parse: Callable[[Any], _T]) -> _T:
     """Read the JSON file ``path`` and ``parse`` it; every bad input raises
-    a :class:`ConfigurationError` naming ``what`` and the file.
+    a :class:`ConfigurationError` naming ``what`` and the file as given.
 
     ``parse`` checks every number by :func:`number`, so ``NaN``, ``Infinity``
     and ``1e400`` are named by their field.  A missing or unknown field, a
     wrong type, a value ``float``/``int`` cannot read and a domain violation
     (:class:`DataValidationError`) raised by ``parse`` are all configuration errors.
     """
+    name = os.fspath(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        with open(name, "rb") as file:
+            data = file.read()
     except FileNotFoundError:
-        raise ConfigurationError(f"{what} not found: {path}") from None
+        raise ConfigurationError(f"{what} not found: {name or repr(name)}") from None
     except OSError as exc:  # a directory, or unreadable
-        raise ConfigurationError(f"{what} not readable: {path} ({exc.strerror})") from None
+        raise ConfigurationError(f"{what} not readable: {name} ({exc.strerror})") from None
+    return _parsed(_from_json, name, data, what, parse)
+
+
+def _from_json(path: str, data: bytes, what: str, parse: Callable[[Any], _T]) -> _T:
+    try:
+        raw = json.loads(data.decode("utf-8"))
     except ValueError as exc:
         raise ConfigurationError(f"{what} {path}: invalid JSON ({exc})") from None
     try:

@@ -184,9 +184,10 @@ def load_scenario_config(path: str | Path) -> ScenarioConfig:
     synthetic_export_excess_1972, gdp_1958}`` and each custom scenario is
     ``{id, delta_lambda, description?}``; a field marked ``?`` may be left
     out.  All numbers plain decimals, shares on [0, 1], the baseline above
-    0.  Any other field is rejected, named by its path.
+    0.  Any other field is rejected, named by its path.  Unchanged bytes at
+    one path are parsed once per process.
     """
-    return read_json(Path(path), "scenario config", _config_from_json)
+    return read_json(path, "scenario config", _config_from_json)
 
 
 def _config_from_json(raw: object) -> ScenarioConfig:

@@ -10,10 +10,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from pathlib import Path
 
 from .decomposition import GapDenominator
-from .errors import _FLOAT_MAX, DataValidationError, _Value, number
+from .errors import _FLOAT_MAX, DataValidationError, _parsed, _Value, number
 
 
 class Observation(_Value):
@@ -58,14 +59,20 @@ class GdpSeries(_Value):
 
 
 def load_series(path: str | Path) -> GdpSeries:
-    """Parse a CSV series file, labelled by its stem; a malformed row is named by its line."""
-    path = Path(path)
+    """Parse a CSV series file, labelled by its stem; a malformed row is named
+    by its line.  Unchanged bytes at one path are parsed once per process."""
+    name = os.fspath(path)
     try:
-        data = path.read_bytes()
+        with open(name, "rb") as file:
+            data = file.read()
     except OSError as exc:  # missing, a directory, unreadable
         raise DataValidationError(
-            f"series file not found or not readable: {path} ({exc.strerror})"
+            f"series file not found or not readable: {name or repr(name)} ({exc.strerror})"
         ) from None
+    return _parsed(_series_from_csv, name, data)
+
+
+def _series_from_csv(path: str, data: bytes) -> GdpSeries:
     try:
         records = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
     except (UnicodeDecodeError, csv.Error) as exc:
@@ -97,7 +104,7 @@ def load_series(path: str | Path) -> GdpSeries:
         raise DataValidationError(f"{path}: empty series")
     # re-raise invariant violations with the file in the message
     try:
-        return GdpSeries(tuple(rows), path.stem)
+        return GdpSeries(tuple(rows), Path(path).stem)
     except DataValidationError as exc:
         raise DataValidationError(f"{path}: {exc}") from None
 

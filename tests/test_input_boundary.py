@@ -352,6 +352,15 @@ def test_unreadable_input_file_is_named(tmp_path):
     )
     with pytest.raises(ConfigurationError, match=r"^registry not readable: .* \(Is a directory\)$"):
         load_registry(tmp_path)
+    # an empty path is named as given, not as the directory "." that Path("") is
+    for load, error, message in (
+        (load_registry, ConfigurationError, "registry not found: ''"),
+        (load_scenario_config, ConfigurationError, "scenario config not found: ''"),
+        (load_series, DataValidationError,
+         "series file not found or not readable: '' (No such file or directory)"),
+    ):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            load("")
 
 
 # ------------------------------------------------------ values float/int cannot read

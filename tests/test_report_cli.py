@@ -464,12 +464,18 @@ def test_cli_more_config_errors_exit_2(tmp_path, capsys):
     # partial series flags are a flag-coherence problem
     assert main(["table2", "--gap-synthetic", "x.csv"]) == 2
     capsys.readouterr()
-    # an empty path names no file: it is neither the packaged config nor stdout
-    for flag in ("--config", "--out"):
-        assert main(["replicate", flag, ""]) == 2
+    # an empty path names no file: it is neither the packaged config nor stdout,
+    # and the error line shows it as '', not as the directory "." it would resolve to
+    for argv, code, kind in (
+        (["replicate", "--config", ""], 2, "configuration error: "),
+        (["replicate", "--out", ""], 2, "configuration error: "),
+        (["table2", "--gap-synthetic", "", "--gap-historical", "x", "--gap-year", "2000"], 3,
+         "data error: "),
+    ):
+        assert main(argv) == code
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1, captured
-        assert captured.err.startswith("configuration error: ")
+        assert captured.err.startswith(kind) and ": ''" in captured.err, captured
 
 
 def test_cli_data_error_exit_3(tmp_path, capsys):
