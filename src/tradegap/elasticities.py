@@ -69,7 +69,7 @@ class ElasticityModel(_Value):
     def __post_init__(self) -> None:
         if type(self.form) is not FormKind:
             raise DataValidationError(f"model {self.name!r}: unknown functional form {self.form!r}")
-        c = self.coefficient
+        c, epsilon = self.coefficient, self.short_run_epsilon
         if self.form is FormKind.GROWTH_WITH_CONVERGENCE and not (type(c) is tuple and len(c) == 2):
             raise DataValidationError(
                 f"model {self.name!r}: coefficient of a {self.form.value} form must be the pair "
@@ -81,7 +81,14 @@ class ElasticityModel(_Value):
             raise DataValidationError(f"model {self.name!r}: {exc}") from None
         if self.years is not None:
             _check_years(self.years)
-        _check_model(self.name, self.years, self.short_run_epsilon)
+        if not self.name:
+            raise DataValidationError("model name must be non-empty")
+        if self.years is not None and epsilon is None:
+            raise DataValidationError(
+                f"model {self.name!r}: finite horizon requires short_run_epsilon"
+            )
+        if epsilon is not None:
+            number(epsilon, f"model {self.name!r}: short_run_epsilon", DataValidationError)
 
     def level_coefficient(self) -> float:
         """Reduce the model to a steady-state level coefficient.
@@ -104,16 +111,6 @@ def _check_years(years: int | None) -> None:
         raise DataValidationError("years beyond float range")
 
 
-def _check_model(name: str, years: int | None, short_run_epsilon: float | None) -> None:
-    """The model rules: a name, a short-run epsilon for a finite horizon, and a finite one."""
-    if not name:
-        raise DataValidationError("model name must be non-empty")
-    if years is not None and short_run_epsilon is None:
-        raise DataValidationError(f"model {name!r}: finite horizon requires short_run_epsilon")
-    if short_run_epsilon is not None:
-        number(short_run_epsilon, f"model {name!r}: short_run_epsilon", DataValidationError)
-
-
 class ElasticityRegistry(_Value):
     """Ordered, name-unique, non-empty collection of elasticity models.
 
@@ -127,17 +124,12 @@ class ElasticityRegistry(_Value):
     __slots__ = ("names", "forms", "levels", "alphas", "years", "epsilons", "notes")
 
     def __init__(self, entries: Iterable[ElasticityModel]) -> None:
-        self._fill([
+        rows = [
             (m.name, m.form, m.level_coefficient(),
              m.coefficient if m.form is FormKind.GROWTH_WITH_CONVERGENCE else None,
              m.years, m.short_run_epsilon, m.source_note)
             for m in entries
-        ])
-
-    def _fill(self, rows: list[tuple]) -> ElasticityRegistry:
-        """Check that there is a model and no name twice, and set the columns
-        of ``rows``, one value per field each.  A loaded registry's rows come
-        here without model objects."""
+        ]
         if not rows:
             raise ConfigurationError("empty selection: no models in registry")
         seen: set[str] = set()
@@ -146,7 +138,6 @@ class ElasticityRegistry(_Value):
                 raise ConfigurationError(f"duplicate model name {name!r} in registry")
             seen.add(name)
         self.__setstate__(zip(*rows))
-        return self
 
     def _model(self, i: int) -> ElasticityModel:
         alphas = self.alphas[i]
@@ -247,11 +238,6 @@ def load_registry(path: str | Path) -> ElasticityRegistry:
 
 
 _MODEL_FIELDS = ("name", "form", "coefficient", "horizon", "short_run_epsilon", "source_note")
-#: The forms, and whether a horizon is finite, by their JSON values: a dict
-#: finds one in a fraction of the time an enum call takes, and a registry
-#: read looks up two per model.
-_FORMS = {kind.value: kind for kind in FormKind}
-_FINITE = {"finite": True, "steady_state": False}
 
 
 def _registry_from_json(raw: object) -> ElasticityRegistry:
@@ -263,41 +249,40 @@ def _registry_from_json(raw: object) -> ElasticityRegistry:
     if not isinstance(models, list):
         raise ConfigurationError("'models' must be an array")
     known(raw, ("schema_version", "models"), "")
-    rows = [_model_row(i, row) for i, row in enumerate(models)]
-    return object.__new__(ElasticityRegistry)._fill(rows)
+    return ElasticityRegistry([_model_row(i, row) for i, row in enumerate(models)])
 
 
-def _model_row(i: int, row: dict) -> tuple:
-    """Model ``i``'s value in each registry column.  Its fields are checked
-    in turn and its unknown fields last; an error names its JSON path."""
+def _model_row(i: int, row: dict) -> ElasticityModel:
+    """Model ``i`` of the file.  Its fields are checked in turn and its
+    unknown fields last; an error names its JSON path."""
     try:
         name = string(row["name"], "name")
-        form = row["form"]
-        if not isinstance(form, str) or form not in _FORMS:
-            raise ConfigurationError(f"form: unknown functional form {form!r}")
-        form, coefficient = _FORMS[form], row.get("coefficient")
-        alphas = None
+        try:
+            form = FormKind(row["form"])
+        except ValueError:
+            raise ConfigurationError(f"form: unknown functional form {row['form']!r}") from None
+        coefficient = row.get("coefficient")
         if form is FormKind.GROWTH_WITH_CONVERGENCE:
             if not isinstance(coefficient, dict):
                 raise ConfigurationError("coefficient of a growth form must be {alpha1, alpha2}")
-            alphas = (
+            value = (
                 number(coefficient["alpha1"], "coefficient.alpha1"),
                 number(coefficient["alpha2"], "coefficient.alpha2"),
             )
-            level = steady_state_semi_elasticity(*alphas)
+            steady_state_semi_elasticity(*value)  # its steady state, checked before the horizon
         else:
-            level = number(coefficient, "coefficient")
+            value = number(coefficient, "coefficient")
         horizon = row["horizon"]
         if not isinstance(horizon, dict) or "kind" not in horizon:
             raise ConfigurationError(f"horizon must be an object with a 'kind': {horizon!r}")
         kind, years = horizon["kind"], horizon.get("years")
-        if not isinstance(kind, str) or kind not in _FINITE:
+        if kind not in ("finite", "steady_state"):
             raise ConfigurationError(f"horizon.kind: unknown horizon kind {kind!r}")
         if years is not None:
             if type(years) not in (int, float) or not number(years, "horizon.years").is_integer():
                 raise ConfigurationError(f"horizon.years must be a whole number, got {years!r}")
             years = int(years)
-        if _FINITE[kind]:
+        if kind == "finite":
             _check_years(years)
         elif years is not None:
             raise DataValidationError("steady-state horizon takes no years")
@@ -305,18 +290,18 @@ def _model_row(i: int, row: dict) -> tuple:
         if epsilon is not None:
             epsilon = number(epsilon, "short_run_epsilon")
         note = string(row.get("source_note", ""), "source_note")
-        _check_model(name, years, epsilon)
+        model = ElasticityModel(name, form, value, years, epsilon, note)
     except KeyError as exc:
         raise ConfigurationError(f"models[{i}] missing field {exc}") from None
     except ConfigurationError as exc:  # its message starts with the field's path
         raise ConfigurationError(f"models[{i}].{exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"models[{i}]: {exc}") from None
-    if alphas is not None:
+    if form is FormKind.GROWTH_WITH_CONVERGENCE:
         known(coefficient, ("alpha1", "alpha2"), "models[{}].coefficient: ", i)
     known(horizon, ("kind", "years"), "models[{}].horizon: ", i)
     known(row, _MODEL_FIELDS, "models[{}]: ", i)
-    return name, form, level, alphas, years, epsilon, note
+    return model
 
 
 @functools.cache

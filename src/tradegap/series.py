@@ -14,7 +14,7 @@ import os
 from pathlib import Path
 
 from .decomposition import GapDenominator
-from .errors import _FLOAT_MAX, DataValidationError, _parsed, _Value, number
+from .errors import DataValidationError, _parsed, _Value, number
 
 
 class Observation(_Value):
@@ -33,16 +33,16 @@ class GdpSeries(_Value):
         if not self.observations:
             raise DataValidationError(f"empty series {self.label!r}")
         prev = None
-        for obs in self.observations:  # number()'s rule inline: a call per row slows load_series
+        for obs in self.observations:
             if type(obs.year) is not int:
                 raise DataValidationError(f"series {self.label!r}: year {obs.year!r} is not an int")
-            if not abs(obs.year) <= _FLOAT_MAX or prev is not None and obs.year <= prev:
-                number(obs.year, f"series {self.label!r} year", DataValidationError)
+            number(obs.year, f"series {self.label!r} year", DataValidationError)
+            if prev is not None and obs.year <= prev:
                 raise DataValidationError(
                     f"series {self.label!r}: years not strictly increasing at {obs.year}"
                 )
-            if type(obs.value) not in (int, float) or not 0 < obs.value <= _FLOAT_MAX:
-                number(obs.value, f"series {self.label!r} value in {obs.year}", DataValidationError)
+            if not number(obs.value, f"series {self.label!r} value in {obs.year}",
+                          DataValidationError) > 0:
                 raise DataValidationError(
                     f"series {self.label!r}: non-positive value {obs.value} in {obs.year}"
                 )
@@ -149,5 +149,6 @@ def log_gap(synthetic: GdpSeries, historical: GdpSeries, year: int) -> GapDenomi
     """ln(synthetic[year] / historical[year]) as an explicit denominator."""
     _check_year(year, "year")
     syn, hist = synthetic.value(year), historical.value(year)
-    ratio = syn / hist  # zero if below float range, though its log is a float
-    return GapDenominator.explicit(math.log(ratio) if ratio else math.log(syn) - math.log(hist))
+    ratio = syn / hist  # zero or inf beyond float range, though its log is a float
+    gap = math.log(ratio) if 0 < ratio < math.inf else math.log(syn) - math.log(hist)
+    return GapDenominator.explicit(gap)

@@ -416,7 +416,8 @@ MISSING = object()
 #: Most are invalid; a few are valid for one form or horizon and not the other.
 CHANGES = [
     ("name", ""), ("name", 5), ("name", None), ("name", "m0"), ("name", MISSING),
-    ("form", "cubic"), ("form", 3), ("form", ["x"]), ("form", MISSING),
+    ("form", "cubic"), ("form", 3), ("form", ["x"]), ("form", {"x": 1}), ("form", None),
+    ("form", True), ("form", MISSING),
     ("coefficient", True), ("coefficient", "1.0"), ("coefficient", None),
     ("coefficient", 10**400), ("coefficient", 0.4), ("coefficient", MISSING),
     ("coefficient", [-0.04, 0.01]), ("coefficient", {"alpha1": -0.04}),
@@ -430,7 +431,7 @@ CHANGES = [
     ("horizon", {"kind": "finite", "years": 12}), ("horizon", {"kind": "finite"}),
     *(("horizon", {"kind": "finite", "years": n}) for n in (0, -1, 12.5, 10**400, True, "12")),
     ("horizon", {"kind": "steady_state", "years": 12}), ("horizon", {"kind": "decadal"}),
-    ("horizon", {"kind": ["finite"]}), ("horizon", {"years": 12}),
+    ("horizon", {"kind": ["finite"]}), ("horizon", {"kind": {}}), ("horizon", {"years": 12}),
     ("horizon", "steady_state"), ("horizon", None), ("horizon", []), ("horizon", MISSING),
     ("short_run_epsilon", "0.02"), ("short_run_epsilon", True), ("short_run_epsilon", None),
     ("short_run_epsilon", 10**400), ("short_run_epsilon", MISSING),

@@ -140,6 +140,10 @@ SERIES_FLAGS = "--gap-synthetic/--gap-historical/--gap-year"
         ("1e-308", "1e308", 2024, 2,
          f"configuration error: {SERIES_FLAGS}: gap denominator must be positive and finite "
          "(below 709.78 log points), got -1418.3924172843322"),
+        # and so does a ratio beyond float range
+        ("1e308", "1e-308", 2024, 2,
+         f"configuration error: {SERIES_FLAGS}: gap denominator must be positive and finite "
+         "(below 709.78 log points), got 1418.3924172843322"),
         ("110", "100", 2030, 3, f"data error: {SERIES_FLAGS}: series 'syn': no observation for 2030"),
     ],
 )
