@@ -101,58 +101,46 @@ class ElasticityModel(_Value):
         return number(self.coefficient, "coefficient", DataValidationError)
 
 
-def _check_years(years: int | None) -> None:
-    """The rule of a finite horizon: a whole number of years >= 1, within float range."""
+def _check_years(years: int | None) -> int:
+    """``years``, if it keeps the rule of a finite horizon: a whole number >= 1 in float range."""
     if years is not None and type(years) is not int:  # not a bool, not a float
         raise DataValidationError(f"finite horizon requires a whole number of years, got {years!r}")
     if years is None or years < 1:
         raise DataValidationError("finite horizon requires years >= 1")
     if years > _FLOAT_MAX:  # compounding runs on floats
         raise DataValidationError("years beyond float range")
+    return years
 
 
 class ElasticityRegistry(_Value):
     """Ordered, name-unique, non-empty collection of elasticity models.
 
-    The models are held as one column per field: ``levels`` holds each
-    form's steady-state level coefficient, ``alphas`` a growth form's
-    ``(alpha1, alpha2)`` and None for a level form, and ``years`` a finite
-    horizon's years and None at the steady state.  Iteration and
-    :meth:`get` build :class:`ElasticityModel` objects on each access.
+    ``models`` holds the models as given, and ``levels`` each one's
+    steady-state level coefficient, derived once because every table reads it.
     """
 
-    __slots__ = ("names", "forms", "levels", "alphas", "years", "epsilons", "notes")
+    __slots__ = ("models", "levels")
 
-    def __init__(self, entries: Iterable[ElasticityModel]) -> None:
-        rows = [
-            (m.name, m.form, m.level_coefficient(),
-             m.coefficient if m.form is FormKind.GROWTH_WITH_CONVERGENCE else None,
-             m.years, m.short_run_epsilon, m.source_note)
-            for m in entries
-        ]
-        if not rows:
+    def __init__(self, models: Iterable[ElasticityModel]) -> None:
+        models = tuple(models)
+        levels = tuple(m.level_coefficient() for m in models)
+        if not models:
             raise ConfigurationError("empty selection: no models in registry")
         seen: set[str] = set()
-        for name, *_ in rows:
-            if name in seen:
-                raise ConfigurationError(f"duplicate model name {name!r} in registry")
-            seen.add(name)
-        self.__setstate__(zip(*rows))
-
-    def _model(self, i: int) -> ElasticityModel:
-        alphas = self.alphas[i]
-        return ElasticityModel(
-            self.names[i], self.forms[i], self.levels[i] if alphas is None else alphas,
-            self.years[i], self.epsilons[i], self.notes[i],
-        )
+        for m in models:
+            if m.name in seen:
+                raise ConfigurationError(f"duplicate model name {m.name!r} in registry")
+            seen.add(m.name)
+        self.__setstate__((models, levels))
 
     def get(self, name: str) -> ElasticityModel:
-        if name not in self.names:
-            raise ConfigurationError(f"no model named {name!r} in registry")
-        return self._model(self.names.index(name))
+        for m in self.models:
+            if m.name == name:
+                return m
+        raise ConfigurationError(f"no model named {name!r} in registry")
 
     def __iter__(self) -> Iterator[ElasticityModel]:
-        return map(self._model, range(len(self.names)))
+        return iter(self.models)
 
 
 # --------------------------------------------------------------------------

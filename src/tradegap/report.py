@@ -22,7 +22,7 @@ from .effects import (
     steady_state_effect_loglinear,
 )
 from .elasticities import ElasticityRegistry, _check_years, seed_registry
-from .errors import ConfigurationError, DataValidationError, _Value
+from .errors import _FLOAT_MAX, ConfigurationError, DataValidationError, _Value
 from .scenarios import (
     ScenarioConfig,
     TradeShockScenario,
@@ -136,17 +136,16 @@ def expand_rows(registry: ElasticityRegistry, years: int | None = None) -> _Rows
     if years is not None:
         _check_years(years)
     rows = []
-    for name, form, level, epsilon, own_years in zip(
-        registry.names, registry.forms, registry.levels, registry.epsilons, registry.years
-    ):
-        display = _DISPLAY_NAMES.get(name, name)
+    for model, level in zip(registry.models, registry.levels):
+        display = _DISPLAY_NAMES.get(model.name, model.name)
+        own_years, epsilon = model.years, model.short_run_epsilon
         finite = () if own_years is None else (own_years if years is None else years,)
         for n in (*finite, None):
             text = _horizon(n)
             rows.append((
                 display if own_years is None else f"{display}, {text}", display, text,
                 f"{level:.2f}" if n is None else f"{epsilon:.3f}/pp",
-                effect_row(form, level, epsilon, n),
+                effect_row(model.form, level, epsilon, n),
             ))
     return _Rows(*map(list, zip(*rows)))
 
@@ -258,12 +257,13 @@ def build_replication_table(
     rows = []
     for scenario in build_scenarios(config.inputs, lam0):
         ratio_pp = round(scenario.delta_lambda_pp, 1)
-        effect = finite_horizon_effect(model.short_run_epsilon, ratio_pp, years, scenario.id)
+        label = f"{_horizon(_check_years(years))}, scenario {scenario.id}"  # years checked first
+        effect = finite_horizon_effect(model.short_run_epsilon, ratio_pp, years, label)
         percent = 100.0 * effect.relative_level
         if not math.isfinite(percent):
             raise DataValidationError(
-                f"{_horizon(years)}, scenario {scenario.id}: percent cell of a "
-                f"{effect.log_points!r} log-point effect is out of float range"
+                f"{label}: percent cell of a {effect.log_points!r} log-point effect "
+                "is out of float range"
             )
         rows.append((scenario.id, ratio_pp, percent))
     return ResultTable(
@@ -369,9 +369,9 @@ def build_grid(
     registry = seed_registry() if registry is None else registry
     config = config or default_scenario_config()
     gap = gap or GapDenominator.calibrated_2024()
-    scenarios = _table_scenarios(config)
-    ids = [s.id for s in scenarios] + list(config.custom_ids)
-    delta_lambdas = [s.delta_lambda for s in scenarios] + list(config.custom_delta_lambdas)
+    scenarios = (*_table_scenarios(config), *config.custom_scenarios)
+    ids = [s.id for s in scenarios]
+    delta_lambdas = [s.delta_lambda for s in scenarios]
     shocks = [f"{dl:.6f}" for dl in delta_lambdas]
     rows, cells = _cells(
         registry, ids, shock_columns(delta_lambdas, config.lambda_baseline), gap,
@@ -407,7 +407,7 @@ def build_gap_audit(
     registry = seed_registry()
     config = config or default_scenario_config()
     adopted = GapDenominator.calibrated_2024()
-    levels = dict(zip(registry.names, registry.levels))
+    levels = {m.name: level for m, level in zip(registry.models, registry.levels)}
     scenarios = {s.id: s for s in _table_scenarios(config, lambda_baseline)}
     rows = []
     for (name, sid), share in PUBLISHED_LOG_LINEAR_SHARES.items():
@@ -467,6 +467,10 @@ def _parts(
 ) -> list[list[tuple[Any, ...]]]:
     """The parts of each block that has rows, in order, each through the renderer's
     ``finish``, which keeps the cells second; a column in many blocks goes through once."""
+    if type(decimals) is not int or not 0 <= decimals <= 1074:  # any float is exact at 1074 places
+        big = type(decimals) is int and abs(decimals) > _FLOAT_MAX  # shown as number() shows it
+        shown = f"an int of {decimals.bit_length()} bits" if big else repr(decimals)
+        raise ConfigurationError(f"decimals must be a whole number in [0, 1074], got {shown}")
     spec = f"%.{decimals}f"
     seen: dict[int, tuple[Any, ...]] = {}  # id of a column -> its part; the table keeps each alive
     blocks = []

@@ -130,36 +130,28 @@ _BUILT_IN = frozenset({"C1", "C2", "C3"})
 class ScenarioConfig(_Value):
     """Parsed scenario config: inputs, baseline openness, extra scenarios.
 
-    The extra scenarios, given as ``custom_scenarios``, are held as two
-    columns, ``custom_ids`` and ``custom_delta_lambdas``, all at
-    ``lambda_baseline``; no id may be one of C1-C3 or an earlier one's.
+    The ``custom_scenarios`` are held as given, each at ``lambda_baseline``;
+    no id may be one of C1-C3 or an earlier one's.
     """
 
-    __slots__ = ("inputs", "lambda_baseline", "custom_ids", "custom_delta_lambdas")
+    __slots__ = ("inputs", "lambda_baseline", "custom_scenarios")
+    _defaults = ((),)
 
-    def __init__(
-        self,
-        inputs: ShockInputs,
-        lambda_baseline: float,
-        custom_scenarios: tuple[TradeShockScenario, ...] = (),
-    ) -> None:
-        _check_baseline(lambda_baseline)
-        for i, s in enumerate(custom_scenarios):
-            if s.lambda_baseline != lambda_baseline:
+    def __post_init__(self) -> None:
+        _check_baseline(self.lambda_baseline)
+        for i, s in enumerate(self.custom_scenarios):
+            if s.lambda_baseline != self.lambda_baseline:
                 raise ConfigurationError(
                     f"custom_scenarios[{i}] is at baseline {s.lambda_baseline}, "
-                    f"not the config's {lambda_baseline}"
+                    f"not the config's {self.lambda_baseline}"
                 )
-        ids = tuple(s.id for s in custom_scenarios)
         seen = set(_BUILT_IN)
-        for i, sid in enumerate(ids):
-            if sid in seen:
+        for i, s in enumerate(self.custom_scenarios):
+            if s.id in seen:
                 raise ConfigurationError(
-                    f"custom_scenarios[{i}].id {sid!r} is taken (C1-C3 are built in)"
+                    f"custom_scenarios[{i}].id {s.id!r} is taken (C1-C3 are built in)"
                 )
-            seen.add(sid)
-        deltas = tuple(s.delta_lambda for s in custom_scenarios)
-        self.__setstate__((inputs, lambda_baseline, ids, deltas))
+            seen.add(s.id)
 
 
 def _check_baseline(lambda_baseline: object) -> float:
@@ -185,8 +177,8 @@ def load_scenario_config(path: str | Path) -> ScenarioConfig:
 
 
 def _config_from_json(raw: object) -> ScenarioConfig:
-    """Each object's fields are checked in turn and then its unknown fields,
-    the top level's before the custom scenarios; the constructors build it."""
+    """Each object's fields are checked in turn, then its unknown fields, the custom scenarios
+    last; the constructors build it, and it keeps each scenario, description included."""
     if not isinstance(raw, dict):
         raise ConfigurationError("expected a JSON object")
     given = raw["inputs"]

@@ -363,13 +363,17 @@ def test_seed_registry_is_parsed_once_and_frozen():
     assert seed_registry() is a
     assert all(type(getattr(a, f.name)) is tuple for f in dataclasses.fields(a))
     with pytest.raises(dataclasses.FrozenInstanceError):
-        a.names = ("x",)
+        a.models = ()
 
 
 def test_registry_columns_round_trip_its_models(registry):
     assert ElasticityRegistry(seed_registry()) == seed_registry()
     assert tuple(ElasticityRegistry(registry)) == tuple(registry)
     assert registry.get("feyrer") == tuple(registry)[-1]
+
+
+def test_registry_get_returns_the_model_it_holds():
+    assert seed_registry().get("feyrer") is tuple(seed_registry())[-1]
 
 
 def test_registry_columns_round_trip_a_growth_row(tmp_path):
@@ -380,7 +384,7 @@ def test_registry_columns_round_trip_a_growth_row(tmp_path):
     loaded = load_registry(write_registry(tmp_path / "r.json", [growth]))
     model = ElasticityModel("x", GROWTH_FORM, (-0.5, 1.0), 12, 0.02)
     assert tuple(loaded) == (model,) and ElasticityRegistry([model]) == loaded
-    assert (loaded.levels, loaded.alphas) == ((2.0,), ((-0.5, 1.0),))
+    assert (loaded.levels, loaded.models) == ((2.0,), (model,))
     assert dataclasses.replace(model, years=6).years == 6
 
 

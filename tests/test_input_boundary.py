@@ -27,6 +27,7 @@ from tradegap import (
     GdpSeries,
     GrowthEffect,
     Observation,
+    ResultTable,
     ScenarioConfig,
     ShockInputs,
     TradeShockScenario,
@@ -49,12 +50,16 @@ from tradegap import (
     load_scenario_config,
     load_series,
     log_gap,
+    render,
+    render_csv,
+    render_markdown,
     splice,
     steady_state_effect_loglinear,
     steady_state_semi_elasticity,
 )
 from tradegap.cli import _COMMANDS, _FLAGS, _build_parser, main
 from tradegap.errors import _Value
+from tradegap.report import render_chunks
 
 INPUTS = {
     "trade_gap_vs_synthetic_1972": 530,
@@ -256,6 +261,42 @@ def test_cell_error_names_the_row_and_the_scenario():
         "data error: Yanikkaya (2003), 100000-year, scenario C3: "
         "effect of 788.7651109739677 log points is out of float range\n"
     )
+
+
+def test_replication_effect_error_names_its_row():
+    code, out, err = run_cli(["replicate", "--years", "100000"])
+    assert (code, out) == (3, "")
+    assert err == (
+        "data error: 100000-year, scenario C3: "
+        "effect of 788.8801420237238 log points is out of float range\n"
+    )
+
+
+RENDERERS = {
+    "render": lambda table, decimals: render(table, "csv", decimals=decimals),
+    "render_csv": render_csv,
+    "render_markdown": render_markdown,
+    "render_chunks": lambda table, decimals: next(render_chunks(table, "md", decimals)),
+}
+
+
+BAD_DECIMALS = [
+    (-1, "-1"), (True, "True"), (1.5, "1.5"), (None, "None"), ("2", "'2'"),
+    (1075, "1075"), (2**31, "2147483648"), (10**5000, "an int of 16610 bits"),
+]
+
+
+@pytest.mark.parametrize("decimals,shown", BAD_DECIMALS, ids=[s for _d, s in BAD_DECIMALS])
+@pytest.mark.parametrize("renderer", RENDERERS.values(), ids=RENDERERS)
+def test_renderers_check_decimals(renderer, decimals, shown):
+    message = f"decimals must be a whole number in [0, 1074], got {shown}"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        renderer(build_table2(), decimals)
+
+
+def test_renderers_print_any_float_exactly_at_1074_decimals():
+    table = ResultTable("the smallest float", ("x",), rows=[(5e-324,)])
+    assert render_csv(table, 1074).splitlines()[2] == f"{5e-324:.1074f}"
 
 
 def test_value_constructors_reject_non_finite_numbers():

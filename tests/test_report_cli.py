@@ -187,8 +187,9 @@ def test_grid_rows_are_the_cells_one_at_a_time(registry, config, tmp_path):
                              {"id": "deep", "delta_lambda": 0.45, "description": "most of it"}],
     }), encoding="utf-8")
     cfg = load_scenario_config(path)
-    customs = (TradeShockScenario("mild", 0.05, lam0), TradeShockScenario("deep", 0.45, lam0))
-    assert (cfg.custom_ids, cfg.custom_delta_lambdas) == (("mild", "deep"), (0.05, 0.45))
+    customs = (TradeShockScenario("mild", 0.05, lam0),
+               TradeShockScenario("deep", 0.45, lam0, "most of it"))
+    assert cfg.custom_scenarios == customs
     gap = GapDenominator.explicit(1.2)
     c1 = custom_scenario("C1", report.TABLE_C1_DELTA_LAMBDA, lam0)
     scenarios = (c1, *build_scenarios(config.inputs, lam0)[1:], *customs)
@@ -209,6 +210,20 @@ def test_grid_rows_are_the_cells_one_at_a_time(registry, config, tmp_path):
     table = build_grid(registry=registry, config=cfg, gap=gap, years=6)
     assert table.rows == tuple(expected)
     assert len(table.blocks) == 7
+
+
+def test_replaced_config_grid_is_the_grid_of_its_file(tmp_path):
+    """``dataclasses.replace`` rebuilds a config through its checks, and the
+    grid reads the scenarios it holds as it reads a file's."""
+    config = default_scenario_config()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "inputs": dataclasses.asdict(config.inputs),
+        "custom_scenarios": [{"id": "S", "delta_lambda": 0.2}],
+    }), encoding="utf-8")
+    replaced = replace(config, custom_scenarios=(custom_scenario("S", 0.2, 0.554),))
+    assert replaced == load_scenario_config(path)
+    assert build_grid(config=replaced) == build_grid(config=load_scenario_config(path))
 
 
 def test_config_scenarios_share_its_baseline(config):

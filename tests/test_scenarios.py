@@ -125,7 +125,7 @@ def test_delta_lambda_pp_is_percentage_points(c123):
 def test_default_config_matches_published_inputs(config):
     assert config.inputs == INPUTS
     assert config.lambda_baseline == 0.554
-    assert (config.custom_ids, config.custom_delta_lambdas) == ((), ())
+    assert config.custom_scenarios == ()
 
 
 def test_load_custom_scenarios(tmp_path):
@@ -149,7 +149,7 @@ def test_load_custom_scenarios(tmp_path):
     )
     cfg = load_scenario_config(p)
     assert cfg.lambda_baseline == 0.5
-    assert (cfg.custom_ids, cfg.custom_delta_lambdas) == (("mild",), (0.05,))
+    assert cfg.custom_scenarios == (TradeShockScenario("mild", 0.05, 0.5, "small shock"),)
 
 
 def test_config_errors_are_configuration_errors(tmp_path):

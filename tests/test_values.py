@@ -33,8 +33,8 @@ SERIES = (Observation(2023, 1.0), Observation(2024, 2.0, "wdi"))
 
 #: (class, positional arguments, field names, repr, parameter names of the
 #: class's signature, a replace() that breaks a check and its message or
-#: None).  Replace cannot rebuild the registry or the config, whose
-#: constructors take objects rather than their columns.
+#: None).  Replace cannot rebuild the registry, whose ``levels`` are derived
+#: from its models.
 CASES = [
     (GapDenominator, (GapKind.EXPLICIT, 1.0), ("kind", "log_points"),
      "GapDenominator(kind=<GapKind.EXPLICIT: 'explicit'>, log_points=1.0)", None, None),
@@ -48,11 +48,8 @@ CASES = [
      "ElasticityModel(name='m', form=<FormKind.LOG_LINEAR_LEVEL: 'log_linear_level'>, "
      "coefficient=0.5, years=None, short_run_epsilon=None, source_note='note')", None,
      ({"years": 0}, "finite horizon requires years >= 1")),
-    (ElasticityRegistry, ([MODEL],),
-     ("names", "forms", "levels", "alphas", "years", "epsilons", "notes"),
-     "ElasticityRegistry(names=('m',), forms=(<FormKind.LOG_LINEAR_LEVEL: 'log_linear_level'>,), "
-     "levels=(0.5,), alphas=(None,), years=(None,), epsilons=(None,), notes=('note',))",
-     ("entries",), None),
+    (ElasticityRegistry, ([MODEL],), ("models", "levels"),
+     f"ElasticityRegistry(models=({MODEL!r},), levels=(0.5,))", ("models",), None),
     (ShockInputs, (530.0, 1122.0, 244.0, 3105.0),
      ("trade_gap_vs_synthetic_1972", "trade_with_us_1958", "synthetic_export_excess_1972",
       "gdp_1958"),
@@ -64,9 +61,10 @@ CASES = [
      "TradeShockScenario(id='X', delta_lambda=0.1, lambda_baseline=0.5, description='d')", None,
      ({"delta_lambda": -1.0}, "X: delta_lambda must be non-negative")),
     (ScenarioConfig, (INPUTS, 0.5, (TradeShockScenario("X", 0.1, 0.5, "d"),)),
-     ("inputs", "lambda_baseline", "custom_ids", "custom_delta_lambdas"),
-     f"ScenarioConfig(inputs={INPUTS!r}, lambda_baseline=0.5, custom_ids=('X',), "
-     "custom_delta_lambdas=(0.1,))", ("inputs", "lambda_baseline", "custom_scenarios"), None),
+     ("inputs", "lambda_baseline", "custom_scenarios"),
+     f"ScenarioConfig(inputs={INPUTS!r}, lambda_baseline=0.5, custom_scenarios="
+     "(TradeShockScenario(id='X', delta_lambda=0.1, lambda_baseline=0.5, description='d'),))",
+     None, None),
     (Observation, (2024, 2.0, "wdi"), ("year", "value", "source_tag"),
      "Observation(year=2024, value=2.0, source_tag='wdi')", None, None),
     (GdpSeries, (SERIES, "s"), ("observations", "label"),
