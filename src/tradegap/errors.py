@@ -27,13 +27,14 @@ class DataValidationError(ValueError):
     """A numeric input or data file violates a domain invariant."""
 
 
-def number(value: object, what: str, error: type[Exception] = ConfigurationError) -> float:
-    """The number rule: ``value`` as a float if it is an ``int`` or a
-    ``float``, not a bool, and finite as a float.  Otherwise raise ``error``
-    naming ``what``; an int beyond float range is shown by its bit length."""
+def number(value: object, what: str, error: type[Exception] = ConfigurationError,
+           *args: object) -> float:
+    """The number rule: ``value`` as a float if it is an ``int`` or a ``float``, not a bool,
+    and finite as a float.  Otherwise raise ``error`` naming ``what``, formatted with
+    ``args`` (only then) if any are given; an int beyond float range is shown by its bit length."""
     if type(value) not in (int, float) or not abs(value) <= _FLOAT_MAX:  # a bool; nan, inf
         shown = f"an int of {value.bit_length()} bits" if type(value) is int else repr(value)
-        raise error(f"{what} must be a finite number, got {shown}")
+        raise error(f"{what.format(*args) if args else what} must be a finite number, got {shown}")
     return float(value)
 
 
@@ -113,13 +114,14 @@ class _Fields:
 
 def _compiled_init(cls: type[_Value]) -> Callable[..., None]:
     """An ``__init__`` that takes the fields of ``cls`` by position or by name,
-    sets them and runs ``__post_init__``.  It is compiled, as a dataclass's
-    is: a generic one that binds ``*args`` costs more per object than a
-    dataclass's, and ``load_series`` builds one per row."""
+    sets them, each of ``_collections`` as a tuple, and runs ``__post_init__``.
+    It is compiled, as a dataclass's is: a generic one that binds ``*args``
+    costs more per object than a dataclass's, and ``load_series`` builds one per row."""
     names, defaults = cls.__slots__, cls._defaults
     required = len(names) - len(defaults)
     params = [*names[:required], *(f"{n}=_defaults[{i}]" for i, n in enumerate(names[required:]))]
-    body = [f"_setters[{i}](self, {name})" for i, name in enumerate(names)]
+    stored = [f"tuple({n})" if n in cls._collections else n for n in names]
+    body = [f"_setters[{i}](self, {value})" for i, value in enumerate(stored)]
     body += ["self.__post_init__()"] if hasattr(cls, "__post_init__") else []
     namespace = {"__name__": cls.__module__, "_setters": cls._setters, "_defaults": defaults}
     exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body), namespace)
@@ -129,12 +131,13 @@ def _compiled_init(cls: type[_Value]) -> Callable[..., None]:
 
 class _Value:
     """The base of the frozen value classes: a subclass names its fields in
-    ``__slots__``, its trailing fields' defaults in ``_defaults``, and may
-    check a new object in ``__post_init__``.  Objects act as frozen
-    dataclasses, ``dataclasses`` helpers included."""
+    ``__slots__``, its trailing fields' defaults in ``_defaults``, the fields it
+    stores as tuples in ``_collections``, and may check a new object in
+    ``__post_init__``.  Objects act as frozen dataclasses, ``dataclasses`` helpers included."""
 
     __slots__ = ()
     _defaults: tuple = ()
+    _collections: tuple = ()
 
     def __init_subclass__(cls) -> None:
         names = cls.__slots__

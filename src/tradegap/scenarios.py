@@ -130,12 +130,13 @@ _BUILT_IN = frozenset({"C1", "C2", "C3"})
 class ScenarioConfig(_Value):
     """Parsed scenario config: inputs, baseline openness, extra scenarios.
 
-    The ``custom_scenarios`` are held as given, each at ``lambda_baseline``;
+    The ``custom_scenarios`` are held as a tuple, each at ``lambda_baseline``;
     no id may be one of C1-C3 or an earlier one's.
     """
 
     __slots__ = ("inputs", "lambda_baseline", "custom_scenarios")
     _defaults = ((),)
+    _collections = ("custom_scenarios",)
 
     def __post_init__(self) -> None:
         _check_baseline(self.lambda_baseline)
@@ -206,7 +207,7 @@ def _config_from_json(raw: object) -> ScenarioConfig:
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(f"custom_scenarios[{i}]: {exc}") from None
         known(row, ("id", "delta_lambda", "description"), "custom_scenarios[{}]: ", i)
-    return ScenarioConfig(inputs, lam0, tuple(scenarios))
+    return ScenarioConfig(inputs, lam0, scenarios)
 
 
 @functools.cache

@@ -28,6 +28,7 @@ class GdpSeries(_Value):
 
     __slots__ = ("observations", "label")
     _defaults = ("",)
+    _collections = ("observations",)
 
     def __post_init__(self) -> None:
         if not self.observations:
@@ -36,13 +37,13 @@ class GdpSeries(_Value):
         for obs in self.observations:
             if type(obs.year) is not int:
                 raise DataValidationError(f"series {self.label!r}: year {obs.year!r} is not an int")
-            number(obs.year, f"series {self.label!r} year", DataValidationError)
+            number(obs.year, "series {!r} year", DataValidationError, self.label)
             if prev is not None and obs.year <= prev:
                 raise DataValidationError(
                     f"series {self.label!r}: years not strictly increasing at {obs.year}"
                 )
-            if not number(obs.value, f"series {self.label!r} value in {obs.year}",
-                          DataValidationError) > 0:
+            if not number(obs.value, "series {!r} value in {}", DataValidationError,
+                          self.label, obs.year) > 0:
                 raise DataValidationError(
                     f"series {self.label!r}: non-positive value {obs.value} in {obs.year}"
                 )
@@ -104,7 +105,7 @@ def _series_from_csv(path: str, data: bytes) -> GdpSeries:
         raise DataValidationError(f"{path}: empty series")
     # re-raise invariant violations with the file in the message
     try:
-        return GdpSeries(tuple(rows), Path(path).stem)
+        return GdpSeries(rows, Path(path).stem)
     except DataValidationError as exc:
         raise DataValidationError(f"{path}: {exc}") from None
 
@@ -142,7 +143,7 @@ def splice(base: GdpSeries, extension: GdpSeries, splice_year: int) -> GdpSeries
         prev_value = prev_value * (values[year] / values[prev_year])
         out.append(Observation(year, prev_value, f"spliced:{extension.label}"))
         prev_year = year
-    return GdpSeries(tuple(out), label=base.label)
+    return GdpSeries(out, label=base.label)
 
 
 def log_gap(synthetic: GdpSeries, historical: GdpSeries, year: int) -> GapDenominator:

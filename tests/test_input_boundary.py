@@ -636,7 +636,8 @@ def test_flag_rules_run_before_the_config_and_the_gap_flags_are_read():
         assert (code, out) == (2, "") and err.startswith("configuration error: --gap: "), err
 
 
-def test_cached_parser_keeps_no_state_between_runs(tmp_path, capsys):
+@pytest.mark.parametrize("fmt", ["csv", "md"])
+def test_cached_parser_keeps_no_state_between_runs(tmp_path, capsys, fmt):
     """One parser serves every run in a process: a flag one run gives is
     not there in the next, whether the table goes to stdout or to --out."""
     golden = Path(__file__).resolve().parent / "golden"
@@ -644,9 +645,9 @@ def test_cached_parser_keeps_no_state_between_runs(tmp_path, capsys):
     for argv, case in ((["grid", "--years", "6"], "grid-years6.md"), (["grid"], "grid.md")):
         assert main(argv) == 0
         assert capsys.readouterr().out.encode("utf-8") == (golden / case).read_bytes()
-    assert main(["grid", "--format", "csv", "--out", str(tmp_path / "grid.csv")]) == 0
+    assert main(["grid", "--format", fmt, "--out", str(tmp_path / f"grid.{fmt}")]) == 0
     assert capsys.readouterr().out == ""
-    assert (tmp_path / "grid.csv").read_bytes() == (golden / "grid.csv").read_bytes()
+    assert (tmp_path / f"grid.{fmt}").read_bytes() == (golden / f"grid.{fmt}").read_bytes()
 
 
 def test_failing_run_writes_no_byte_and_no_file(tmp_path):

@@ -491,6 +491,8 @@ def test_cli_more_config_errors_exit_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1, captured
         assert captured.err.startswith(kind) and ": ''" in captured.err, captured
+    assert main(["grid", "--config", ""]) == 2
+    assert capsys.readouterr() == ("", "configuration error: scenario config not found: ''\n")
 
 
 def test_cli_data_error_exit_3(tmp_path, capsys):

@@ -24,6 +24,9 @@ from tradegap import (
     ScenarioConfig,
     ShockInputs,
     TradeShockScenario,
+    build_grid,
+    custom_scenario,
+    default_scenario_config,
 )
 from tradegap.decomposition import GapKind
 
@@ -157,3 +160,30 @@ def test_value_class_trailing_defaults(cls, args, names, text, params, bad):
     for p in parameters:
         if p.default is not p.empty and p.name in names:
             assert getattr(obj, p.name) == p.default
+
+
+#: Each class that keeps a collection field as a tuple: a builder that takes
+#: that field, and a tuple of items for it.
+COLLECTIONS = [
+    (lambda items: ScenarioConfig(INPUTS, 0.5, items),
+     (TradeShockScenario("X", 0.1, 0.5, "d"), TradeShockScenario("Y", 0.2, 0.5))),
+    (lambda items: GdpSeries(items, "s"), SERIES),
+]
+
+
+@pytest.mark.parametrize("build,items", COLLECTIONS, ids=["ScenarioConfig", "GdpSeries"])
+@pytest.mark.parametrize("given", [list, lambda items: (item for item in items)],
+                         ids=["list", "generator"])
+def test_collection_field_is_kept_as_a_tuple(build, items, given):
+    """A list or a generator gives the object a tuple gives: equal, with the
+    same hash, and a generator is not consumed by the object's own checks."""
+    obj, twin = build(given(items)), build(items)
+    assert obj == twin and hash(obj) == hash(twin) and repr(obj) == repr(twin)
+
+
+def test_generator_built_config_gives_the_tuple_built_grid():
+    base = default_scenario_config()
+    scenarios = (custom_scenario("S", 0.2, base.lambda_baseline),)
+    built = ScenarioConfig(base.inputs, base.lambda_baseline, (s for s in scenarios))
+    tupled = ScenarioConfig(base.inputs, base.lambda_baseline, scenarios)
+    assert build_grid(config=built).rows == build_grid(config=tupled).rows
