@@ -113,22 +113,23 @@ class DecompositionResult(_Value):
         return 1.0 - self.theta
 
 
-def additive_log_thetas(log_points: list[float], _levels: list[float], gap: float) -> list[float]:
-    """The additive-log shares of a column of effects, with the gap in log points."""
-    return [lp / gap for lp in log_points]
+def additive_log_thetas(log_points: list[float], _levels: list[float], gap: float,
+                        scale: float = 1.0) -> list[float]:
+    """The additive-log shares of a column of effects (gap in log points), times ``scale``."""
+    return [scale * (lp / gap) for lp in log_points]
 
 
 def geometric_thetas_of_gap(
-    _log_points: list[float], relative_levels: list[float], gap: float
+    _log_points: list[float], relative_levels: list[float], gap: float, scale: float = 1.0
 ) -> list[float]:
-    """The geometric shares of a column of effects, with the gap in log points:
-    with policy the residual, each is its effect over the total ``expm1(gap)``."""
+    """The geometric shares of a column of effects, with the gap in log points, times
+    ``scale``: with policy the residual, each is its effect over the total ``expm1(gap)``."""
     # min() can pass over a nan, depending on where it stands; a sum cannot
     if not min(relative_levels) > -1 or math.isnan(sum(relative_levels)):
         g_ne = next(g for g in relative_levels if not g > -1)
         raise DataValidationError(f"relative level changes must exceed -1: effect g_NE is {g_ne!r}")
     total = math.expm1(gap)
-    return [rel / total for rel in relative_levels]
+    return [scale * (rel / total) for rel in relative_levels]
 
 
 def additive_log_share(effect: GrowthEffect, total: GapDenominator) -> DecompositionResult:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain, islice, product, repeat
+from operator import itemgetter
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .decomposition import GapDenominator, additive_log_thetas, backout_gap, geometric_thetas_of_gap
@@ -22,7 +23,7 @@ from .effects import (
     steady_state_effect_loglinear,
 )
 from .elasticities import ElasticityRegistry, _check_years, seed_registry
-from .errors import _FLOAT_MAX, ConfigurationError, DataValidationError, _Value
+from .errors import _FLOAT_MAX, _PARSED_FILES, ConfigurationError, DataValidationError, _Value
 from .scenarios import (
     ScenarioConfig,
     TradeShockScenario,
@@ -77,9 +78,19 @@ def _length(block: Block) -> int:
     return len(next((col for col in block if not isinstance(col, str)), ()))
 
 
+def _texts(texts: Sequence[str], what: str) -> tuple[str, ...]:
+    """``texts`` as a tuple, if it is a collection of ``str`` and not one ``str``."""
+    if not isinstance(texts, str):
+        texts = tuple(texts)
+        if all(isinstance(text, str) for text in texts):
+            return texts
+    raise ConfigurationError(f"{what} must be a collection of str, got {texts!r}")
+
+
 class ResultTable(_Value):
     """A table held as column blocks, its rows running block by block.
-    ``rows``, given in place of ``blocks``, makes one block of those rows."""
+    ``rows``, given in place of ``blocks``, makes one block of those rows.
+    Each block has one entry per column, and its cell columns are of one length."""
 
     __slots__ = ("caption", "columns", "blocks", "footnotes")
 
@@ -92,7 +103,28 @@ class ResultTable(_Value):
         *,
         rows: Sequence[Sequence[object]] | None = None,
     ) -> None:
-        blocks = blocks if rows is None else (tuple(zip(*rows)),)
+        columns = _texts(columns, f"table {caption!r}: columns")
+        footnotes = _texts(footnotes, f"table {caption!r}: footnotes")
+        if rows is not None:
+            rows = list(rows)
+            for i, row in enumerate(rows):
+                if len(row) != len(columns):
+                    raise ConfigurationError(
+                        f"table {caption!r}: row {i} has {len(row)} cells for columns {columns!r}"
+                    )
+            blocks = (tuple(zip(*rows)),) if rows else ()
+        for k, block in enumerate(blocks := tuple(blocks)):
+            if len(block) != len(columns):
+                raise ConfigurationError(
+                    f"table {caption!r}: block {k} has {len(block)} entries for columns {columns!r}"
+                )
+            sized = [(name, len(c)) for name, c in zip(columns, block) if not isinstance(c, str)]
+            for name, length in sized:
+                if length != sized[0][1]:
+                    raise ConfigurationError(
+                        f"table {caption!r}: block {k}: column {name!r} has {length} cells, "
+                        f"column {sized[0][0]!r} has {sized[0][1]}"
+                    )
         self.__setstate__((caption, columns, blocks, footnotes))
 
     @property
@@ -114,40 +146,56 @@ def _horizon(years: int | None) -> str:
 
 
 class _Rows(NamedTuple):
-    """A table's model rows as columns: the row label, the study's display
-    name, the horizon, the coefficient as printed and the effect parameters."""
+    """A table's model rows as columns (label, study, horizon, printed coefficient and
+    effect parameters), and the indices of its steady-state and finite-horizon rows."""
 
     labels: list[str]
     displays: list[str]
     horizons: list[str]
     coefficients: list[str]
     effects: list[EffectRow]
+    steady: list[int]
+    finite: list[int]
+
+
+#: id of a registry -> (the registry, kept so no other object takes its id; its rows).
+_ROWS: dict[int, tuple[ElasticityRegistry, _Rows]] = {}
 
 
 def expand_rows(registry: ElasticityRegistry, years: int | None = None) -> _Rows:
-    """One table row per (model, horizon), as columns.
+    """One table row per (model, horizon), as columns the caller owns.
 
     A model whose default horizon is finite gets two rows — the compounded
     finite-horizon effect and the steady-state effect of its level form —
     with the horizon folded into the row label.  Steady-state models get
     one row labelled by the study alone.  ``years``, if given, replaces
-    every finite horizon's years.
+    every finite horizon's years.  A registry's rows are derived once.
     """
     if years is not None:
         _check_years(years)
-    rows = []
-    for model, level in zip(registry.models, registry.levels):
-        display = _DISPLAY_NAMES.get(model.name, model.name)
-        own_years, epsilon = model.years, model.short_run_epsilon
-        finite = () if own_years is None else (own_years if years is None else years,)
-        for n in (*finite, None):
-            text = _horizon(n)
-            rows.append((
-                display if own_years is None else f"{display}, {text}", display, text,
-                f"{level:.2f}" if n is None else f"{epsilon:.3f}/pp",
-                effect_row(model.form, level, epsilon, n),
-            ))
-    return _Rows(*map(list, zip(*rows)))
+    entry = _ROWS.get(id(registry))
+    if entry is None or entry[0] is not registry:
+        rows, steady, finite = [], [], []
+        for model, level in zip(registry.models, registry.levels):
+            display = _DISPLAY_NAMES.get(model.name, model.name)
+            own_years, epsilon = model.years, model.short_run_epsilon
+            for n in (*(() if own_years is None else (own_years,)), None):
+                text = _horizon(n)
+                (steady if n is None else finite).append(len(rows))
+                rows.append((
+                    display if own_years is None else f"{display}, {text}", display, text,
+                    f"{level:.2f}" if n is None else f"{epsilon:.3f}/pp",
+                    effect_row(model.form, level, epsilon, n),
+                ))
+        entry = _ROWS[id(registry)] = (registry, _Rows(*map(list, zip(*rows)), steady, finite))
+        if len(_ROWS) > _PARSED_FILES:
+            _ROWS.pop(next(iter(_ROWS)), None)
+    rows = _Rows(*map(list, entry[1]))
+    for i in rows.finite if years is not None else ():
+        rows.horizons[i] = _horizon(years)
+        rows.labels[i] = f"{rows.displays[i]}, {rows.horizons[i]}"
+        rows.effects[i] = (years, *rows.effects[i][1:])
+    return rows
 
 
 def _table_scenarios(
@@ -159,14 +207,20 @@ def _table_scenarios(
     return (c1, *us_trade_scenarios(config.inputs, lam0))
 
 
-#: The share kernel of a column of effects: (log points, relative levels, gap) -> thetas.
-_ShareKernel = Callable[[list[float], list[float], float], list[float]]
+#: The share kernel of a column of effects: (log points, relative levels, gap, scale) -> thetas.
+_ShareKernel = Callable[[list[float], list[float], float, float], list[float]]
 
 #: The most cells one pass of the kernels takes: enough to spread their
 #: set-up over many short rows, few enough that a long row's columns (the
 #: grid's thousands of scenarios) stay in the processor's cache.  The
 #: renderers format at most this many rows in one %-call.
 _PASS_CELLS = 2048
+
+
+class _Floats(tuple):
+    """A float column the core has screened, every cell finite: renderers take it as it is."""
+
+    __slots__ = ()
 
 
 def _cells(
@@ -177,10 +231,10 @@ def _cells(
     share_fns: tuple[_ShareKernel, ...],
     years: int | None = None,
     finite_gap: GapDenominator | None = None,
-) -> tuple[_Rows, list[Sequence[Sequence[float]]]]:
-    """The model rows, and per row its percent columns over the scenarios
-    ``ids`` with ``shocks``, on plain floats: an effect % column and one
-    share % column per share kernel.
+) -> tuple[_Rows, list[int], list[list[float]]]:
+    """The model rows; each row's position ``p``, its cells being ``[p * n:(p + 1) * n]``
+    of a column for the ``n`` scenarios ``ids`` with ``shocks``; and the percent columns,
+    on plain floats: an effect % column and one share % column per share kernel.
 
     The cells of all steady-state rows go through the kernels in one pass,
     and those of all finite-horizon rows in another; a pass of more than
@@ -202,29 +256,24 @@ def _cells(
         fns, total = (finite_fns, finite_gap.log_points) if at_1972 else (share_fns, share_gap)
         log_points, relative_levels = effect_cells(effects, shocks)
         columns = [[100.0 * rel for rel in relative_levels]] + [
-            [100.0 * theta for theta in share(log_points, relative_levels, total)]
-            for share in fns
+            share(log_points, relative_levels, total, 100.0) for share in fns
         ]
-        if not all(map(math.isfinite, chain.from_iterable(columns))):
-            j = next(j for column in columns for j, x in enumerate(column) if not math.isfinite(x))
-            raise DataValidationError(
-                f"percent cell of a {log_points[j]!r} log-point effect against a {total!r} "
-                "log-point gap is out of float range"
-            )
+        # a finite sum means finite cells; a sum of finite cells that overflowed finds none bad
+        if not math.isfinite(sum(map(sum, columns))):
+            for j in (j for col in columns for j, x in enumerate(col) if not math.isfinite(x)):
+                raise DataValidationError(
+                    f"percent cell of a {log_points[j]!r} log-point effect against a {total!r} "
+                    "log-point gap is out of float range"
+                )
         return columns
 
     n = len(ids)
     step = max(1, _PASS_CELLS // n)  # rows per pass
-    cells: list[Sequence[Sequence[float]]] = [()] * len(rows.effects)  # set per pass
+    passes: list[list[list[float]]] = []
     try:
-        for finite in (False, True):
-            group = [i for i, (n_years, _c, _col) in enumerate(rows.effects)
-                     if (n_years is not None) is finite]
-            for chunk in (group[k:k + step] for k in range(0, len(group), step)):
-                columns = columns_of([rows.effects[i] for i in chunk], shocks)
-                grouped = zip(*(zip(*[iter(c)] * n) for c in columns))  # zip's grouper: n per row
-                for i, row in zip(chunk, grouped):
-                    cells[i] = row
+        for group in (rows.steady, rows.finite):
+            for k in range(0, len(group), step):
+                passes.append(columns_of([rows.effects[i] for i in group[k:k + step]], shocks))
     except DataValidationError as error:
         for i, j in product(range(len(rows.effects)), range(n)):  # the first bad cell, row-major
             try:
@@ -233,7 +282,9 @@ def _cells(
                 error = DataValidationError(f"{rows.labels[i]}, scenario {ids[j]}: {exc}")
                 break
         raise error
-    return rows, cells
+    order = rows.steady + rows.finite
+    columns = [list(chain.from_iterable(column)) for column in zip(*passes)]
+    return rows, sorted(range(len(order)), key=order.__getitem__), columns
 
 
 # --------------------------------------------------------------------------
@@ -300,7 +351,8 @@ def _share_table(
     scenarios = _table_scenarios(config, lambda_baseline)
     ids = [s.id for s in scenarios]
     shocks = shock_columns([s.delta_lambda for s in scenarios], scenarios[0].lambda_baseline)
-    rows, cells = _cells(registry, ids, shocks, gap, (share,), years, gap_1972)
+    rows, positions, columns = _cells(registry, ids, shocks, gap, (share,), years, gap_1972)
+    gather = itemgetter(*positions) if len(positions) > 1 else tuple  # a bare cell for one
     return ResultTable(
         caption=caption,
         columns=("model", "elasticity")
@@ -308,7 +360,7 @@ def _share_table(
         + tuple(f"share_{i}_pct" for i in ids),
         blocks=((
             rows.labels, rows.coefficients,
-            *([row[c][j] for row in cells]
+            *(_Floats(gather(columns[c][j::len(ids)]))
               for c in ((0, 1) if with_effects else (1,)) for j in range(len(ids))),
         ),),
         footnotes=(
@@ -373,17 +425,18 @@ def build_grid(
     ids = [s.id for s in scenarios]
     delta_lambdas = [s.delta_lambda for s in scenarios]
     shocks = [f"{dl:.6f}" for dl in delta_lambdas]
-    rows, cells = _cells(
+    rows, positions, columns = _cells(
         registry, ids, shock_columns(delta_lambdas, config.lambda_baseline), gap,
         (additive_log_thetas, geometric_thetas_of_gap), years,
     )
+    n = len(ids)
     return ResultTable(
         caption="Sensitivity grid: embargo effect and gap share per model and scenario",
         columns=("model", "horizon", "scenario", "delta_lambda", "effect_pct",
                  "theta_additive_log_pct", "theta_geometric_pct"),
         blocks=tuple(
-            (display, horizon, ids, shocks, *row)
-            for display, horizon, row in zip(rows.displays, rows.horizons, cells)
+            (display, horizon, ids, shocks, *(_Floats(c[p * n:(p + 1) * n]) for c in columns))
+            for display, horizon, p in zip(rows.displays, rows.horizons, positions)
         ),
         footnotes=(
             f"all shares measured against the {gap.describe()}",
@@ -483,9 +536,11 @@ def _parts(
                     continue
                 if isinstance(col, str):
                     part: _Part = (col.replace("%", "%%"), col)
-                # a sum is finite only if every cell is; one that overflows sends
-                # the cells, finite or not, through _format_cell
-                elif (kinds := set(map(type, col))) == {float} and math.isfinite(sum(col)):
+                # the core's screened floats; else a sum is finite only if every cell
+                # is, and one that overflows sends the cells through _format_cell
+                elif type(col) is _Floats or (
+                    (kinds := set(map(type, col))) == {float} and math.isfinite(sum(col))
+                ):
                     part = (spec, col)
                 else:
                     cells = col if kinds == {str} else [_format_cell(c, decimals) for c in col]

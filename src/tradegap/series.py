@@ -92,6 +92,11 @@ def _series_from_csv(path: str, data: bytes) -> GdpSeries:
             continue
         if len(row) < 2:
             raise DataValidationError(f"{path}:{lineno}: expected year,value[,source_tag]")
+        if len(row) > len(header):  # an unquoted comma, as in 1,000.0, shifts the fields
+            raise DataValidationError(
+                f"{path}:{lineno}: {len(row)} fields under a {len(header)}-field header: "
+                f"{','.join(row)!r}"
+            )
         try:
             year = int(row[0])
             value = float(row[1])

@@ -10,7 +10,9 @@ same exception class as the reference, naming the same first bad row and
 scenario.
 """
 
+import copy
 import math
+import pickle
 import sys
 from decimal import Decimal, localcontext
 
@@ -26,6 +28,7 @@ from tradegap import (
     FormKind,
     GapDenominator,
     GrowthEffect,
+    ResultTable,
     ScenarioConfig,
     TradeShockScenario,
     build_grid,
@@ -34,8 +37,10 @@ from tradegap import (
     build_table_a3,
     default_scenario_config,
     geometric_share_of_gap,
+    render,
 )
 from tradegap import report
+from tradegap.effects import effect_row
 
 MAX_GAP = math.log(sys.float_info.max)
 GAP_1972 = math.log1p(1.24095)
@@ -156,6 +161,8 @@ gaps = st.one_of(
 )
 horizons = st.none() | st.integers(1, 60)  # None: steady state
 year_overrides = st.none() | st.integers(1, 60)
+#: A second (years, lambda_baseline, gap) to build on the same registry object.
+second_draws = st.tuples(year_overrides, st.floats(0.45, 0.99), gaps)
 
 
 #: 1-8 models of mixed forms and horizons: (form, horizon, epsilon) each.
@@ -231,14 +238,23 @@ def check(build, expected, project):
     fraction=st.floats(0, 1, exclude_max=True),
     gap=gaps,
     pass_cells=pass_sizes,
+    again=second_draws,
 )
 # a growth factor of exactly zero at C1 (annual rate -1.0)
 @example(
     drawn=[(("loglinear", 1.0), 12, -5.74712643678161)], years=1,
     lambda_baseline=0.554, fraction=0.0, gap=1.085, pass_cells=report._PASS_CELLS,
+    again=(7, 0.6, 2.0),
 )
-def test_grid_matches_reference(drawn, years, lambda_baseline, fraction, gap, pass_cells):
-    assume(fraction * lambda_baseline < lambda_baseline)
+def test_grid_matches_reference(drawn, years, lambda_baseline, fraction, gap, pass_cells, again):
+    """Built twice on one registry object, the second time with a second draw."""
+    assume(fraction * again[1] < again[1] and fraction * lambda_baseline < lambda_baseline)
+    registry, _ = registry_and_rows(drawn, years)
+    for years, lambda_baseline, gap in ((years, lambda_baseline, gap), again):
+        check_grid(registry, drawn, years, lambda_baseline, fraction, gap, pass_cells)
+
+
+def check_grid(registry, drawn, years, lambda_baseline, fraction, gap, pass_cells):
     base = default_scenario_config()
     custom = TradeShockScenario("X", fraction * lambda_baseline, lambda_baseline)
     config = ScenarioConfig(base.inputs, lambda_baseline, (custom,))
@@ -247,7 +263,7 @@ def test_grid_matches_reference(drawn, years, lambda_baseline, fraction, gap, pa
         "C1": C1_DELTA_LAMBDA, "C2": c2.delta_lambda, "C3": c3.delta_lambda,
         "X": custom.delta_lambda,
     }
-    registry, rows = registry_and_rows(drawn, years)
+    _, rows = registry_and_rows(drawn, years)
     check(
         in_passes_of(pass_cells, lambda: build_grid(
             registry=registry, config=config, gap=GapDenominator.explicit(gap), years=years
@@ -267,20 +283,29 @@ def test_grid_matches_reference(drawn, years, lambda_baseline, fraction, gap, pa
     gap=gaps,
     geometric=st.booleans(),
     pass_cells=pass_sizes,
+    again=second_draws,
 )
 # one year of a rate whose expm1(log1p(rate)) is one ulp above it, at C1
 @example(
     drawn=[(("loglinear", 1.0), 12, 0.11)], years=1, lambda_baseline=0.554, gap=1.085,
-    geometric=False, pass_cells=report._PASS_CELLS,
+    geometric=False, pass_cells=report._PASS_CELLS, again=(None, 0.554, 1.085),
 )
 def test_tables_2_and_a3_match_reference(
-    drawn, years, lambda_baseline, gap, geometric, pass_cells
+    drawn, years, lambda_baseline, gap, geometric, pass_cells, again
 ):
-    """Finite-horizon rows are measured geometrically against the 1972 gap."""
+    """Finite-horizon rows are measured geometrically against the 1972 gap.
+    The table is built twice on one registry object, with a second draw of
+    years, baseline and gap, so that rows derived once serve both builds."""
+    registry, _ = registry_and_rows(drawn, years)
+    for years, lambda_baseline, gap in ((years, lambda_baseline, gap), again):
+        check_tables(registry, drawn, years, lambda_baseline, gap, geometric, pass_cells)
+
+
+def check_tables(registry, drawn, years, lambda_baseline, gap, geometric, pass_cells):
     inputs = default_scenario_config().inputs
     _, c2, c3 = build_scenarios(inputs, lambda_baseline)
     shocks = {"C1": C1_DELTA_LAMBDA, "C2": c2.delta_lambda, "C3": c3.delta_lambda}
-    registry, rows = registry_and_rows(drawn, years)
+    _, rows = registry_and_rows(drawn, years)
     if geometric:  # Table A3 prints the three shares only
         build, scheme = build_table_a3, ref_geometric
 
@@ -371,3 +396,94 @@ def test_geometric_shares_match_a_60_digit_reference(gap):
     for c, percent in cells:
         want = 100 * exact_geometric(c, gap)
         assert abs(Decimal(percent) - want) <= want * Decimal("1e-15"), (c, percent, want)
+
+
+# ------------------------------------------------ rows derived once per registry
+
+MIXED = [
+    (("loglinear", 0.41), 12, 0.018),
+    (("loglog", 1.23), None, 0.0),
+    (("growth", -0.05, 0.02), 6, 0.01),
+    (("loglinear", 1.97), None, 0.0),
+]
+
+
+def bytes_of(table):
+    return render(table, "md") + render(table, "csv")
+
+
+def test_rows_the_caller_gets_are_its_own():
+    registry, _ = registry_and_rows(MIXED, None)
+    want = [bytes_of(build(registry=registry, years=years))
+            for build in (build_table2, build_table_a3) for years in (None, 7)]
+    rows = report.expand_rows(registry, 7)
+    assert rows.labels[:3] == ["m0, 7-year", "m0, long-run", "m1"]
+    for column in rows:
+        column.reverse()
+        column.append(column[0])
+    assert report.expand_rows(registry, None).labels[:2] == ["m0, 12-year", "m0, long-run"]
+    assert [bytes_of(build(registry=registry, years=years))
+            for build in (build_table2, build_table_a3) for years in (None, 7)] == want
+
+
+def test_equal_registries_a_stale_entry_and_an_overfull_memo_give_the_same_bytes():
+    """The memo is keyed by id and hits only on the same object: an equal
+    registry derives its own rows, a memo entry under the id of a registry
+    that holds another registry is passed over, and a memo filled past its
+    bound evicts its oldest entry."""
+    first, _ = registry_and_rows(MIXED, None)
+    twin, _ = registry_and_rows(MIXED, None)
+    assert twin == first and twin is not first
+    want = bytes_of(build_table2(registry=first, years=3))
+    assert bytes_of(build_table2(registry=twin, years=3)) == want
+
+    other, _ = registry_and_rows(MIXED[1:], None)
+    report.expand_rows(other)
+    report._ROWS[id(first)] = report._ROWS[id(other)]  # replaced by the next build on first
+    assert bytes_of(build_table2(registry=first, years=3)) == want
+    assert report._ROWS[id(first)][0] is first
+
+    others = [registry_and_rows(MIXED, None)[0] for _ in range(report._PARSED_FILES)]
+    for registry in others:
+        build_table_a3(registry=registry)
+    assert len(report._ROWS) == report._PARSED_FILES and id(first) not in report._ROWS
+    assert bytes_of(build_table2(registry=first, years=3)) == want
+
+
+def test_rows_are_derived_once_per_registry(monkeypatch):
+    registry, rows = registry_and_rows(MIXED, None)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return effect_row(*args)
+
+    monkeypatch.setattr(report, "effect_row", counted)
+    builds = [
+        build_table2(registry=registry),
+        build_table_a3(registry=registry, years=5),
+        build_table2(registry=registry, years=30, lambda_baseline=0.6),
+        build_table_a3(registry=registry, gap=GapDenominator.explicit(2.0)),
+        build_table2(registry=registry, years=1, gap=GapDenominator.explicit(0.5)),
+    ]
+    assert all(len(table.rows) == len(rows) for table in builds)
+    assert len(calls) == len(rows)  # one derivation, by the first build
+
+
+@pytest.mark.parametrize("build", [build_table2, build_table_a3, build_grid])
+def test_core_table_renders_the_same_from_copies(build):
+    """The core hands its float columns over screened; a copy of them into
+    plain lists goes through the renderers' own checks, to the same bytes."""
+    table = build(registry=registry_and_rows(MIXED, None)[0])
+    floats = [col for block in table.blocks for col in block if type(col) is report._Floats]
+    assert len(floats) == (6 if build is build_table2 else 3) * len(table.blocks)
+    plain = ResultTable(
+        table.caption, table.columns,
+        tuple(tuple(c if isinstance(c, str) else list(c) for c in block) for block in table.blocks),
+        table.footnotes,
+    )
+    copies = [copy.deepcopy(table)] + [
+        pickle.loads(pickle.dumps(table, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    assert all(other == table for other in copies)
+    assert all(bytes_of(other) == bytes_of(table) for other in [plain, *copies])

@@ -211,6 +211,18 @@ def test_one_field_series_row_exits_3_naming_the_line(tmp_path):
     assert err == f"data error: {syn}:3: expected year,value[,source_tag]\n"
 
 
+def test_series_row_wider_than_its_header_exits_3_naming_the_line(tmp_path):
+    """``1,000.0`` unquoted is two fields: read as it stands, the value would be 1.0."""
+    syn = write_series(tmp_path / "syn.csv", (2024, 2960.0))
+    hist = tmp_path / "hist.csv"
+    hist.write_text("year,value\n2024,1,000.0\n", encoding="utf-8")
+    code, out, err = run_cli([
+        "table2", "--gap-synthetic", syn, "--gap-historical", str(hist), "--gap-year", "2024",
+    ])
+    assert (code, out) == (3, "")
+    assert err == f"data error: {hist}:2: 3 fields under a 2-field header: '2024,1,000.0'\n"
+
+
 def test_gap_with_gap_series_exits_2():
     code, out, err = run_cli(["table2", "--gap", "1", "--gap-synthetic", "s.csv"])
     assert (code, out) == (2, "")

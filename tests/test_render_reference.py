@@ -17,13 +17,15 @@ tests also run them with calls of two rows, so that a block spans several.
 """
 
 import csv
+import dataclasses
 import io
 import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tradegap import DataValidationError, report
+from tradegap import ConfigurationError, DataValidationError, report
 from tradegap.report import ResultTable, render_csv, render_markdown
 
 
@@ -241,3 +243,43 @@ def test_renderers_match_the_per_cell_reference(table, decimals):
         assert outcome(render_fn, table, decimals) == expected
         assert outcome(render_fn, table, decimals, rows_per_call=2) == expected
 
+
+
+# ------------------------------------------------------------- the table shape
+
+@pytest.mark.parametrize("args,kwargs,message", [
+    # a block's cell columns differ in length: md would drop "y"
+    ((("a", "b"), ((["x", "y"], [1.0]),)), {}, "block 0: column 'b' has 1 cells, column 'a' has 2"),
+    # a block with fewer or more entries than columns
+    ((("a", "b"), ((["x"],),)), {}, "block 0 has 1 entries for columns ('a', 'b')"),
+    ((("a",), (([1.0], [2.0]),)), {}, "block 0 has 2 entries for columns ('a',)"),
+    ((("a", "b"), (("x", [1.0]), ([1.0], "y", [2.0]))), {},
+     "block 1 has 3 entries for columns ('a', 'b')"),
+    # ragged rows: zip would cut every row to the shortest
+    ((("a", "b"),), {"rows": [(1.0, 2.0), (3.0,)]}, "row 1 has 1 cells for columns ('a', 'b')"),
+    ((("a", "b"),), {"rows": [(1.0, 2.0, 3.0)]}, "row 0 has 3 cells for columns ('a', 'b')"),
+    # a bare str is not a collection of texts: it would give one column or footnote per letter
+    ((("a",),), {"footnotes": "note"}, "footnotes must be a collection of str, got 'note'"),
+    (("ab",), {}, "columns must be a collection of str, got 'ab'"),
+    ((("a", 1),), {}, "columns must be a collection of str, got ('a', 1)"),
+    ((("a",),), {"footnotes": ("n", None)},
+     "footnotes must be a collection of str, got ('n', None)"),
+])
+def test_table_of_the_wrong_shape_is_refused(args, kwargs, message):
+    with pytest.raises(ConfigurationError) as raised:
+        ResultTable("cap", *args, **kwargs)
+    assert str(raised.value) == f"table 'cap': {message}"
+
+
+def test_table_shape_rule_keeps_what_it_allows():
+    empty = ResultTable("cap", ("a", "b"), rows=[])
+    assert empty.rows == () and empty.blocks == ()
+    assert render_csv(empty) == "# cap\na,b\n"
+    # shared text beside cell columns, a block of shared text alone, and lists for tuples
+    table = ResultTable("cap", ["a", "b"], [("x", [1.0, 2.0]), ("y", "z")], ["n"])
+    assert (table.columns, table.footnotes) == (("a", "b"), ("n",))
+    assert table.rows == (("x", 1.0), ("x", 2.0))
+    # rows from any iterable, as dataclasses.replace passes them
+    rows = ResultTable("cap", ("a", "b"), rows=iter([(1.0, 2.0), (3.0, 4.0)]))
+    assert rows.rows == ((1.0, 2.0), (3.0, 4.0))
+    assert dataclasses.replace(rows, rows=rows.rows[1:]).rows == ((3.0, 4.0),)

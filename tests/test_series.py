@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -69,6 +70,17 @@ def test_load_rejects_malformed_row_with_line_number(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("year,value\n1958,3105\nnineteen,60\n", encoding="utf-8")
     with pytest.raises(DataValidationError, match=r"bad\.csv:3"):
+        load_series(p)
+
+
+@pytest.mark.parametrize("text,line", [
+    ("year,value\n2023,999.0\n2024,1,000.0\n", 3),  # an unquoted thousands separator
+    ("year,value,source_tag\n2024,1000.0,wdi,extra\n", 2),
+])
+def test_load_rejects_row_wider_than_its_header(tmp_path, text, line):
+    p = tmp_path / "wide.csv"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(DataValidationError, match=rf"^{re.escape(str(p))}:{line}: \d fields under"):
         load_series(p)
 
 
